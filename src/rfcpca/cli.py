@@ -4,8 +4,9 @@ Every command is a pure function of its inputs and --seed; output JSON
 documents embed the tool version, a config hash, the dataset hash, and the
 seed, so results always trace back to exactly what produced them.
 
-Exit codes: 0 success, 2 config/usage error, 3 I/O error, 4 fit error,
-5 dataset-hash mismatch.
+Exit codes: 0 success, 2 config/usage error or unusable input file, 3 I/O
+error, 4 fit error, 5 dataset-hash mismatch.  Every failure prints one
+line to stderr.
 """
 
 from __future__ import annotations
@@ -68,13 +69,34 @@ def _provenance(config, data_hash, seed):
     }
 
 
-def _load_simulate_config(path) -> dict:
+def _read_json(path):
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
-        raise ConfigError(f"config not found: {path}") from exc
+        raise ConfigError(f"not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _read_fit_doc(path) -> dict:
+    doc = _read_json(path)
+    if "error" in doc:
+        raise ConfigError(f"{path} records a failed fit ({doc['error']})")
+    return doc
+
+
+def _read_dataset(data_dir):
+    """Load a trial directory; unreadable or invalid trials are a usage error."""
+    try:
+        return read_csv_dir(data_dir)
+    except FileNotFoundError as exc:
+        raise ConfigError(str(exc)) from exc
+    except (RFCPCAError, ValueError) as exc:
+        raise ConfigError(f"cannot load {data_dir}: {type(exc).__name__}: {exc}") from exc
+
+
+def _load_simulate_config(path) -> dict:
+    raw = _read_json(path)
     unknown = set(raw) - set(SIMULATE_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -147,11 +169,7 @@ def _fit_to_json(fit: FitResult, extra: dict) -> dict:
 
 def cmd_fit(args) -> int:
     data_dir = Path(args.data)
-    try:
-        dataset = read_csv_dir(data_dir)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    dataset = _read_dataset(data_dir)
     data_hash = dataset_digest(data_dir)
     config = {
         "variant": args.variant, "s": args.clusters, "m": args.m, "v": args.v,
@@ -242,15 +260,8 @@ def _fit_from_json(doc) -> FitResult:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        fit_doc = json.loads(Path(args.fit).read_text())
-        manifest = SimManifest.from_json(Path(args.manifest).read_text())
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if "error" in fit_doc:
-        print("error: fit JSON records a failed fit", file=sys.stderr)
-        return EXIT_CONFIG
+    fit_doc = _read_fit_doc(args.fit)
+    manifest = SimManifest(**_read_json(args.manifest))
     fit_hash = fit_doc["provenance"]["dataset_sha256"]
     if manifest.dataset_sha256 != fit_hash:
         print("error: fit and manifest reference different datasets", file=sys.stderr)
@@ -289,19 +300,14 @@ def _write_per_object_csv(path, fit: FitResult, manifest: SimManifest,
 
 
 def cmd_analyze(args) -> int:
-    try:
-        fit_doc = json.loads(Path(args.fit).read_text())
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    fit = _fit_from_json(fit_doc)
+    fit = _fit_from_json(_read_fit_doc(args.fit))
     subs = fit.subspaces
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     extra_axes = []
     extra_names = []
     if fit.variant == "n" and args.data:
-        dataset = read_csv_dir(Path(args.data))
+        dataset = _read_dataset(Path(args.data))
         noise = noise_subspace(dataset, fit)
         extra_axes = [noise.axes[0]]
         extra_names = ["noise"]
@@ -434,6 +440,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -194,8 +194,11 @@ class _Prepared:
             g, e = embedding_grams(x, max_lag)
             grams.append(g)
             energies.append(e)
-        self.blocks = np.stack(blocks)        # (N, L, 2p, 2p)
-        self.grams = np.stack(grams)          # (N, L, 2p, 2p)
+        # stored lag-major and exposed as (N, L, 2p, 2p) views, so every
+        # per-lag slice [:, l] that the fitting loop reads is C-contiguous
+        # and numpy reduces over it without copying
+        self.blocks = np.stack(blocks, axis=1).transpose(1, 0, 2, 3)
+        self.grams = np.stack(grams, axis=1).transpose(1, 0, 2, 3)
         self.energies = np.stack(energies)    # (N, L)
         self.n_series = self.blocks.shape[0]
         self.max_lag = max_lag
@@ -204,10 +207,13 @@ class _Prepared:
 def _errors_from_grams(prep: _Prepared, subspaces: ClusterSubspaces) -> np.ndarray:
     """Reconstruction errors r2_is via the Gram identity |XC|^2 = tr(C^T G C).
 
-    Errors below roundoff level (relative to the object's total energy) are
-    snapped to exact zero, so near-full-rank projections consistently hit
-    the zero-error membership convention instead of feeding the update
-    meaningless ratios of rounding noise.
+    The captured energy is evaluated in projector form, tr(C^T G C) =
+    <G, C C^T>_F, so each (cluster, lag) costs one matrix-vector product over
+    the flattened Gram matrices of all series.  Errors below roundoff level
+    (relative to the object's total energy) are snapped to exact zero, so
+    near-full-rank projections consistently hit the zero-error membership
+    convention instead of feeding the update meaningless ratios of rounding
+    noise.
     """
     n = prep.n_series
     s_count = subspaces.n_clusters
@@ -215,8 +221,8 @@ def _errors_from_grams(prep: _Prepared, subspaces: ClusterSubspaces) -> np.ndarr
     for s in range(s_count):
         for lag_idx in range(prep.max_lag):
             c = subspaces.axes[s][lag_idx]
-            gc = np.tensordot(prep.grams[:, lag_idx], c, axes=(2, 0))  # (N, 2p, k)
-            captured = (gc * c[None, :, :]).sum(axis=(1, 2))
+            grams = prep.grams[:, lag_idx].reshape(n, -1)
+            captured = grams @ (c @ c.T).ravel()
             errors[:, s] += prep.energies[:, lag_idx] - captured
     tiny = 1e-12 * prep.energies.sum(axis=1, keepdims=True)
     errors[errors <= tiny] = 0.0

@@ -37,6 +37,9 @@ from .rng import derive_seed
 # default multiplier grid for the noise-distance selection: 20 halvings of 1
 DEFAULT_LAMBDA_GRID = tuple(0.5**i for i in range(20))
 
+# cap on the plain iterations run before the noise cluster is switched on
+DEFAULT_BURN_IN = 100
+
 # patience for the exponential variant, whose subspace half-step is not an
 # exact minimiser of the bounded loss and may stall instead of converging
 _STALL_PATIENCE = 5
@@ -181,11 +184,37 @@ def update_noise_distance(errors: np.ndarray, lam: float) -> float:
     return lam * total / (n * s_regular)
 
 
+def _burn_in(prep: _Prepared, u: np.ndarray, n_regular: int, m: float, v: float,
+             tol: float, max_steps: int) -> np.ndarray:
+    """Noise-variant start state: burned-in regular memberships, empty noise column.
+
+    The regular columns of ``u`` are renormalised to sum to one per row, then
+    plain alternating iterations run on them until their objective settles
+    (at most ``max_steps``).  Nothing here depends on the noise multiplier.
+    """
+    n = prep.n_series
+    u_reg = u[:, :n_regular]
+    row_sums = u_reg.sum(axis=1, keepdims=True)
+    u_reg = np.where(row_sums > 0, u_reg / np.where(row_sums > 0, row_sums, 1.0),
+                     1.0 / n_regular)
+    prev_j = np.inf
+    for _ in range(max_steps):
+        subspaces = _subspaces_from_weights(prep.blocks, u_reg, m, v)
+        reg_errors = _errors_from_grams(prep, subspaces)
+        u_prev = u_reg
+        u_reg = ratio_memberships(reg_errors, m)
+        j = float(_per_object_loss(reg_errors, u_reg, m).sum())
+        if abs(j - prev_j) < tol or np.abs(u_reg - u_prev).max() < 1e-9:
+            break
+        prev_j = j
+    return np.hstack([u_reg, np.zeros((n, 1))])
+
+
 def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
                  v: float = DEFAULT_VARIANCE_FRACTION, lam: float = 1.0,
                  seed: int = 0, max_iter: int = DEFAULT_MAX_ITER,
                  tol: float = DEFAULT_TOL, schedule: str = "every_iteration",
-                 init_u: np.ndarray | None = None, burn_in: int = 100,
+                 init_u: np.ndarray | None = None, burn_in: int = DEFAULT_BURN_IN,
                  max_lag: int = DEFAULT_MAX_LAG) -> FitResult:
     """Fit with a dedicated noise cluster (total clusters = n_regular + 1).
 
@@ -198,7 +227,9 @@ def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     caps the count).  Without this, the very first noise distance is
     computed from the blended random-init subspaces, whose error scale is
     far below that of formed clusters, and the noise cluster can
-    permanently swallow a whole genuine cluster.
+    permanently swallow a whole genuine cluster.  ``burn_in=0`` skips the
+    burn-in: the caller then supplies already burned-in memberships as
+    ``init_u`` (their regular columns are only renormalised).
     """
     config = NoiseConfig(lam=lam, update_schedule=schedule)
     prep = dataset if isinstance(dataset, _Prepared) else _Prepared(dataset, max_lag)
@@ -208,21 +239,7 @@ def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
         u = MembershipMatrix(init_u, m).u.copy()
     else:
         u = init_memberships(n, s_total, seed, m).u
-    u_reg = u[:, :n_regular]
-    row_sums = u_reg.sum(axis=1, keepdims=True)
-    u_reg = np.where(row_sums > 0, u_reg / np.where(row_sums > 0, row_sums, 1.0),
-                     1.0 / n_regular)
-    prev_j = np.inf
-    for _ in range(burn_in):
-        subspaces = _subspaces_from_weights(prep.blocks, u_reg, m, v)
-        reg_errors = _errors_from_grams(prep, subspaces)
-        u_prev = u_reg
-        u_reg = ratio_memberships(reg_errors, m)
-        j = float(_per_object_loss(reg_errors, u_reg, m).sum())
-        if abs(j - prev_j) < tol or np.abs(u_reg - u_prev).max() < 1e-9:
-            break
-        prev_j = j
-    u = np.hstack([u_reg, np.zeros((n, 1))])
+    u = _burn_in(prep, u, n_regular, m, v, tol, burn_in)
     delta_sq = None
     trace: list[float] = []
     converged = False
@@ -291,7 +308,11 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     All grid fits start from one shared baseline state: the regular
     clusters fitted without a noise cluster, best of three seeded restarts.
     Independent random inits per lambda would let isolated fits land in
-    poor local optima and put spurious spikes on the curve.
+    poor local optima and put spurious spikes on the curve.  The noise
+    variant's burn-in does not depend on lambda, so it runs once on that
+    baseline and every grid fit starts from the one burned-in state
+    (``burn_in=0``); a burn-in that empties a cluster counts as a collapse
+    of every grid fit.
     """
     lam_grid = list(lam_grid)
     if len(lam_grid) < 3:
@@ -307,14 +328,20 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
                          max_iter=max_iter, tol=tol, max_lag=max_lag)
         if base is None or cand.objective_trace[-1] < base.objective_trace[-1]:
             base = cand
-    shared_init = np.hstack([base.memberships.u, np.zeros((n, 1))])
+    try:
+        shared_init = _burn_in(prep, base.memberships.u, n_regular, m, v, tol,
+                               DEFAULT_BURN_IN)
+    except EmptyClusterError:
+        # every grid fit would have collapsed in this same burn-in
+        curve = [(lam, 1.0) for lam in lam_grid]
+        return LambdaElbow(lambda_star=lam_grid[0], curve=curve, no_elbow=True)
     fractions = []
     for k, lam in enumerate(lam_grid):
         try:
             fit = fit_rfcpca_n(prep, n_regular, m=m, v=v, lam=lam,
                                seed=derive_seed(seed, _ELBOW_STREAM, k),
                                init_u=shared_init, max_iter=max_iter, tol=tol,
-                               max_lag=max_lag)
+                               burn_in=0, max_lag=max_lag)
             fractions.append(len(fit.flagged) / n)
         except (EmptyClusterError, DegenerateScale):
             fractions.append(1.0)

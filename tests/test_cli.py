@@ -1,14 +1,32 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rfcpca
 from rfcpca.cli import main
 from rfcpca.dataset import dataset_digest, read_csv_dir
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rfcpca.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "rfcpca.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def assert_clean_exit(proc, code):
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 @pytest.fixture
@@ -160,6 +178,32 @@ class TestAnalyze:
                    "--out-prefix", prefix) == 0
         text = (tmp_path / "noise_diag_contributions.csv").read_text()
         assert "noise" in text
+
+
+class TestExitCodes:
+    def test_malformed_fit_json_exits_2(self, simulated, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        proc = run_process("evaluate", "--fit", bad, "--manifest", simulated / "manifest.json",
+                           "--out", tmp_path / "r.json")
+        assert_clean_exit(proc, 2)
+
+    def test_analyze_failed_fit_exits_2(self, tmp_path):
+        failed = tmp_path / "failed.json"
+        failed.write_text(json.dumps({"error": "EmptyClusterError", "message": "cluster 0"}))
+        proc = run_process("analyze", "--fit", failed, "--out-prefix", tmp_path / "diag")
+        assert_clean_exit(proc, 2)
+
+    def test_non_finite_csv_exits_2(self, simulated, tmp_path):
+        trial = simulated / "trial_000.csv"
+        lines = trial.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[0] = "nan"
+        lines[1] = ",".join(cells)
+        trial.write_text("\n".join(lines) + "\n")
+        proc = run_process("fit", "--data", simulated, "--variant", "fcpca",
+                           "--out", tmp_path / "f.json")
+        assert_clean_exit(proc, 2)
 
 
 class TestReproduce:

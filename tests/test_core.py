@@ -6,6 +6,7 @@ from conftest import planted_dataset
 from rfcpca.core import (
     FitResult,
     MembershipMatrix,
+    _errors_from_grams,
     _Prepared,
     fit_fcpca,
     init_memberships,
@@ -13,6 +14,13 @@ from rfcpca.core import (
     ratio_memberships,
     update_memberships_fcpca,
     update_subspaces,
+)
+from rfcpca.covariance import (
+    ClusterSubspaces,
+    embedding_grams,
+    lagged_blocks,
+    lagged_embeddings,
+    reconstruction_error,
 )
 from rfcpca.dataset import MtsDataset
 from rfcpca.evaluation import rand_index
@@ -127,6 +135,41 @@ class TestUpdateSubspaces:
                 p_ref = ref.ref_projector(sigma, 0.95)
                 p_mine = subs.projector(s, lag_idx)
                 assert np.linalg.norm(p_ref - p_mine) < 1e-8
+
+
+class TestPrepared:
+    def test_layout_matches_per_series_summaries(self):
+        rng = make_rng(26)
+        series = [rng.standard_normal((40 + 5 * i, 3)) for i in range(5)]
+        prep = _Prepared(MtsDataset(series=series), 3)
+        blocks = np.stack([lagged_blocks(x, 3) for x in series])
+        grams = np.stack([embedding_grams(x, 3)[0] for x in series])
+        assert prep.blocks.shape == prep.grams.shape == (5, 3, 6, 6)
+        assert np.array_equal(prep.blocks, blocks)
+        assert np.array_equal(prep.grams, grams)
+        for lag_idx in range(3):
+            assert prep.blocks[:, lag_idx].flags.c_contiguous
+            assert prep.grams[:, lag_idx].flags.c_contiguous
+
+    def test_errors_match_embedding_reference(self):
+        # projector-form errors sum in another order than the loop over raw
+        # embeddings, so they agree to a float64 tolerance, not bitwise
+        rng = make_rng(27)
+        p, max_lag = 4, 2
+        series = [rng.standard_normal((50 + 7 * i, p)) for i in range(6)]
+        prep = _Prepared(MtsDataset(series=series), max_lag)
+        axes = []
+        for s in range(3):
+            per_lag = []
+            for lag_idx in range(max_lag):
+                k = int(rng.integers(1, 2 * p))
+                q, _ = np.linalg.qr(rng.standard_normal((2 * p, k)))
+                per_lag.append(q)
+            axes.append(per_lag)
+        errors = _errors_from_grams(prep, ClusterSubspaces(axes=axes))
+        expected = np.array([[reconstruction_error(lagged_embeddings(x, max_lag), per_lag)
+                              for per_lag in axes] for x in series])
+        np.testing.assert_allclose(errors, expected, rtol=1e-10, atol=0.0)
 
 
 class TestFitFcpca:

@@ -5,9 +5,10 @@ import reference as ref
 from conftest import planted_dataset, planted_with_outliers
 from rfcpca.core import fit_fcpca
 from rfcpca.evaluation import rand_index
-from rfcpca.exceptions import DegenerateScale, TooFewRetained
-from rfcpca.rng import make_rng
+from rfcpca.exceptions import DegenerateScale, EmptyClusterError, TooFewRetained
+from rfcpca.rng import derive_seed, make_rng
 from rfcpca.robust import (
+    _ELBOW_STREAM,
     DEFAULT_LAMBDA_GRID,
     estimate_beta,
     exponential_loss,
@@ -230,6 +231,41 @@ class TestLambdaElbow:
             jumps = np.diff(fracs)
             pre = int(np.argmax(jumps))
             assert elbow.lambda_star == lams[pre]
+
+    def test_shared_burn_in_matches_per_lambda_burn_in(self):
+        # the sweep burns in once; each grid fit burning in on its own from
+        # the same baseline must trace the same curve (on this dataset the
+        # curve and lambda_star change when the burn-in is skipped)
+        dataset, _ = planted_with_outliers(51)
+        elbow = select_lambda_elbow(dataset, 2, m=2.0, seed=6)
+        base = None
+        for r in range(3):
+            cand = fit_fcpca(dataset, 2, m=2.0, seed=derive_seed(6, _ELBOW_STREAM, 999, r))
+            if base is None or cand.objective_trace[-1] < base.objective_trace[-1]:
+                base = cand
+        init_u = np.hstack([base.memberships.u, np.zeros((dataset.n_series, 1))])
+        fractions = []
+        for k, lam in enumerate(DEFAULT_LAMBDA_GRID):
+            fit = fit_rfcpca_n(dataset, 2, m=2.0, lam=lam,
+                               seed=derive_seed(6, _ELBOW_STREAM, k), init_u=init_u)
+            fractions.append(len(fit.flagged) / dataset.n_series)
+        assert elbow.curve == list(zip(DEFAULT_LAMBDA_GRID, fractions))
+        jumps = np.diff(fractions)
+        assert not np.all(jumps == 0.0)
+        assert elbow.lambda_star == DEFAULT_LAMBDA_GRID[int(np.argmax(jumps))]
+
+    def test_collapsing_burn_in_gives_flat_saturated_curve(self, monkeypatch):
+        import rfcpca.robust as robust_mod
+
+        def collapse(*args, **kwargs):
+            raise EmptyClusterError("cluster 0 has no effective members")
+
+        monkeypatch.setattr(robust_mod, "_burn_in", collapse)
+        dataset, _ = planted_dataset(48)
+        elbow = select_lambda_elbow(dataset, 2, m=2.0, seed=4)
+        assert elbow.curve == [(lam, 1.0) for lam in DEFAULT_LAMBDA_GRID]
+        assert elbow.no_elbow
+        assert elbow.lambda_star == DEFAULT_LAMBDA_GRID[0]
 
     def test_curve_saturates_with_outliers(self):
         # gross outliers are flagged from the largest multiplier onward and
