@@ -13,6 +13,7 @@ from .core import (
     FitResult,
     MembershipMatrix,
     fit_fcpca,
+    flag_outliers,
     init_memberships,
     objective_fcpca,
     update_memberships_fcpca,
@@ -32,21 +33,17 @@ from .evaluation import (
     EvalReport,
     adjusted_rand_index,
     evaluate_fit,
-    flag_outliers,
     harden,
     outlier_recall,
     rand_index,
 )
 from .robust import (
     LambdaElbow,
-    NoiseConfig,
-    TrimConfig,
     estimate_beta,
     fit_rfcpca_e,
     fit_rfcpca_n,
     fit_rfcpca_t,
     select_lambda_elbow,
-    select_trim_set,
     update_memberships_exponential,
     update_memberships_noise,
     update_noise_distance,

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import channel_contributions, noise_subspace, principal_angles
 from .dataset import dataset_digest, read_csv_dir, write_csv_dir
-from .evaluation import EvalReport, evaluate_fit, harden
+from .evaluation import EvalReport, evaluate_fit, harden, regular_memberships
 from .exceptions import RFCPCAError
 from .experiments import BENCHMARK_V, run_benchmark, write_rows_csv
 from .core import FitResult, MembershipMatrix, fit_fcpca
@@ -83,6 +83,14 @@ def _read_fit_doc(path) -> dict:
     if "error" in doc:
         raise ConfigError(f"{path} records a failed fit ({doc['error']})")
     return doc
+
+
+def _read_manifest(path) -> SimManifest:
+    doc = _read_json(path)
+    try:
+        return SimManifest(**doc)
+    except TypeError as exc:
+        raise ConfigError(f"{path} is not a dataset manifest: {exc}") from exc
 
 
 def _read_dataset(data_dir):
@@ -167,7 +175,31 @@ def _fit_to_json(fit: FitResult, extra: dict) -> dict:
     return doc
 
 
+def _check_fit_options(args) -> float | None:
+    """Reject out-of-range fit options; returns the fixed --lambda, or None
+    when the noise multiplier is selected at the elbow (absent or 'auto')."""
+    if not 0.0 < args.v <= 1.0:
+        raise ConfigError(f"--v must lie in (0, 1], got {args.v}")
+    if not 1.0 < args.m < np.inf:
+        raise ConfigError(f"-m must be a finite number above 1, got {args.m}")
+    if args.alpha is not None and not 0.0 <= args.alpha < 1.0:
+        raise ConfigError(f"--alpha must lie in [0, 1), got {args.alpha}")
+    if args.max_lag < 1:
+        raise ConfigError(f"--max-lag must be at least 1, got {args.max_lag}")
+    if args.lam in (None, "auto"):
+        return None
+    message = f"--lambda must be a positive number or 'auto', got {args.lam!r}"
+    try:
+        lam = float(args.lam)
+    except ValueError:
+        raise ConfigError(message) from None
+    if not 0.0 < lam < np.inf:
+        raise ConfigError(message)
+    return lam
+
+
 def cmd_fit(args) -> int:
+    lam = _check_fit_options(args)
     data_dir = Path(args.data)
     dataset = _read_dataset(data_dir)
     data_hash = dataset_digest(data_dir)
@@ -183,7 +215,7 @@ def cmd_fit(args) -> int:
             grid = SearchGrid(variant=args.variant, s_values=(args.clusters,),
                               m_values=DEFAULT_M_GRID,
                               alpha_values=DEFAULT_ALPHA_GRID,
-                              lam="elbow" if args.lam in (None, "auto") else float(args.lam))
+                              lam="elbow" if lam is None else lam)
             fit, report = grid_search(dataset, grid, seed=args.seed, v=args.v,
                                       max_lag=args.max_lag)
         elif args.variant == "fcpca":
@@ -193,13 +225,11 @@ def cmd_fit(args) -> int:
             fit = fit_rfcpca_e(dataset, args.clusters, m=args.m, v=args.v,
                                seed=args.seed, max_lag=args.max_lag)
         elif args.variant == "n":
-            if args.lam in (None, "auto"):
+            if lam is None:
                 elbow = select_lambda_elbow(dataset, args.clusters, m=args.m,
                                             v=args.v, seed=args.seed,
                                             max_lag=args.max_lag)
                 lam = elbow.lambda_star
-            else:
-                lam = float(args.lam)
             fit = fit_rfcpca_n(dataset, args.clusters, m=args.m, v=args.v,
                                lam=lam, seed=args.seed, max_lag=args.max_lag)
         else:
@@ -261,7 +291,7 @@ def _fit_from_json(doc) -> FitResult:
 
 def cmd_evaluate(args) -> int:
     fit_doc = _read_fit_doc(args.fit)
-    manifest = SimManifest(**_read_json(args.manifest))
+    manifest = _read_manifest(args.manifest)
     fit_hash = fit_doc["provenance"]["dataset_sha256"]
     if manifest.dataset_sha256 != fit_hash:
         print("error: fit and manifest reference different datasets", file=sys.stderr)
@@ -288,8 +318,7 @@ def cmd_evaluate(args) -> int:
 def _write_per_object_csv(path, fit: FitResult, manifest: SimManifest,
                           report: EvalReport) -> None:
     u = fit.memberships.u
-    hard = harden(u if fit.variant != "n" else
-                  u[:, :-1] / np.maximum(u[:, :-1].sum(axis=1, keepdims=True), 1e-300))
+    hard = harden(regular_memberships(fit))
     flagged = set(report.flagged)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,15 +1,20 @@
-"""Baseline alternating optimiser: memberships from errors, axes from memberships.
+"""The alternating optimiser shared by every variant.
 
-The fitting loop alternates two exact coordinate updates until the objective
-stabilises: cluster axes are the top eigenvectors of the membership-weighted
-block covariances, and memberships follow the closed-form ratio update from
-the reconstruction errors.  Trimming is folded into the same engine (a zero
-trimming proportion reproduces the baseline bit for bit).
+One loop, :func:`_alternate`, alternates two coordinate updates until the
+objective stabilises: cluster axes are the top eigenvectors of the
+membership-weighted block covariances, and memberships follow the
+closed-form ratio update from a loss of the reconstruction errors.  The
+baseline fit, the three robust variants and the noise variant's burn-in
+differ only in the policy they pass: a loss transform (identity, bounded
+exponential, or errors plus a noise-cluster column), a retained set
+(everything, or the objects with the smallest losses) and a stall rule.
+:func:`flag_outliers` is the one per-variant outlier rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +33,6 @@ from .exceptions import (
     EmptyClusterError,
     InvalidShape,
     LagTooLarge,
-    TooFewRetained,
 )
 from .rng import make_rng
 
@@ -229,42 +233,64 @@ def _errors_from_grams(prep: _Prepared, subspaces: ClusterSubspaces) -> np.ndarr
     return errors
 
 
-def _fit_squared_loss(dataset: MtsDataset, n_clusters: int, m: float, v: float,
-                      seed: int, max_iter: int, tol: float, alpha: float,
-                      variant: str, init_u: np.ndarray | None = None,
-                      max_lag: int = DEFAULT_MAX_LAG) -> FitResult:
-    """Shared engine for the baseline and the trimmed variant.
+class _Run(NamedTuple):
+    """Final state of one alternation run."""
 
-    With alpha = 0 every object is always retained and the computation is
-    bit-identical to the plain alternation.
+    u: np.ndarray
+    subspaces: ClusterSubspaces | None
+    errors: np.ndarray | None
+    trace: list
+    converged: bool
+    mask: np.ndarray | None
+
+
+def _alternate(prep: _Prepared, u: np.ndarray, m: float, v: float, max_iter: int,
+               tol: float, loss=None, n_subspaces: int | None = None,
+               n_keep: int | None = None, patience: int | None = _STALL_LIMIT,
+               stall_converges: bool = False) -> _Run:
+    """The one membership/subspace alternation behind every fit.
+
+    Each iteration computes the subspaces from the retained objects'
+    memberships, the reconstruction errors against them, the loss, the
+    memberships from the loss, the retained set and the objective, then
+    applies the stop rules.  The variant is a policy given by the remaining
+    arguments:
+
+    - ``loss`` maps the (N, S) errors to the (N, S') loss the memberships
+      follow (default: the errors themselves); it is called once per
+      iteration and may hold state, such as a scale fixed at the first call.
+    - ``n_subspaces`` is the number of leading membership columns that own a
+      subspace (default: all); the remaining columns, such as a noise
+      cluster, enter only through the loss.
+    - ``n_keep`` retains the objects with the ``n_keep`` smallest losses for
+      the next subspace step and for the objective (default: all).
+    - ``patience`` ends a run after that many iterations without a new best
+      objective (None: never); ``stall_converges`` says whether such a run
+      counts as converged.
+
+    The run also stops, converged, when the objective changes by less than
+    ``tol`` or the memberships reach a fixed point.
     """
-    prep = dataset if isinstance(dataset, _Prepared) else _Prepared(dataset, max_lag)
-    n = prep.n_series
-    n_keep = int(np.floor(n * (1.0 - alpha)))
-    if n_keep < n_clusters:
-        raise TooFewRetained(f"retaining {n_keep} of {n} objects cannot fill {n_clusters} clusters")
-    if init_u is not None:
-        u = MembershipMatrix(init_u, m).u.copy()
-        if u.shape != (n, n_clusters):
-            raise InvalidShape("initial memberships have the wrong shape")
-    else:
-        u = init_memberships(n, n_clusters, seed, m).u
-    mask = np.ones(n, dtype=bool)
+    n_sub = u.shape[1] if n_subspaces is None else n_subspaces
+    mask = None if n_keep is None else np.ones(u.shape[0], dtype=bool)
     trace: list[float] = []
     converged = False
-    errors = None
-    subspaces = None
+    subspaces = errors = None
     best = np.inf
     stall = 0
     for _ in range(max_iter):
-        subspaces = _subspaces_from_weights(prep.blocks, u * mask[:, None], m, v)
+        weights = u[:, :n_sub] if mask is None else u[:, :n_sub] * mask[:, None]
+        subspaces = _subspaces_from_weights(prep.blocks, weights, m, v)
         errors = _errors_from_grams(prep, subspaces)
+        losses = errors if loss is None else loss(errors)
         u_prev = u
-        u = ratio_memberships(errors, m)
-        loss = _per_object_loss(errors, u, m)
-        if alpha > 0.0:
-            mask = _trim_mask(loss, n_keep)
-        trace.append(float(loss[mask].sum()))
+        u = ratio_memberships(losses, m)
+        per_object = _per_object_loss(losses, u, m)
+        if mask is None:
+            trace.append(float(per_object.sum()))
+        else:
+            mask = _trim_mask(per_object, n_keep)
+            trace.append(float(per_object[mask].sum()))
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
             converged = True
             break
@@ -277,27 +303,59 @@ def _fit_squared_loss(dataset: MtsDataset, n_clusters: int, m: float, v: float,
             stall = 0
         else:
             stall += 1
-            if stall >= _STALL_LIMIT:
+            if patience is not None and stall >= patience:
+                converged = stall_converges
                 break
-    memberships = MembershipMatrix(u, m)
-    if variant == "t":
-        flagged = np.flatnonzero(~mask)
-        params = {"alpha": alpha, "retained": np.flatnonzero(mask)}
-    else:
-        flagged = np.flatnonzero(u.max(axis=1) < HARDEN_THRESHOLD)
-        params = {}
-    return FitResult(
-        memberships=memberships,
-        subspaces=subspaces,
-        errors=errors,
-        objective_trace=trace,
-        iterations=len(trace),
-        converged=converged,
+    return _Run(u, subspaces, errors, trace, converged, mask)
+
+
+def _prepare(dataset, max_lag: int) -> _Prepared:
+    """The dataset's summaries; a :class:`_Prepared` passed in is reused."""
+    return dataset if isinstance(dataset, _Prepared) else _Prepared(dataset, max_lag)
+
+
+def _start(dataset, n_clusters: int, m: float, seed: int, init_u, max_lag: int):
+    """Shared fit set-up: the prepared summaries and the starting memberships."""
+    prep = _prepare(dataset, max_lag)
+    if init_u is None:
+        return prep, init_memberships(prep.n_series, n_clusters, seed, m).u
+    u = MembershipMatrix(init_u, m).u.copy()
+    if u.shape != (prep.n_series, n_clusters):
+        raise InvalidShape("initial memberships have the wrong shape")
+    return prep, u
+
+
+def flag_outliers(fit: FitResult) -> np.ndarray:
+    """Per-variant outlier rule, returned as a sorted index array.
+
+    Exponential/baseline: no dominant membership (max below 0.70).
+    Noise: noise-cluster membership at least 0.50.
+    Trimmed: the complement of the retained set.
+    """
+    u = fit.memberships.u
+    if fit.variant == "t":
+        mask = np.ones(fit.n_series, dtype=bool)
+        mask[np.asarray(fit.variant_params["retained"], dtype=int)] = False
+        return np.flatnonzero(mask)
+    if fit.variant == "n":
+        return np.flatnonzero(u[:, -1] >= NOISE_FLAG_THRESHOLD)
+    return np.flatnonzero(u.max(axis=1) < HARDEN_THRESHOLD)
+
+
+def _fit_result(run: _Run, m: float, variant: str, params: dict, seed: int) -> FitResult:
+    fit = FitResult(
+        memberships=MembershipMatrix(run.u, m),
+        subspaces=run.subspaces,
+        errors=run.errors,
+        objective_trace=run.trace,
+        iterations=len(run.trace),
+        converged=run.converged,
         variant=variant,
         variant_params=params,
-        flagged=flagged,
         seed=seed,
     )
+    fit.flagged = flag_outliers(fit)
+    return fit
 
 
 def fit_fcpca(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
@@ -311,5 +369,6 @@ def fit_fcpca(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
     the objective drops below ``tol`` or ``max_iter`` is reached.  The run
     is fully determined by (dataset, parameters, seed).
     """
-    return _fit_squared_loss(dataset, n_clusters, m, v, seed, max_iter, tol,
-                             alpha=0.0, variant="fcpca", init_u=init_u, max_lag=max_lag)
+    prep, u = _start(dataset, n_clusters, m, seed, init_u, max_lag)
+    run = _alternate(prep, u, m, v, max_iter, tol)
+    return _fit_result(run, m, "fcpca", {}, seed)

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import HARDEN_THRESHOLD, NOISE_FLAG_THRESHOLD, FitResult
+from .core import HARDEN_THRESHOLD, FitResult, flag_outliers
 from .exceptions import EmptyIndexSet
 
 UNASSIGNED = -1
@@ -46,22 +46,18 @@ def harden(memberships: np.ndarray, threshold: float = HARDEN_THRESHOLD) -> np.n
     return labels
 
 
-def flag_outliers(fit: FitResult) -> np.ndarray:
-    """Per-variant outlier rule, returned as a sorted index array.
+def regular_memberships(fit: FitResult) -> np.ndarray:
+    """Memberships over the substantive clusters, one row per object.
 
-    Exponential/baseline: no dominant membership (max below 0.70).
-    Noise: noise-cluster membership at least 0.50.
-    Trimmed: the complement of the retained set.
+    The noise variant's regular columns are renormalised to sum to one (a
+    row with no regular membership at all stays zero); other variants'
+    memberships are returned as they are.
     """
     u = fit.memberships.u
-    if fit.variant == "t":
-        retained = np.asarray(fit.variant_params["retained"], dtype=int)
-        mask = np.ones(fit.n_series, dtype=bool)
-        mask[retained] = False
-        return np.flatnonzero(mask)
-    if fit.variant == "n":
-        return np.flatnonzero(u[:, -1] >= NOISE_FLAG_THRESHOLD)
-    return np.flatnonzero(u.max(axis=1) < HARDEN_THRESHOLD)
+    if fit.variant != "n":
+        return u
+    regular = u[:, :-1]
+    return regular / np.maximum(regular.sum(axis=1, keepdims=True), 1e-300)
 
 
 def _contingency(a: np.ndarray, b: np.ndarray):
@@ -132,11 +128,7 @@ def outlier_recall(flagged, truth) -> float | None:
 def _scored_prediction(fit: FitResult, scored: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hardened labels on the scored set; unassigned objects become unique
     dummy labels distinct from every true label, i.e. scored as misclassified."""
-    u = fit.memberships.u[scored]
-    if fit.variant == "n":
-        regular = u[:, :-1]
-        u = regular / regular.sum(axis=1, keepdims=True)
-    labels = harden(u)
+    labels = harden(regular_memberships(fit)[scored])
     unassigned = scored[labels == UNASSIGNED]
     dummy = -2 - np.arange(np.count_nonzero(labels == UNASSIGNED))
     labels[labels == UNASSIGNED] = dummy

@@ -1,12 +1,20 @@
 """Robust variants: exponential loss, noise cluster, and trimming.
 
-All three reuse the subspace machinery of the baseline; they differ in how
-reconstruction errors enter the objective and the membership update.
+Each variant is a policy for the one alternation loop of :mod:`core`:
+
+- exponential (``e``): the loss is 1 - exp(-beta r2), with beta fixed from
+  the first iteration's errors; a run that stops improving for five
+  iterations counts as converged.
+- noise cluster (``n``): the loss is the errors plus a column at the noise
+  distance delta^2, recomputed every iteration; that column has no
+  subspace.  A burn-in, the same loop on the regular clusters alone, runs
+  before the noise cluster is switched on.
+- trimming (``t``): only the floor(N(1 - alpha)) objects with the smallest
+  losses drive the subspaces and the objective.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -14,19 +22,14 @@ import numpy as np
 from .core import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    HARDEN_THRESHOLD,
-    NOISE_FLAG_THRESHOLD,
-    _STALL_LIMIT,
     FitResult,
     MembershipMatrix,
-    _errors_from_grams,
-    _fit_squared_loss,
-    _per_object_loss,
+    _alternate,
+    _fit_result,
+    _prepare,
     _Prepared,
-    _subspaces_from_weights,
-    _trim_mask,
+    _start,
     fit_fcpca,
-    init_memberships,
     ratio_memberships,
 )
 from .covariance import DEFAULT_MAX_LAG, DEFAULT_VARIANCE_FRACTION
@@ -43,29 +46,6 @@ DEFAULT_BURN_IN = 100
 # patience for the exponential variant, whose subspace half-step is not an
 # exact minimiser of the bounded loss and may stall instead of converging
 _STALL_PATIENCE = 5
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Noise-cluster settings: multiplier and distance-update schedule."""
-
-    lam: float
-    update_schedule: str = "every_iteration"  # or "once"
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        if self.update_schedule not in ("every_iteration", "once"):
-            raise ValueError("schedule must be 'every_iteration' or 'once'")
-
-
-@dataclass(frozen=True)
-class TrimConfig:
-    """A trimming decision: proportion, retained count, and retained indices."""
-
-    alpha: float
-    n_retained: int
-    retained: np.ndarray
 
 
 class LambdaElbow(NamedTuple):
@@ -106,56 +86,22 @@ def fit_rfcpca_e(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
     iteration's subspaces, and held constant so the objective trace stays
     comparable across iterations.
     """
-    prep = dataset if isinstance(dataset, _Prepared) else _Prepared(dataset, max_lag)
-    n = prep.n_series
-    if init_u is not None:
-        u = MembershipMatrix(init_u, m).u.copy()
-    else:
-        u = init_memberships(n, n_clusters, seed, m).u
-    beta = None
-    trace: list[float] = []
-    converged = False
-    best = np.inf
-    stall = 0
-    errors = None
-    subspaces = None
-    for _ in range(max_iter):
-        subspaces = _subspaces_from_weights(prep.blocks, u, m, v)
-        errors = _errors_from_grams(prep, subspaces)
-        if beta is None:
-            beta = estimate_beta(errors)
-        loss = exponential_loss(errors, beta)
-        u_prev = u
-        u = ratio_memberships(loss, m)
-        trace.append(float(_per_object_loss(loss, u, m).sum()))
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
-            converged = True
-            break
-        if np.abs(u - u_prev).max() < 1e-9:
-            converged = True
-            break
-        if trace[-1] < best:
-            best = trace[-1]
-            stall = 0
-        else:
-            stall += 1
-            if stall >= _STALL_PATIENCE:
-                converged = True
-                break
-    memberships = MembershipMatrix(u, m)
-    flagged = np.flatnonzero(u.max(axis=1) < HARDEN_THRESHOLD)
-    return FitResult(
-        memberships=memberships,
-        subspaces=subspaces,
-        errors=errors,
-        objective_trace=trace,
-        iterations=len(trace),
-        converged=converged,
-        variant="e",
-        variant_params={"beta": beta},
-        flagged=flagged,
-        seed=seed,
-    )
+    prep, u = _start(dataset, n_clusters, m, seed, init_u, max_lag)
+    params = {"beta": None}
+
+    def loss(errors):
+        if params["beta"] is None:
+            params["beta"] = estimate_beta(errors)
+        return exponential_loss(errors, params["beta"])
+
+    run = _alternate(prep, u, m, v, max_iter, tol, loss=loss,
+                     patience=_STALL_PATIENCE, stall_converges=True)
+    return _fit_result(run, m, "e", params, seed)
+
+
+def _noise_augment(errors: np.ndarray, delta_sq: float) -> np.ndarray:
+    """The error matrix with a constant delta^2 column for the noise cluster."""
+    return np.hstack([errors, np.full((errors.shape[0], 1), delta_sq)])
 
 
 def update_memberships_noise(errors: np.ndarray, m: float, delta_sq: float) -> MembershipMatrix:
@@ -167,8 +113,7 @@ def update_memberships_noise(errors: np.ndarray, m: float, delta_sq: float) -> M
     """
     if delta_sq <= 0:
         raise ValueError("delta^2 must be positive")
-    errors = np.asarray(errors, dtype=float)
-    augmented = np.hstack([errors, np.full((errors.shape[0], 1), delta_sq)])
+    augmented = _noise_augment(np.asarray(errors, dtype=float), delta_sq)
     return MembershipMatrix(ratio_memberships(augmented, m), m)
 
 
@@ -192,30 +137,19 @@ def _burn_in(prep: _Prepared, u: np.ndarray, n_regular: int, m: float, v: float,
     plain alternating iterations run on them until their objective settles
     (at most ``max_steps``).  Nothing here depends on the noise multiplier.
     """
-    n = prep.n_series
     u_reg = u[:, :n_regular]
     row_sums = u_reg.sum(axis=1, keepdims=True)
     u_reg = np.where(row_sums > 0, u_reg / np.where(row_sums > 0, row_sums, 1.0),
                      1.0 / n_regular)
-    prev_j = np.inf
-    for _ in range(max_steps):
-        subspaces = _subspaces_from_weights(prep.blocks, u_reg, m, v)
-        reg_errors = _errors_from_grams(prep, subspaces)
-        u_prev = u_reg
-        u_reg = ratio_memberships(reg_errors, m)
-        j = float(_per_object_loss(reg_errors, u_reg, m).sum())
-        if abs(j - prev_j) < tol or np.abs(u_reg - u_prev).max() < 1e-9:
-            break
-        prev_j = j
-    return np.hstack([u_reg, np.zeros((n, 1))])
+    run = _alternate(prep, u_reg, m, v, max_steps, tol, patience=None)
+    return np.hstack([run.u, np.zeros((prep.n_series, 1))])
 
 
 def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
                  v: float = DEFAULT_VARIANCE_FRACTION, lam: float = 1.0,
                  seed: int = 0, max_iter: int = DEFAULT_MAX_ITER,
-                 tol: float = DEFAULT_TOL, schedule: str = "every_iteration",
-                 init_u: np.ndarray | None = None, burn_in: int = DEFAULT_BURN_IN,
-                 max_lag: int = DEFAULT_MAX_LAG) -> FitResult:
+                 tol: float = DEFAULT_TOL, init_u: np.ndarray | None = None,
+                 burn_in: int = DEFAULT_BURN_IN, max_lag: int = DEFAULT_MAX_LAG) -> FitResult:
     """Fit with a dedicated noise cluster (total clusters = n_regular + 1).
 
     Objects whose best regular-cluster error exceeds the noise distance
@@ -231,60 +165,18 @@ def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     burn-in: the caller then supplies already burned-in memberships as
     ``init_u`` (their regular columns are only renormalised).
     """
-    config = NoiseConfig(lam=lam, update_schedule=schedule)
-    prep = dataset if isinstance(dataset, _Prepared) else _Prepared(dataset, max_lag)
-    n = prep.n_series
-    s_total = n_regular + 1
-    if init_u is not None:
-        u = MembershipMatrix(init_u, m).u.copy()
-    else:
-        u = init_memberships(n, s_total, seed, m).u
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    prep, u = _start(dataset, n_regular + 1, m, seed, init_u, max_lag)
     u = _burn_in(prep, u, n_regular, m, v, tol, burn_in)
-    delta_sq = None
-    trace: list[float] = []
-    converged = False
-    errors = None
-    subspaces = None
-    best = np.inf
-    stall = 0
-    for _ in range(max_iter):
-        subspaces = _subspaces_from_weights(prep.blocks, u[:, :n_regular], m, v)
-        errors = _errors_from_grams(prep, subspaces)
-        if delta_sq is None or config.update_schedule == "every_iteration":
-            delta_sq = update_noise_distance(errors, lam)
-        u_prev = u
-        u = update_memberships_noise(errors, m, delta_sq).u
-        regular_term = float(_per_object_loss(errors, u[:, :n_regular], m).sum())
-        noise_term = float(delta_sq * (u[:, -1] ** m).sum())
-        trace.append(regular_term + noise_term)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
-            converged = True
-            break
-        # memberships at a fixed point: the objective cannot move any more
-        if np.abs(u - u_prev).max() < 1e-9:
-            converged = True
-            break
-        if trace[-1] < best:
-            best = trace[-1]
-            stall = 0
-        else:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                break
-    memberships = MembershipMatrix(u, m)
-    flagged = np.flatnonzero(u[:, -1] >= NOISE_FLAG_THRESHOLD)
-    return FitResult(
-        memberships=memberships,
-        subspaces=subspaces,
-        errors=errors,
-        objective_trace=trace,
-        iterations=len(trace),
-        converged=converged,
-        variant="n",
-        variant_params={"lambda": lam, "delta_sq": delta_sq, "schedule": config.update_schedule},
-        flagged=flagged,
-        seed=seed,
-    )
+    params = {"lambda": lam, "delta_sq": None}
+
+    def loss(errors):
+        params["delta_sq"] = update_noise_distance(errors, lam)
+        return _noise_augment(errors, params["delta_sq"])
+
+    run = _alternate(prep, u, m, v, max_iter, tol, loss=loss, n_subspaces=n_regular)
+    return _fit_result(run, m, "n", params, seed)
 
 
 # stream tag separating elbow fits from other derived seeds
@@ -319,7 +211,7 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
         raise ValueError("lambda grid needs at least 3 values")
     if any(b >= a for a, b in zip(lam_grid, lam_grid[1:])):
         raise ValueError("lambda grid must be strictly decreasing")
-    prep = dataset if isinstance(dataset, _Prepared) else _Prepared(dataset, max_lag)
+    prep = _prepare(dataset, max_lag)
     n = prep.n_series
     base = None
     for r in range(3):
@@ -353,23 +245,6 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     return LambdaElbow(lambda_star=lam_grid[pre_jump], curve=curve, no_elbow=False)
 
 
-def select_trim_set(per_object_loss: np.ndarray, alpha: float,
-                    min_retained: int = 1) -> TrimConfig:
-    """Retain the floor(N * (1 - alpha)) objects with the smallest losses.
-
-    Ties are broken toward lower indices.
-    """
-    loss = np.asarray(per_object_loss, dtype=float)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
-    n = loss.shape[0]
-    n_keep = int(np.floor(n * (1.0 - alpha)))
-    if n_keep < min_retained:
-        raise TooFewRetained(f"retaining {n_keep} of {n} objects is below the minimum {min_retained}")
-    mask = _trim_mask(loss, n_keep)
-    return TrimConfig(alpha=alpha, n_retained=n_keep, retained=np.flatnonzero(mask))
-
-
 def fit_rfcpca_t(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
                  alpha: float = 0.2, v: float = DEFAULT_VARIANCE_FRACTION,
                  seed: int = 0, max_iter: int = DEFAULT_MAX_ITER,
@@ -383,5 +258,11 @@ def fit_rfcpca_t(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    return _fit_squared_loss(dataset, n_clusters, m, v, seed, max_iter, tol,
-                             alpha=alpha, variant="t", init_u=init_u, max_lag=max_lag)
+    prep, u = _start(dataset, n_clusters, m, seed, init_u, max_lag)
+    n = prep.n_series
+    n_keep = int(np.floor(n * (1.0 - alpha)))
+    if n_keep < n_clusters:
+        raise TooFewRetained(f"retaining {n_keep} of {n} objects cannot fill {n_clusters} clusters")
+    run = _alternate(prep, u, m, v, max_iter, tol, n_keep=n_keep)
+    params = {"alpha": alpha, "retained": np.flatnonzero(run.mask)}
+    return _fit_result(run, m, "t", params, seed)

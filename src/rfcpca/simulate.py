@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from math import ceil, cos, exp, floor, pi
 
 import numpy as np
-from scipy import signal
 
 from .dataset import MtsDataset
 from .exceptions import BlinkTooLong, BurstTooLong, InvalidBand
@@ -97,6 +97,20 @@ def _standardize(z: np.ndarray) -> np.ndarray:
     return (z - z.mean()) / z.std()
 
 
+@lru_cache(maxsize=64)
+def _bandpass_sos(peak_hz: float, fs: float) -> np.ndarray:
+    """Butterworth band-pass around one peak, designed once per (peak, fs).
+
+    scipy.signal is imported here and in simulate_latents rather than at
+    module level: it takes about a second to import, which every CLI command
+    that never simulates would otherwise pay at start-up.
+    """
+    from scipy import signal
+
+    lo, hi = _band_edges(peak_hz, fs)
+    return signal.butter(_FILTER_ORDER, [lo, hi], btype="bandpass", fs=fs, output="sos")
+
+
 def simulate_latents(t: int, fs: float = DEFAULT_FS, bands=DEFAULT_BANDS,
                      seed: int = 0) -> np.ndarray:
     """T x 5 matrix of standardized, band-passed AR(2) latents.
@@ -108,6 +122,8 @@ def simulate_latents(t: int, fs: float = DEFAULT_FS, bands=DEFAULT_BANDS,
     """
     if t < 64:
         raise ValueError("latents need at least 64 samples")
+    from scipy import signal  # see _bandpass_sos
+
     rng = make_rng(seed)
     out = np.empty((t, len(bands)))
     for j, band in enumerate(bands):
@@ -115,9 +131,8 @@ def simulate_latents(t: int, fs: float = DEFAULT_FS, bands=DEFAULT_BANDS,
         eps = rng.standard_normal(t + _BURN_IN)
         z = signal.lfilter([1.0], [1.0, -phi1, -phi2], eps)[_BURN_IN:]
         z = _standardize(z)
-        lo, hi = _band_edges(band.peak_hz, fs)
-        sos = signal.butter(_FILTER_ORDER, [lo, hi], btype="bandpass", fs=fs, output="sos")
-        z = signal.sosfiltfilt(sos, z)
+        # a copy, so that no caller can alter the cached design
+        z = signal.sosfiltfilt(_bandpass_sos(band.peak_hz, fs).copy(), z)
         out[:, j] = _standardize(z)
     return out
 

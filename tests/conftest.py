@@ -1,9 +1,18 @@
-import numpy as np
-import pytest
+import os
 
-from rfcpca.dataset import MtsDataset
-from rfcpca.rng import make_rng
-from scipy import signal
+# One BLAS thread, set before numpy loads: the acceptance benchmarks run
+# replications on a process pool, and BLAS threads on top of that pool
+# oversubscribe the cores (tier-1 took about four times as long unpinned on
+# two cores).  An explicit setting in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from rfcpca.dataset import MtsDataset  # noqa: E402
+from rfcpca.rng import make_rng  # noqa: E402
+from scipy import signal  # noqa: E402
 
 
 def planted_dataset(seed, n_per_group=4, p=4, t=80, noise=0.05, phi=0.9):

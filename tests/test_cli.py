@@ -205,6 +205,34 @@ class TestExitCodes:
                            "--out", tmp_path / "f.json")
         assert_clean_exit(proc, 2)
 
+    @pytest.mark.parametrize("options", [
+        ["--v", "1.5"],
+        ["-m", "1.0"],
+        ["--lambda", "abc"],
+        ["--alpha", "1.5", "--variant", "t"],
+        ["--max-lag", "0"],
+    ], ids=["v", "m", "lambda", "alpha", "max_lag"])
+    def test_invalid_fit_option_exits_2(self, simulated, tmp_path, options):
+        proc = run_process("fit", "--data", simulated, "--out", tmp_path / "f.json", *options)
+        assert_clean_exit(proc, 2)
+
+    def test_manifest_with_unknown_key_exits_2(self, simulated, tmp_path):
+        fit_path = tmp_path / "f.json"
+        assert run("fit", "--data", simulated, "--out", fit_path) == 0
+        manifest = json.loads((simulated / "manifest.json").read_text())
+        manifest["unexpected"] = 1
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(manifest))
+        proc = run_process("evaluate", "--fit", fit_path, "--manifest", bad,
+                           "--out", tmp_path / "r.json")
+        assert_clean_exit(proc, 2)
+
+    def test_more_clusters_than_series_is_invalid_shape(self, simulated, tmp_path):
+        proc = run_process("fit", "--data", simulated, "--variant", "fcpca", "-S", "50",
+                           "--out", tmp_path / "f.json")
+        assert_clean_exit(proc, 4)
+        assert "InvalidShape" in proc.stderr
+
 
 class TestReproduce:
     def test_unknown_experiment_exits_2(self, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,39 @@ class TestFitFcpca:
         b = fit_fcpca(scaled, 2, m=2.0, seed=4)
         np.testing.assert_allclose(b.errors, 4.0 * a.errors, rtol=1e-9)
         np.testing.assert_allclose(b.memberships.u, a.memberships.u, atol=1e-9)
+
+
+class TestStallRules:
+    @staticmethod
+    def rising_errors(monkeypatch, n_series):
+        # errors grow every iteration and swap columns, so the objective
+        # rises by more than the tolerance and the memberships never settle:
+        # only the stall rule can end the run
+        import rfcpca.core as core_mod
+
+        base = np.tile([[1.0, 2.0], [2.0, 1.0]], (n_series // 2, 1))
+        iteration = itertools.count()
+
+        def errors(prep, subspaces):
+            k = next(iteration)
+            return (1.0 + k) * (base if k % 2 == 0 else base[:, ::-1])
+
+        monkeypatch.setattr(core_mod, "_errors_from_grams", errors)
+
+    def test_default_policy_stops_unconverged(self, monkeypatch):
+        dataset, _ = planted_dataset(13)
+        self.rising_errors(monkeypatch, dataset.n_series)
+        fit = fit_fcpca(dataset, 2, m=2.0, seed=0)
+        assert fit.iterations == 1 + 25
+        assert not fit.converged
+        assert np.all(np.diff(fit.objective_trace) > 1e-3)
+
+    def test_exponential_policy_stops_converged(self, monkeypatch):
+        from rfcpca.robust import fit_rfcpca_e
+
+        dataset, _ = planted_dataset(13)
+        self.rising_errors(monkeypatch, dataset.n_series)
+        fit = fit_rfcpca_e(dataset, 2, m=2.0, seed=0)
+        assert fit.iterations == 1 + 5
+        assert fit.converged
+        assert np.all(np.diff(fit.objective_trace) > 1e-3)

@@ -3,7 +3,7 @@ import pytest
 
 import reference as ref
 from conftest import planted_dataset, planted_with_outliers
-from rfcpca.core import fit_fcpca
+from rfcpca.core import _trim_mask, fit_fcpca
 from rfcpca.evaluation import rand_index
 from rfcpca.exceptions import DegenerateScale, EmptyClusterError, TooFewRetained
 from rfcpca.rng import derive_seed, make_rng
@@ -16,7 +16,6 @@ from rfcpca.robust import (
     fit_rfcpca_n,
     fit_rfcpca_t,
     select_lambda_elbow,
-    select_trim_set,
     update_memberships_exponential,
     update_memberships_noise,
     update_noise_distance,
@@ -134,21 +133,16 @@ class TestNoiseDistance:
 
 class TestTrimSet:
     def test_no_trimming(self):
-        cfg = select_trim_set(np.array([3.0, 1.0, 2.0]), 0.0)
-        assert list(cfg.retained) == [0, 1, 2]
+        mask = _trim_mask(np.array([3.0, 1.0, 2.0]), 3)
+        assert list(np.flatnonzero(mask)) == [0, 1, 2]
 
     def test_smallest_losses_kept(self):
-        cfg = select_trim_set(np.array([5.0, 1.0, 3.0, 2.0]), 0.5)
-        assert cfg.n_retained == 2
-        assert list(cfg.retained) == [1, 3]
+        mask = _trim_mask(np.array([5.0, 1.0, 3.0, 2.0]), 2)
+        assert list(np.flatnonzero(mask)) == [1, 3]
 
     def test_tie_break_by_index(self):
-        cfg = select_trim_set(np.full(4, 2.0), 0.25)
-        assert list(cfg.retained) == [0, 1, 2]
-
-    def test_too_few_retained(self):
-        with pytest.raises(TooFewRetained):
-            select_trim_set(np.arange(4.0), 0.9, min_retained=2)
+        mask = _trim_mask(np.full(4, 2.0), 3)
+        assert list(np.flatnonzero(mask)) == [0, 1, 2]
 
 
 class TestFitExponential:
@@ -304,6 +298,7 @@ class TestFitTrimmed:
         fit = fit_rfcpca_t(dataset, 2, m=2.0, alpha=0.3, seed=1)
         retained = set(fit.variant_params["retained"].tolist())
         flagged = set(fit.flagged.tolist())
+        assert len(retained) == int(np.floor(dataset.n_series * (1.0 - 0.3)))
         assert retained | flagged == set(range(dataset.n_series))
         assert retained & flagged == set()
 
