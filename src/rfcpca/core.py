@@ -22,9 +22,8 @@ from .covariance import (
     DEFAULT_MAX_LAG,
     DEFAULT_VARIANCE_FRACTION,
     ClusterSubspaces,
+    _lag_summaries,
     common_axes,
-    embedding_grams,
-    lagged_blocks,
     weighted_common_covariance,
 )
 from .dataset import MtsDataset
@@ -33,6 +32,7 @@ from .exceptions import (
     EmptyClusterError,
     InvalidShape,
     LagTooLarge,
+    LagTooSmall,
 )
 from .rng import make_rng
 
@@ -187,24 +187,23 @@ class _Prepared:
     """Per-series second-order summaries shared by every fitting iteration."""
 
     def __init__(self, dataset: MtsDataset, max_lag: int):
+        if max_lag < 1:
+            raise LagTooSmall(f"max lag must be at least 1, got {max_lag}")
         for i, t in enumerate(dataset.lengths):
             if t <= max_lag:
                 raise LagTooLarge(f"series {i} has length {t} <= max lag {max_lag}")
-        blocks = []
-        grams = []
-        energies = []
-        for x in dataset.series:
-            blocks.append(lagged_blocks(x, max_lag))
-            g, e = embedding_grams(x, max_lag)
-            grams.append(g)
-            energies.append(e)
+        n, d = dataset.n_series, 2 * dataset.n_channels
         # stored lag-major and exposed as (N, L, 2p, 2p) views, so every
         # per-lag slice [:, l] that the fitting loop reads is C-contiguous
         # and numpy reduces over it without copying
-        self.blocks = np.stack(blocks, axis=1).transpose(1, 0, 2, 3)
-        self.grams = np.stack(grams, axis=1).transpose(1, 0, 2, 3)
-        self.energies = np.stack(energies)    # (N, L)
-        self.n_series = self.blocks.shape[0]
+        blocks = np.empty((max_lag, n, d, d))
+        grams = np.empty((max_lag, n, d, d))
+        self.energies = np.empty((n, max_lag))
+        for i, x in enumerate(dataset.series):
+            _lag_summaries(x, max_lag, (blocks[:, i], grams[:, i], self.energies[i]))
+        self.blocks = blocks.transpose(1, 0, 2, 3)
+        self.grams = grams.transpose(1, 0, 2, 3)
+        self.n_series = n
         self.max_lag = max_lag
 
 
@@ -247,7 +246,8 @@ class _Run(NamedTuple):
 def _alternate(prep: _Prepared, u: np.ndarray, m: float, v: float, max_iter: int,
                tol: float, loss=None, n_subspaces: int | None = None,
                n_keep: int | None = None, patience: int | None = _STALL_LIMIT,
-               stall_converges: bool = False) -> _Run:
+               stall_converges: bool = False,
+               first_subspaces: ClusterSubspaces | None = None) -> _Run:
     """The one membership/subspace alternation behind every fit.
 
     Each iteration computes the subspaces from the retained objects'
@@ -269,7 +269,9 @@ def _alternate(prep: _Prepared, u: np.ndarray, m: float, v: float, max_iter: int
       counts as converged.
 
     The run also stops, converged, when the objective changes by less than
-    ``tol`` or the memberships reach a fixed point.
+    ``tol`` or the memberships reach a fixed point.  ``first_subspaces``, when
+    given, must be the subspaces of the first iteration's weights; runs that
+    share a start state compute them once.
     """
     n_sub = u.shape[1] if n_subspaces is None else n_subspaces
     mask = None if n_keep is None else np.ones(u.shape[0], dtype=bool)
@@ -278,9 +280,12 @@ def _alternate(prep: _Prepared, u: np.ndarray, m: float, v: float, max_iter: int
     subspaces = errors = None
     best = np.inf
     stall = 0
-    for _ in range(max_iter):
-        weights = u[:, :n_sub] if mask is None else u[:, :n_sub] * mask[:, None]
-        subspaces = _subspaces_from_weights(prep.blocks, weights, m, v)
+    for it in range(max_iter):
+        if it == 0 and first_subspaces is not None:
+            subspaces = first_subspaces
+        else:
+            weights = u[:, :n_sub] if mask is None else u[:, :n_sub] * mask[:, None]
+            subspaces = _subspaces_from_weights(prep.blocks, weights, m, v)
         errors = _errors_from_grams(prep, subspaces)
         losses = errors if loss is None else loss(errors)
         u_prev = u

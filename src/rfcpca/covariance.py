@@ -23,6 +23,7 @@ from .exceptions import (
     DimensionMismatch,
     EigFailure,
     LagTooLarge,
+    LagTooSmall,
     NonFiniteInput,
 )
 
@@ -88,9 +89,57 @@ def lagged_embedding(x, lag: int) -> np.ndarray:
     return np.hstack([xc[: t - lag], xc[lag:]])
 
 
+def _lag_summaries(x, max_lag: int, out=None):
+    """Block covariances, embedding Grams and energies of lags 1..max_lag in one pass.
+
+    Returns ``(blocks, grams, energies)`` of shapes (L, 2p, 2p), (L, 2p, 2p)
+    and (L,); with ``out`` given, writes into those three arrays instead.
+    The series is centred once and S0 = xc^T xc formed once.  Each lag then
+    costs one cross product xc[:T-l]^T xc[l:]: over T it is the off-diagonal
+    covariance block, and as it stands the off-diagonal Gram block.  The
+    diagonal Gram blocks are S0 less the l rows each half of the embedding
+    leaves out.  Blocks equal :func:`block_covariance` bit for bit; Grams
+    equal Xhat^T Xhat of :func:`lagged_embedding` up to rounding.
+    """
+    x = _as_series(x)
+    t, p = x.shape
+    if max_lag < 1:
+        raise LagTooSmall(f"max lag must be at least 1, got {max_lag}")
+    if max_lag >= t:
+        raise LagTooLarge(f"lag {max_lag} >= series length {t}")
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("series contains NaN or Inf entries")
+    if out is None:
+        out = (np.empty((max_lag, 2 * p, 2 * p)), np.empty((max_lag, 2 * p, 2 * p)),
+               np.empty(max_lag))
+    blocks, grams, energies = out
+    xc = x - x.mean(axis=0)
+    s0 = xc.T @ xc
+    cov0 = s0 / t
+    g0 = (cov0 + cov0.T) / 2.0
+    for lag_idx in range(max_lag):
+        lag = lag_idx + 1
+        cross = xc[: t - lag].T @ xc[lag:]
+        gl = cross / t
+        b = blocks[lag_idx]
+        b[:p, :p] = g0
+        b[:p, p:] = gl
+        b[p:, :p] = gl.T
+        b[p:, p:] = g0
+        head, tail = xc[:lag], xc[t - lag:]
+        g = grams[lag_idx]
+        g[:p, :p] = s0 - tail.T @ tail
+        g[:p, p:] = cross
+        g[p:, :p] = cross.T
+        g[p:, p:] = s0 - head.T @ head
+        g[...] = (g + g.T) / 2.0
+        energies[lag_idx] = np.trace(g)
+    return out
+
+
 def lagged_blocks(x, max_lag: int = DEFAULT_MAX_LAG) -> np.ndarray:
     """Stack of block covariance matrices for lags 1..max_lag, shape (L, 2p, 2p)."""
-    return np.stack([block_covariance(x, lag) for lag in range(1, max_lag + 1)])
+    return _lag_summaries(x, max_lag)[0]
 
 
 def lagged_embeddings(x, max_lag: int = DEFAULT_MAX_LAG) -> list[np.ndarray]:
@@ -104,14 +153,8 @@ def embedding_grams(x, max_lag: int = DEFAULT_MAX_LAG):
     The Gram form lets reconstruction errors be evaluated without touching
     the raw embedding again: |Xhat C|_F^2 = trace(C^T G C).
     """
-    grams = []
-    energies = []
-    for emb in lagged_embeddings(x, max_lag):
-        g = emb.T @ emb
-        g = (g + g.T) / 2.0
-        grams.append(g)
-        energies.append(float(np.trace(g)))
-    return np.stack(grams), np.asarray(energies)
+    _, grams, energies = _lag_summaries(x, max_lag)
+    return grams, energies
 
 
 def weighted_common_covariance(blocks, u_col, m: float) -> np.ndarray:
@@ -127,7 +170,7 @@ def weighted_common_covariance(blocks, u_col, m: float) -> np.ndarray:
     total = w.sum()
     if total < 1e-12:
         raise DegenerateWeights("membership weights sum to zero")
-    return np.tensordot(w, blocks, axes=(0, 0)) / total
+    return (w @ blocks.reshape(w.shape[0], -1)).reshape(blocks.shape[1:]) / total
 
 
 def common_axes(sigma, v: float = DEFAULT_VARIANCE_FRACTION) -> np.ndarray:
@@ -141,7 +184,9 @@ def common_axes(sigma, v: float = DEFAULT_VARIANCE_FRACTION) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {sigma.shape}")
-    if np.abs(sigma - sigma.T).max() > 1e-8:
+    # sigma - sigma.T is exactly antisymmetric, so its largest entry is its
+    # largest magnitude
+    if (sigma - sigma.T).max() > 1e-8:
         raise ValueError("matrix is not symmetric within 1e-8")
     if not 0.0 < v <= 1.0:
         raise ValueError("variance fraction must lie in (0, 1]")
@@ -149,22 +194,19 @@ def common_axes(sigma, v: float = DEFAULT_VARIANCE_FRACTION) -> np.ndarray:
         evals, evecs = np.linalg.eigh(sigma)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise EigFailure(str(exc)) from exc
-    evals = evals[::-1]
-    evecs = evecs[:, ::-1]
-    lam = np.clip(evals, 0.0, None)
-    top = lam.max(initial=0.0)
-    lam[lam < _RANK_EPS * top] = 0.0
-    cum = np.cumsum(lam)
+    # eigh sorts ascending: the spectrum is read in descending order, so
+    # its first entry is the largest
+    lam = np.maximum(evals[::-1], 0.0)
+    lam[lam < _RANK_EPS * lam[0]] = 0.0
+    cum = lam.cumsum()
     if cum[-1] <= 0.0:
         k = 1
     else:
-        k = int(np.searchsorted(cum, v * cum[-1], side="left")) + 1
+        k = int(cum.searchsorted(v * cum[-1], side="left")) + 1
         k = min(max(k, 1), sigma.shape[0])
-    axes = evecs[:, :k].copy()
-    peak = np.argmax(np.abs(axes), axis=0)
-    signs = np.sign(axes[peak, np.arange(k)])
-    signs[signs == 0] = 1.0
-    return axes * signs
+    axes = evecs[:, :-k - 1:-1]
+    peak = np.abs(axes).argmax(axis=0)
+    return axes * np.where(axes[peak, np.arange(k)] < 0.0, -1.0, 1.0)
 
 
 def reconstruction_error(embeddings, axes) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -11,6 +12,12 @@ import numpy as np
 from .exceptions import DimensionMismatch, NonFiniteInput
 
 TRIAL_PATTERN = "trial_{:03d}.csv"
+
+# trial directories at least this large are parsed on a process pool.
+# Below it, starting the pool and sending the arrays back cost about what
+# the split saves: on 2 cores, 20 trials of 7.3 MB parsed in 0.14 s serially
+# and 0.16 s on the pool, and 14.6 MB in 0.23 s and 0.15 s.
+_PARALLEL_MIN_BYTES = 8 << 20
 
 
 @dataclass
@@ -86,13 +93,62 @@ def write_csv_dir(dataset: MtsDataset, out_dir) -> list[Path]:
     return paths
 
 
+def _load_trial(path) -> np.ndarray:
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _parse_workers(paths) -> int:
+    """Pool size for parsing ``paths``; 1 means parse in this process.
+
+    Text parsing holds the interpreter lock, so only processes overlap it.
+    A small directory, or a call from inside a pool worker, parses serially.
+    """
+    if sum(path.stat().st_size for path in paths) < _PARALLEL_MIN_BYTES:
+        return 1
+    import multiprocessing  # on first use, like the pool itself
+
+    if multiprocessing.parent_process() is not None:
+        return 1
+    return min(len(paths), _usable_cpus())
+
+
 def read_csv_dir(data_dir) -> MtsDataset:
-    """Load every trial_*.csv in a directory, in sorted filename order."""
+    """Load every trial_*.csv in a directory, in sorted filename order.
+
+    Large directories are parsed on a process pool, one trial per task; the
+    arrays, their order and the error a bad trial raises are the same as
+    from a serial parse.
+    """
     data_dir = Path(data_dir)
     paths = sorted(data_dir.glob("trial_*.csv"))
     if not paths:
         raise FileNotFoundError(f"no trial_*.csv files under {data_dir}")
-    series = [np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2) for path in paths]
+    workers = _parse_workers(paths)
+    if workers == 1:
+        series = [_load_trial(path) for path in paths]
+    else:
+        # imported on first use: `import rfcpca` would otherwise load the
+        # process machinery (about 20 ms) for every caller
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork where the platform has it: a forked worker starts from the
+        # already imported package, while spawn and forkserver import numpy
+        # again in every worker of every call (0.2-0.3 s more per call for
+        # 20 trials of 4000 x 64 on 2 cores).  Python 3.12+ warns when a
+        # process with other threads forks; a worker here only parses text
+        # and calls no BLAS routine, the library whose threads those usually are.
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        context = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            series = list(pool.map(_load_trial, paths))
     return MtsDataset(series=series)
 
 

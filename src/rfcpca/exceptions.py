@@ -9,6 +9,10 @@ class LagTooLarge(RFCPCAError):
     """Requested lag is not smaller than the series length."""
 
 
+class LagTooSmall(RFCPCAError, ValueError):
+    """Requested maximum lag is below 1, so no lagged summary exists."""
+
+
 class NonFiniteInput(RFCPCAError):
     """Input series contains NaN or infinite entries."""
 

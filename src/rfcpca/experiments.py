@@ -8,6 +8,7 @@ against the generator's ground truth.
 from __future__ import annotations
 
 import csv
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -37,6 +38,9 @@ BENCHMARK_V = 0.99
 _GEN_STREAM = 0xD5
 _ART_STREAM = 0xA7
 _FIT_STREAM = 0xF1
+
+# the BLAS thread counts a process reads once, when it loads numpy
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def make_benchmark_dataset(kind: str, p: int, t_spec, seed: int,
@@ -131,6 +135,25 @@ def _replication_task(args):
                                  n_per_group=n_per_group, rho=rho, variants=variants)
 
 
+def _pool_map(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]`` on a pool of ``workers`` processes.
+
+    The pool already puts one replication on each core, so every worker
+    loads BLAS with one thread, unless the caller set a thread count in the
+    environment.  A forked worker would keep the BLAS of this process,
+    already loaded, so workers are spawned: each imports numpy afresh under
+    this process's environment, which holds the defaults while the pool runs.
+    """
+    added = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
+    os.environ.update(dict.fromkeys(added, "1"))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        for var in added:
+            os.environ.pop(var, None)
+
+
 def run_benchmark(kind: str, p_values, t_spec, replications: int, seed: int,
                   n_per_group: int = 10, rho: float | None = None,
                   variants=VARIANTS, progress=None, workers: int | None = None):
@@ -147,8 +170,7 @@ def run_benchmark(kind: str, p_values, t_spec, replications: int, seed: int,
         workers = min(len(tasks), os.cpu_count() or 1)
     all_rows = []
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replication_task, tasks))
+        results = _pool_map(_replication_task, tasks, workers)
     else:
         results = [_replication_task(t) for t in tasks]
     for task, rows in zip(tasks, results):

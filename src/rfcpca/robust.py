@@ -29,10 +29,11 @@ from .core import (
     _prepare,
     _Prepared,
     _start,
+    _subspaces_from_weights,
     fit_fcpca,
     ratio_memberships,
 )
-from .covariance import DEFAULT_MAX_LAG, DEFAULT_VARIANCE_FRACTION
+from .covariance import DEFAULT_MAX_LAG, DEFAULT_VARIANCE_FRACTION, ClusterSubspaces
 from .dataset import MtsDataset
 from .exceptions import DegenerateScale, EmptyClusterError, TooFewRetained
 from .rng import derive_seed
@@ -149,7 +150,8 @@ def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
                  v: float = DEFAULT_VARIANCE_FRACTION, lam: float = 1.0,
                  seed: int = 0, max_iter: int = DEFAULT_MAX_ITER,
                  tol: float = DEFAULT_TOL, init_u: np.ndarray | None = None,
-                 burn_in: int = DEFAULT_BURN_IN, max_lag: int = DEFAULT_MAX_LAG) -> FitResult:
+                 burn_in: int = DEFAULT_BURN_IN, max_lag: int = DEFAULT_MAX_LAG,
+                 _first_subspaces: ClusterSubspaces | None = None) -> FitResult:
     """Fit with a dedicated noise cluster (total clusters = n_regular + 1).
 
     Objects whose best regular-cluster error exceeds the noise distance
@@ -163,7 +165,9 @@ def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     far below that of formed clusters, and the noise cluster can
     permanently swallow a whole genuine cluster.  ``burn_in=0`` skips the
     burn-in: the caller then supplies already burned-in memberships as
-    ``init_u`` (their regular columns are only renormalised).
+    ``init_u`` (their regular columns are only renormalised).  A caller
+    that runs many fits from one such start may also pass the subspaces of
+    that start as ``_first_subspaces``.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -175,7 +179,8 @@ def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
         params["delta_sq"] = update_noise_distance(errors, lam)
         return _noise_augment(errors, params["delta_sq"])
 
-    run = _alternate(prep, u, m, v, max_iter, tol, loss=loss, n_subspaces=n_regular)
+    run = _alternate(prep, u, m, v, max_iter, tol, loss=loss, n_subspaces=n_regular,
+                     first_subspaces=_first_subspaces)
     return _fit_result(run, m, "n", params, seed)
 
 
@@ -203,8 +208,8 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     poor local optima and put spurious spikes on the curve.  The noise
     variant's burn-in does not depend on lambda, so it runs once on that
     baseline and every grid fit starts from the one burned-in state
-    (``burn_in=0``); a burn-in that empties a cluster counts as a collapse
-    of every grid fit.
+    (``burn_in=0``), whose subspaces are computed once as well; a burn-in
+    that empties a cluster counts as a collapse of every grid fit.
     """
     lam_grid = list(lam_grid)
     if len(lam_grid) < 3:
@@ -223,6 +228,10 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     try:
         shared_init = _burn_in(prep, base.memberships.u, n_regular, m, v, tol,
                                DEFAULT_BURN_IN)
+        # the weights every grid fit starts from: fit_rfcpca_n renormalises
+        # the regular columns of its init_u in the same way
+        start = _burn_in(prep, shared_init, n_regular, m, v, tol, 0)
+        first = _subspaces_from_weights(prep.blocks, start[:, :n_regular], m, v)
     except EmptyClusterError:
         # every grid fit would have collapsed in this same burn-in
         curve = [(lam, 1.0) for lam in lam_grid]
@@ -233,7 +242,7 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
             fit = fit_rfcpca_n(prep, n_regular, m=m, v=v, lam=lam,
                                seed=derive_seed(seed, _ELBOW_STREAM, k),
                                init_u=shared_init, max_iter=max_iter, tol=tol,
-                               burn_in=0, max_lag=max_lag)
+                               burn_in=0, max_lag=max_lag, _first_subspaces=first)
             fractions.append(len(fit.flagged) / n)
         except (EmptyClusterError, DegenerateScale):
             fractions.append(1.0)

@@ -205,6 +205,25 @@ class TestExitCodes:
                            "--out", tmp_path / "f.json")
         assert_clean_exit(proc, 2)
 
+    @pytest.mark.parametrize("cell", ["nan", "abc"])
+    def test_bad_trial_parsed_on_pool_exits_2(self, simulated, tmp_path, monkeypatch,
+                                              capsys, cell):
+        import rfcpca.dataset as dataset_mod
+
+        monkeypatch.setattr(dataset_mod, "_PARALLEL_MIN_BYTES", 0)
+        monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
+        trial = simulated / "trial_003.csv"
+        lines = trial.read_text().splitlines()
+        lines[5] = cell + lines[5][lines[5].index(","):]
+        trial.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("fit", "--data", simulated, "--variant", "fcpca",
+                   "--out", tmp_path / "f.json") == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "f.json").exists()
+
     @pytest.mark.parametrize("options", [
         ["--v", "1.5"],
         ["-m", "1.0"],

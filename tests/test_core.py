@@ -19,6 +19,7 @@ from rfcpca.core import (
 )
 from rfcpca.covariance import (
     ClusterSubspaces,
+    block_covariance,
     embedding_grams,
     lagged_blocks,
     lagged_embeddings,
@@ -26,7 +27,7 @@ from rfcpca.covariance import (
 )
 from rfcpca.dataset import MtsDataset
 from rfcpca.evaluation import rand_index
-from rfcpca.exceptions import InvalidShape
+from rfcpca.exceptions import InvalidShape, LagTooSmall
 from rfcpca.rng import make_rng
 
 
@@ -152,6 +153,30 @@ class TestPrepared:
         for lag_idx in range(3):
             assert prep.blocks[:, lag_idx].flags.c_contiguous
             assert prep.grams[:, lag_idx].flags.c_contiguous
+
+    @pytest.mark.parametrize("max_lag", [1, 2, 3])
+    def test_one_pass_matches_per_lag_references(self, max_lag):
+        # blocks are the same arithmetic as block_covariance, so bit-equal;
+        # Grams subtract the rows each half of the embedding leaves out from
+        # one full-series product, so they match X^T X to rounding
+        rng = make_rng(28)
+        series = [rng.standard_normal((20 + 13 * i, 3)) + i for i in range(4)]
+        prep = _Prepared(MtsDataset(series=series), max_lag)
+        assert prep.blocks.shape == prep.grams.shape == (4, max_lag, 6, 6)
+        for i, x in enumerate(series):
+            for lag_idx, emb in enumerate(lagged_embeddings(x, max_lag)):
+                assert np.array_equal(prep.blocks[i, lag_idx], block_covariance(x, lag_idx + 1))
+                np.testing.assert_allclose(prep.grams[i, lag_idx], emb.T @ emb,
+                                           rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(prep.energies[i, lag_idx], (emb * emb).sum(),
+                                           rtol=1e-12, atol=0.0)
+            assert np.array_equal(prep.blocks[i], lagged_blocks(x, max_lag))
+
+    def test_max_lag_below_one_is_package_error(self):
+        dataset, _ = planted_dataset(29)
+        for max_lag in (0, -1):
+            with pytest.raises(LagTooSmall):
+                fit_fcpca(dataset, 2, max_lag=max_lag)
 
     def test_errors_match_embedding_reference(self):
         # projector-form errors sum in another order than the loop over raw

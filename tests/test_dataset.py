@@ -1,6 +1,10 @@
+import concurrent.futures
+import multiprocessing
+
 import numpy as np
 import pytest
 
+import rfcpca.dataset as dataset_mod
 from rfcpca.dataset import MtsDataset, dataset_digest, read_csv_dir, write_csv_dir
 from rfcpca.exceptions import DimensionMismatch, NonFiniteInput
 from rfcpca.rng import make_rng
@@ -51,3 +55,45 @@ def test_digest_changes_with_content(tmp_path):
     ds2 = MtsDataset(series=[rng.standard_normal((10, 2))])
     write_csv_dir(ds2, tmp_path)
     assert dataset_digest(tmp_path) != d1
+
+
+@pytest.fixture
+def parse_on_pool(monkeypatch):
+    """Send every read_csv_dir to a two-worker pool; yields the pool sizes used."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            sizes.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(dataset_mod, "_PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_parallel_read_matches_serial(tmp_path, parse_on_pool):
+    rng = make_rng(4)
+    ds = MtsDataset(series=[rng.standard_normal((t, 3)) * 10.0**k
+                            for k, t in enumerate((31, 7, 52, 18, 40))])
+    write_csv_dir(ds, tmp_path)
+    parallel = read_csv_dir(tmp_path)
+    assert parse_on_pool == [2]
+    serial = [dataset_mod._load_trial(path) for path in sorted(tmp_path.glob("trial_*.csv"))]
+    assert len(parallel.series) == len(serial) == 5
+    for got, want in zip(parallel.series, serial):
+        assert np.array_equal(got, want)
+
+
+def test_parse_workers_serial_cases(tmp_path, monkeypatch):
+    rng = make_rng(5)
+    paths = write_csv_dir(MtsDataset(series=[rng.standard_normal((20, 2))] * 3), tmp_path)
+    monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 8)
+    # a small directory parses in this process
+    assert dataset_mod._parse_workers(paths) == 1
+    monkeypatch.setattr(dataset_mod, "_PARALLEL_MIN_BYTES", 0)
+    assert dataset_mod._parse_workers(paths) == 3
+    # a pool worker never starts a pool of its own
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+    assert dataset_mod._parse_workers(paths) == 1

@@ -248,6 +248,27 @@ class TestLambdaElbow:
         assert not np.all(jumps == 0.0)
         assert elbow.lambda_star == DEFAULT_LAMBDA_GRID[int(np.argmax(jumps))]
 
+    def test_shared_first_subspaces_leave_fit_unchanged(self):
+        # the sweep computes the first subspace step of its shared start once;
+        # a grid fit given it must match one that computes it itself
+        from rfcpca.core import _prepare, _subspaces_from_weights
+        from rfcpca.robust import _burn_in
+
+        dataset, _ = planted_with_outliers(52)
+        prep = _prepare(dataset, 2)
+        base = fit_fcpca(prep, 2, m=2.0, seed=3)
+        shared_init = _burn_in(prep, base.memberships.u, 2, 2.0, 0.95, 1e-3, 100)
+        start = _burn_in(prep, shared_init, 2, 2.0, 0.95, 1e-3, 0)
+        first = _subspaces_from_weights(prep.blocks, start[:, :2], 2.0, 0.95)
+        for lam in (1.0, 0.25, 0.03125):
+            own = fit_rfcpca_n(prep, 2, m=2.0, lam=lam, init_u=shared_init, burn_in=0)
+            shared = fit_rfcpca_n(prep, 2, m=2.0, lam=lam, init_u=shared_init, burn_in=0,
+                                  _first_subspaces=first)
+            assert np.array_equal(own.memberships.u, shared.memberships.u)
+            assert np.array_equal(own.errors, shared.errors)
+            assert own.objective_trace == shared.objective_trace
+            assert own.variant_params == shared.variant_params
+
     def test_collapsing_burn_in_gives_flat_saturated_curve(self, monkeypatch):
         import rfcpca.robust as robust_mod
 

@@ -6,7 +6,7 @@ from conftest import planted_dataset
 from rfcpca.core import fit_fcpca
 from rfcpca.covariance import ClusterSubspaces
 from rfcpca.dataset import MtsDataset
-from rfcpca.exceptions import DegenerateSeparation, SingleCluster
+from rfcpca.exceptions import DegenerateSeparation, LagTooSmall, SingleCluster
 from rfcpca.rng import make_rng
 from rfcpca.selection import SearchGrid, cvi, grid_search, prototype_separation
 
@@ -119,6 +119,12 @@ class TestGridSearch:
         _, rep_a = grid_search(dataset, grid, seed=3)
         _, rep_b = grid_search(scaled, grid, seed=3)
         assert rep_a.winner["m"] == rep_b.winner["m"]
+
+    def test_max_lag_below_one_is_package_error(self):
+        dataset, _ = planted_dataset(15)
+        grid = SearchGrid(variant="fcpca", s_values=(2,), m_values=(2.0,))
+        with pytest.raises(LagTooSmall):
+            grid_search(dataset, grid, max_lag=0)
 
     def test_noise_variant_records_lambda(self):
         dataset, _ = planted_dataset(103)
