@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import channel_contributions, noise_subspace, principal_angles
+from .analysis import _check_orthonormal, channel_contributions, noise_subspace, principal_angles
 from .dataset import dataset_digest, read_csv_dir, write_csv_dir
 from .evaluation import EvalReport, evaluate_fit, harden, regular_memberships
 from .exceptions import RFCPCAError
-from .experiments import BENCHMARK_V, run_benchmark, write_rows_csv
+from .experiments import BENCHMARK_V, VARIANTS, run_benchmark, write_rows_csv
 from .core import FitResult, MembershipMatrix, fit_fcpca
 from .covariance import ClusterSubspaces
 from .robust import fit_rfcpca_e, fit_rfcpca_n, fit_rfcpca_t, select_lambda_elbow
@@ -55,6 +55,11 @@ class ConfigError(Exception):
     pass
 
 
+def _report(message: str) -> None:
+    """Print a failure to stderr on one line, whatever line breaks it holds."""
+    print(" ".join(message.splitlines()), file=sys.stderr)
+
+
 def _config_hash(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
@@ -78,11 +83,50 @@ def _read_json(path):
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _read_fit_doc(path) -> dict:
+def _read_fit(path):
+    """The fit document at ``path`` and the model it holds, as (doc, fit)."""
     doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} is not a fit document: a JSON object is expected")
     if "error" in doc:
         raise ConfigError(f"{path} records a failed fit ({doc['error']})")
-    return doc
+    provenance = doc.get("provenance")
+    if not isinstance(provenance, dict):
+        provenance = {}
+    missing = [key for key in _FIT_KEYS if key not in doc]
+    missing += [f"provenance.{key}" for key in _PROVENANCE_KEYS if key not in provenance]
+    if missing:
+        raise ConfigError(f"{path} is not a fit document: missing {missing}")
+    try:
+        fit = _fit_from_json(doc)
+        _check_model(fit)
+    except (RFCPCAError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a fit document: {type(exc).__name__}: {exc}") from exc
+    return doc, fit
+
+
+def _check_model(fit: FitResult) -> None:
+    """Raise ValueError unless the parts of a fit read from a document agree:
+    one list of orthonormal 2p x k axes per substantive cluster, the same lags
+    for every cluster, and a retained set of series for the trimmed variant."""
+    n, k = fit.memberships.u.shape
+    axes = fit.subspaces.axes
+    if fit.variant not in VARIANTS:
+        raise ValueError(f"unknown variant {fit.variant!r}")
+    if not 0.0 < fit.subspaces.variance_fraction <= 1.0:
+        raise ValueError("variance_fraction must lie in (0, 1]")
+    if not axes or len(axes) != k - (fit.variant == "n"):
+        raise ValueError(f"expected axes for {k - (fit.variant == 'n')} clusters")
+    if not axes[0] or any(len(per_lag) != len(axes[0]) for per_lag in axes):
+        raise ValueError("every cluster needs axes for the same lags")
+    rows = axes[0][0].shape[0] if axes[0][0].ndim == 2 else 0
+    for c in (c for per_lag in axes for c in per_lag):
+        if c.ndim != 2 or c.shape[0] != rows or rows % 2 or not 0 < c.shape[1] <= rows:
+            raise ValueError("axes must be 2p x k matrices with the same 2p")
+        _check_orthonormal(c)
+    if fit.variant == "t" and not np.isin(fit.variant_params.get("retained"),
+                                          np.arange(n)).all():
+        raise ValueError("the retained set must hold series indices")
 
 
 def _read_manifest(path) -> SimManifest:
@@ -91,6 +135,20 @@ def _read_manifest(path) -> SimManifest:
         return SimManifest(**doc)
     except TypeError as exc:
         raise ConfigError(f"{path} is not a dataset manifest: {exc}") from exc
+
+
+def _check_ground_truth(manifest: SimManifest, path, n: int) -> None:
+    """Reject a manifest without one group label per fitted series and
+    contaminated-trial indices among them."""
+    def int_list(value):
+        return isinstance(value, list) and all(
+            isinstance(i, int) and not isinstance(i, bool) for i in value)
+
+    if not (int_list(manifest.group_labels) and len(manifest.group_labels) == n
+            and int_list(manifest.contaminated)
+            and all(0 <= i < n for i in manifest.contaminated)):
+        raise ConfigError(f"{path} does not hold {n} integer group labels and the "
+                          "indices of the contaminated trials")
 
 
 def _read_dataset(data_dir):
@@ -142,7 +200,7 @@ def cmd_simulate(args) -> int:
         manifest.dataset_sha256 = dataset_digest(out_dir)
         (out_dir / "manifest.json").write_text(manifest.to_json(indent=2))
     except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        _report(f"error: cannot write outputs: {exc}")
         return EXIT_IO
     print(f"wrote {dataset.n_series} trials and manifest.json to {out_dir}")
     return EXIT_OK
@@ -175,6 +233,11 @@ def _fit_to_json(fit: FitResult, extra: dict) -> dict:
     return doc
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"--seed must be a nonnegative integer, got {seed}")
+
+
 def _check_fit_options(args) -> float | None:
     """Reject out-of-range fit options; returns the fixed --lambda, or None
     when the noise multiplier is selected at the elbow (absent or 'auto')."""
@@ -186,6 +249,7 @@ def _check_fit_options(args) -> float | None:
         raise ConfigError(f"--alpha must lie in [0, 1), got {args.alpha}")
     if args.max_lag < 1:
         raise ConfigError(f"--max-lag must be at least 1, got {args.max_lag}")
+    _check_seed(args.seed)
     if args.lam in (None, "auto"):
         return None
     message = f"--lambda must be a positive number or 'auto', got {args.lam!r}"
@@ -239,8 +303,10 @@ def cmd_fit(args) -> int:
     except RFCPCAError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc),
                "provenance": _provenance(config, data_hash, args.seed)}
-        Path(args.out).write_text(json.dumps(doc, indent=2))
-        print(f"fit error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(doc, indent=2))
+        _report(f"fit error: {type(exc).__name__}: {exc}")
         return EXIT_FIT
 
     extra = {"provenance": _provenance(config, data_hash, args.seed)}
@@ -263,10 +329,17 @@ def cmd_fit(args) -> int:
                    header=",".join(f"cluster_{s}" for s in range(fit.memberships.n_clusters)),
                    comments="")
     except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        _report(f"error: cannot write outputs: {exc}")
         return EXIT_IO
     print(f"fit written to {out} (variant={fit.variant}, converged={fit.converged})")
     return EXIT_OK
+
+
+# the keys of a fit document that _fit_from_json and cmd_evaluate read
+_FIT_KEYS = ("variant", "m", "variance_fraction", "converged", "iterations",
+             "objective_trace", "variant_params", "flagged", "memberships", "errors",
+             "axes")
+_PROVENANCE_KEYS = ("seed", "dataset_sha256")
 
 
 def _fit_from_json(doc) -> FitResult:
@@ -290,13 +363,13 @@ def _fit_from_json(doc) -> FitResult:
 
 
 def cmd_evaluate(args) -> int:
-    fit_doc = _read_fit_doc(args.fit)
+    fit_doc, fit = _read_fit(args.fit)
     manifest = _read_manifest(args.manifest)
     fit_hash = fit_doc["provenance"]["dataset_sha256"]
     if manifest.dataset_sha256 != fit_hash:
-        print("error: fit and manifest reference different datasets", file=sys.stderr)
+        _report("error: fit and manifest reference different datasets")
         return EXIT_HASH
-    fit = _fit_from_json(fit_doc)
+    _check_ground_truth(manifest, args.manifest, fit.n_series)
     report = evaluate_fit(fit, np.asarray(manifest.group_labels),
                           manifest.contaminated)
     doc = json.loads(report.to_json())
@@ -309,7 +382,7 @@ def cmd_evaluate(args) -> int:
         if args.csv:
             _write_per_object_csv(args.csv, fit, manifest, report)
     except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        _report(f"error: cannot write outputs: {exc}")
         return EXIT_IO
     print(f"evaluation written to {out}")
     return EXIT_OK
@@ -329,15 +402,19 @@ def _write_per_object_csv(path, fit: FitResult, manifest: SimManifest,
 
 
 def cmd_analyze(args) -> int:
-    fit = _fit_from_json(_read_fit_doc(args.fit))
+    fit_doc, fit = _read_fit(args.fit)
     subs = fit.subspaces
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     extra_axes = []
     extra_names = []
     if fit.variant == "n" and args.data:
-        dataset = _read_dataset(Path(args.data))
-        noise = noise_subspace(dataset, fit)
+        # hashed before it is parsed, so other data is turned away unparsed
+        if dataset_digest(args.data) != fit_doc["provenance"]["dataset_sha256"]:
+            _report("error: fit and --data reference different datasets")
+            return EXIT_HASH
+        dataset = _read_dataset(args.data)
+        noise = noise_subspace(dataset, fit, max_lag=subs.n_lags)
         extra_axes = [noise.axes[0]]
         extra_names = ["noise"]
     names = [f"cluster_{s}" for s in range(subs.n_clusters)] + extra_names
@@ -374,10 +451,13 @@ def cmd_reproduce(args) -> int:
     elif args.experiment == "table4":
         kind, t_spec, rho = "eyeblink", (400, 2000), 0.40
     else:
-        print(f"error: unknown experiment {args.experiment!r}", file=sys.stderr)
+        _report(f"error: unknown experiment {args.experiment!r}")
         return EXIT_CONFIG
+    if args.replications is not None and args.replications < 1:
+        raise ConfigError(f"-R/--replications must be at least 1, got {args.replications}")
+    _check_seed(args.seed)
     p_values = (32, 64, 128) if args.full else (32, 64)
-    replications = 50 if args.full and args.replications is None else (args.replications or 10)
+    replications = args.replications or (50 if args.full else 10)
     out_dir = Path(args.out)
 
     def progress(p, rep_seed, rows):
@@ -398,7 +478,7 @@ def cmd_reproduce(args) -> int:
         }
         (out_dir / f"{args.experiment}_meta.json").write_text(json.dumps(meta, indent=2))
     except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        _report(f"error: cannot write outputs: {exc}")
         return EXIT_IO
     print(f"summary written to {out_dir}")
     for s in summary:
@@ -467,10 +547,10 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_CONFIG
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_IO
 
 

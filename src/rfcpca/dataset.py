@@ -19,6 +19,9 @@ TRIAL_PATTERN = "trial_{:03d}.csv"
 # and 0.16 s on the pool, and 14.6 MB in 0.23 s and 0.15 s.
 _PARALLEL_MIN_BYTES = 8 << 20
 
+# the BLAS thread counts a process reads once, when it loads numpy
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 @dataclass
 class MtsDataset:
@@ -104,6 +107,76 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pool_workers(n_tasks: int) -> int:
+    """Processes for a pool over ``n_tasks`` independent tasks; 1 means run
+    them in this process.
+
+    The size is capped by the usable CPUs, the ones this process may run on
+    (a ``taskset`` or cpuset limit counts).  A pool worker never starts a
+    pool of its own.
+    """
+    import multiprocessing  # on first use, like the pool itself
+
+    if multiprocessing.parent_process() is not None:
+        return 1
+    return max(1, min(n_tasks, _usable_cpus()))
+
+
+def _os_threads() -> int | None:
+    """Threads this process runs, as the operating system counts them, or
+    None where it does not say."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
+def _fork_pool_workers(n_tasks: int) -> int:
+    """Processes for a forked pool over ``n_tasks`` tasks that call BLAS;
+    1 means run them in this process.
+
+    Such a pool starts only where the platform forks (a spawned pool imports
+    numpy again in every worker and fails in a caller script without a
+    ``__main__`` guard), with a BLAS thread variable set to 1, and from a
+    process that runs one thread.  A second thread could hold a lock the
+    child inherits.  A BLAS that runs threads of its own, as OpenBLAS does
+    from the moment numpy loads unless told otherwise, would run them again
+    in every worker: one p=32 burst replication took 39.3 s that way on 2
+    cores, against 8.7 s serially.  The operating system's count sees those
+    threads even where the variable came too late or is one this BLAS does
+    not read; the variable covers a BLAS that starts its threads on first use.
+    """
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if "1" not in (os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARS):
+        return 1
+    if _os_threads() != 1:
+        return 1
+    return _pool_workers(n_tasks)
+
+
+def _process_pool(workers: int, method: str = "fork", **kwargs):
+    """A ``ProcessPoolExecutor`` of ``workers`` processes started by ``method``.
+
+    ``fork`` falls back to ``spawn`` where the platform has no fork.  A
+    forked worker starts from this process's memory: the imported package
+    and whatever the caller prepared reach it without pickling, while spawn
+    and forkserver import numpy again in every worker of every pool (0.2-0.3 s
+    more per pool on 2 cores).  ``kwargs`` go to the executor.
+    """
+    # imported on first use: `import rfcpca` would otherwise load the
+    # process machinery (about 20 ms) for every caller
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if method not in multiprocessing.get_all_start_methods():
+        method = "spawn"
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method),
+                               **kwargs)
+
+
 def _parse_workers(paths) -> int:
     """Pool size for parsing ``paths``; 1 means parse in this process.
 
@@ -112,11 +185,7 @@ def _parse_workers(paths) -> int:
     """
     if sum(path.stat().st_size for path in paths) < _PARALLEL_MIN_BYTES:
         return 1
-    import multiprocessing  # on first use, like the pool itself
-
-    if multiprocessing.parent_process() is not None:
-        return 1
-    return min(len(paths), _usable_cpus())
+    return _pool_workers(len(paths))
 
 
 def read_csv_dir(data_dir) -> MtsDataset:
@@ -134,20 +203,10 @@ def read_csv_dir(data_dir) -> MtsDataset:
     if workers == 1:
         series = [_load_trial(path) for path in paths]
     else:
-        # imported on first use: `import rfcpca` would otherwise load the
-        # process machinery (about 20 ms) for every caller
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork where the platform has it: a forked worker starts from the
-        # already imported package, while spawn and forkserver import numpy
-        # again in every worker of every call (0.2-0.3 s more per call for
-        # 20 trials of 4000 x 64 on 2 cores).  Python 3.12+ warns when a
-        # process with other threads forks; a worker here only parses text
-        # and calls no BLAS routine, the library whose threads those usually are.
-        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        context = multiprocessing.get_context(method)
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        # Python 3.12+ warns when a process with other threads forks; a
+        # worker here only parses text and calls no BLAS routine, the
+        # library whose threads those usually are
+        with _process_pool(workers) as pool:
             series = list(pool.map(_load_trial, paths))
     return MtsDataset(series=series)
 

@@ -8,14 +8,12 @@ against the generator's ground truth.
 from __future__ import annotations
 
 import csv
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import MtsDataset
+from .dataset import _BLAS_THREAD_VARS, MtsDataset, _pool_workers, _process_pool
 from .evaluation import evaluate_fit
 from .rng import derive_seed
 from .selection import DEFAULT_ALPHA_GRID, DEFAULT_M_GRID, SearchGrid, grid_search
@@ -38,9 +36,6 @@ BENCHMARK_V = 0.99
 _GEN_STREAM = 0xD5
 _ART_STREAM = 0xA7
 _FIT_STREAM = 0xF1
-
-# the BLAS thread counts a process reads once, when it loads numpy
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def make_benchmark_dataset(kind: str, p: int, t_spec, seed: int,
@@ -147,7 +142,7 @@ def _pool_map(fn, items, workers: int) -> list:
     added = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
     os.environ.update(dict.fromkeys(added, "1"))
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        with _process_pool(workers, "spawn") as pool:
             return list(pool.map(fn, items))
     finally:
         for var in added:
@@ -159,15 +154,15 @@ def run_benchmark(kind: str, p_values, t_spec, replications: int, seed: int,
                   variants=VARIANTS, progress=None, workers: int | None = None):
     """Replicate the benchmark over seeds and channel counts.
 
-    Replications are independent and run on a small process pool; results
-    are assembled in grid order, so the output does not depend on worker
-    scheduling.  Returns (per-replication rows, summary rows averaged per
-    variant and p).
+    Replications are independent and run on a process pool, by default one
+    worker per usable CPU; results are assembled in grid order, so the
+    output does not depend on worker scheduling.  Returns (per-replication
+    rows, summary rows averaged per variant and p).
     """
     tasks = [(kind, p, t_spec, derive_seed(seed, p, r), n_per_group, rho, variants)
              for p in p_values for r in range(replications)]
     if workers is None:
-        workers = min(len(tasks), os.cpu_count() or 1)
+        workers = _pool_workers(len(tasks))
     all_rows = []
     if workers > 1:
         results = _pool_map(_replication_task, tasks, workers)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import FitResult, _Prepared, fit_fcpca
 from .covariance import DEFAULT_MAX_LAG, DEFAULT_VARIANCE_FRACTION, ClusterSubspaces
-from .dataset import MtsDataset
+from .dataset import MtsDataset, _fork_pool_workers, _process_pool
 from .exceptions import (
     AllCandidatesFailed,
     DegenerateScale,
@@ -120,6 +120,93 @@ def _fit_candidate(prep, grid, cand, seed, lam, **fit_kwargs):
     return fit_rfcpca_n(prep, s, m=m, lam=lam, seed=seed, **fit_kwargs)
 
 
+def _evaluate_candidate(prep, grid, seed, restarts, fit_kwargs, idx, cand):
+    """Record of the ``idx``-th grid candidate and its fit, or None when it cannot win.
+
+    The restart with the best (converged, lowest objective) fit represents
+    the candidate; a candidate whose restarts all failed, that did not
+    converge, or whose validity index is undefined cannot win.
+    """
+    record = dict(cand)
+    record["variant"] = grid.variant
+    lam = None
+    if grid.variant == "n":
+        if grid.lam == "elbow":
+            elbow = select_lambda_elbow(prep, cand["s"], m=cand["m"],
+                                        seed=derive_seed(seed, _GRID_STREAM, idx),
+                                        **fit_kwargs)
+            lam = elbow.lambda_star
+            record["elbow_curve"] = elbow.curve
+        else:
+            lam = float(grid.lam)
+        record["lambda"] = lam
+    tuple_best = None
+    error_name = None
+    for r in range(restarts):
+        child = derive_seed(seed, idx, r)
+        try:
+            fit = _fit_candidate(prep, grid, cand, child, lam, **fit_kwargs)
+        except (EmptyClusterError, DegenerateScale, TooFewRetained) as exc:
+            error_name = type(exc).__name__
+            continue
+        if tuple_best is None:
+            tuple_best = fit
+            continue
+        # a converged restart always beats a non-converged one; among
+        # equals the lower final objective wins
+        better = (fit.converged, -fit.objective_trace[-1]) > (
+            tuple_best.converged, -tuple_best.objective_trace[-1])
+        if better:
+            tuple_best = fit
+    if tuple_best is None:
+        record.update({"converged": False, "cvi": None, "error": error_name})
+        return record, None
+    record["converged"] = bool(tuple_best.converged)
+    record["objective"] = tuple_best.objective_trace[-1]
+    record["error"] = error_name
+    try:
+        record["cvi"] = cvi(tuple_best)
+    except (SingleCluster, DegenerateSeparation) as exc:
+        record["cvi"] = None
+        record["error"] = type(exc).__name__
+    if record["cvi"] is None or not record["converged"]:
+        return record, None
+    return record, tuple_best
+
+
+# (prep, grid, seed, restarts, fit_kwargs) of the search a pool worker serves
+_worker_search = None
+
+
+def _init_worker(*search):
+    global _worker_search
+    _worker_search = search
+
+
+def _evaluate_in_worker(indexed_cand):
+    return _evaluate_candidate(*_worker_search, *indexed_cand)
+
+
+def _candidate_results(search, candidates):
+    """``(record, fit or None)`` of each ``(idx, cand)``, in grid order.
+
+    The candidates run on a forked process pool when ``_fork_pool_workers``
+    allows more than one worker: with BLAS set to one thread and this
+    process running no other, one worker per usable CPU.  Otherwise they run
+    in this process.  Each candidate's work is seeded by its grid index
+    alone, so both ways give the same bytes.
+    """
+    workers = _fork_pool_workers(len(candidates))
+    if workers == 1:
+        for indexed_cand in candidates:
+            yield _evaluate_candidate(*search, *indexed_cand)
+        return
+    # forked workers inherit the prepared summaries with the initializer's
+    # arguments instead of receiving a pickled copy with every task
+    with _process_pool(workers, initializer=_init_worker, initargs=search) as pool:
+        yield from pool.map(_evaluate_in_worker, candidates)
+
+
 def grid_search(dataset: MtsDataset, grid: SearchGrid, seed: int = 0,
                 restarts: int = 3, v: float = DEFAULT_VARIANCE_FRACTION,
                 max_lag: int = DEFAULT_MAX_LAG, max_iter: int = 1000,
@@ -128,67 +215,24 @@ def grid_search(dataset: MtsDataset, grid: SearchGrid, seed: int = 0,
 
     Each candidate is fitted ``restarts`` times with deterministically
     derived seeds; the restart with the lowest final objective represents
-    the candidate, and candidates are ranked by the validity index.
-    Candidates that error, never converge, or have coincident prototypes
-    are recorded but cannot win.  For the noise variant, each candidate's
-    noise multiplier comes from its own elbow sweep unless a fixed value
-    was supplied.
+    the candidate, and candidates are ranked by the validity index, ties
+    going to the earlier candidate in grid order.  Candidates that error,
+    never converge, or have coincident prototypes are recorded but cannot
+    win.  For the noise variant, each candidate's noise multiplier comes
+    from its own elbow sweep unless a fixed value was supplied.  Candidates
+    may run on a process pool (see ``_candidate_results``); the results do
+    not depend on it.
     """
     fit_kwargs = {"v": v, "max_lag": max_lag, "max_iter": max_iter, "tol": tol}
-    prep = _Prepared(dataset, max_lag)
+    search = (_Prepared(dataset, max_lag), grid, seed, restarts, fit_kwargs)
     records = []
     best_fit = None
     best_record = None
-    for idx, cand in enumerate(grid.candidates()):
-        record = dict(cand)
-        record["variant"] = grid.variant
-        lam = None
-        if grid.variant == "n":
-            if grid.lam == "elbow":
-                elbow = select_lambda_elbow(prep, cand["s"], m=cand["m"],
-                                            seed=derive_seed(seed, _GRID_STREAM, idx),
-                                            **fit_kwargs)
-                lam = elbow.lambda_star
-                record["elbow_curve"] = elbow.curve
-            else:
-                lam = float(grid.lam)
-            record["lambda"] = lam
-        tuple_best = None
-        error_name = None
-        for r in range(restarts):
-            child = derive_seed(seed, idx, r)
-            try:
-                fit = _fit_candidate(prep, grid, cand, child, lam, **fit_kwargs)
-            except (EmptyClusterError, DegenerateScale, TooFewRetained) as exc:
-                error_name = type(exc).__name__
-                continue
-            if tuple_best is None:
-                tuple_best = fit
-                continue
-            # a converged restart always beats a non-converged one; among
-            # equals the lower final objective wins
-            better = (fit.converged, -fit.objective_trace[-1]) > (
-                tuple_best.converged, -tuple_best.objective_trace[-1])
-            if better:
-                tuple_best = fit
-        if tuple_best is None:
-            record.update({"converged": False, "cvi": None, "error": error_name})
-            records.append(record)
-            continue
-        record["converged"] = bool(tuple_best.converged)
-        record["objective"] = tuple_best.objective_trace[-1]
-        record["error"] = error_name
-        try:
-            record["cvi"] = cvi(tuple_best)
-        except (SingleCluster, DegenerateSeparation) as exc:
-            record["cvi"] = None
-            record["error"] = type(exc).__name__
+    for record, fit in _candidate_results(search, list(enumerate(grid.candidates()))):
         records.append(record)
-        if record["cvi"] is None or not record["converged"]:
-            continue
-        if best_record is None or record["cvi"] < best_record["cvi"]:
+        if fit is not None and (best_record is None or record["cvi"] < best_record["cvi"]):
             best_record = record
-            best_fit = tuple_best
+            best_fit = fit
     if best_fit is None:
         raise AllCandidatesFailed("no grid candidate converged with a valid index")
     return best_fit, SelectionReport(records=records, winner=best_record)

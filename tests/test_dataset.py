@@ -1,5 +1,10 @@
 import concurrent.futures
 import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,3 +102,66 @@ def test_parse_workers_serial_cases(tmp_path, monkeypatch):
     # a pool worker never starts a pool of its own
     monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
     assert dataset_mod._parse_workers(paths) == 1
+
+
+def test_pool_workers_cap_at_usable_cpus(monkeypatch):
+    monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 4)
+    assert dataset_mod._pool_workers(10) == 4
+    assert dataset_mod._pool_workers(3) == 3
+
+
+def test_fork_pool_only_from_a_single_threaded_process_with_blas_on_one(monkeypatch):
+    monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(dataset_mod, "_os_threads", lambda: 1)
+    for var in dataset_mod._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    # no BLAS variable set: the BLAS may start a thread per CPU in each worker
+    assert dataset_mod._fork_pool_workers(10) == 1
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert dataset_mod._fork_pool_workers(10) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert dataset_mod._fork_pool_workers(10) == 4
+    assert dataset_mod._fork_pool_workers(3) == 3
+    # a process with another thread, or one that cannot count its threads
+    for threads in (2, None):
+        monkeypatch.setattr(dataset_mod, "_os_threads", lambda: threads)
+        assert dataset_mod._fork_pool_workers(10) == 1
+    monkeypatch.setattr(dataset_mod, "_os_threads", lambda: 1)
+    # a platform without fork
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert dataset_mod._fork_pool_workers(10) == 1
+
+
+def test_os_threads_counts_a_python_thread():
+    before = dataset_mod._os_threads()
+    if before is None:
+        pytest.skip("this platform does not list a process's threads")
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert dataset_mod._os_threads() == before + 1
+    finally:
+        release.set()
+        other.join(timeout=60)
+
+
+@pytest.mark.parametrize("pin", ["MKL_NUM_THREADS=1 before start", "all three after import"])
+def test_blas_threads_started_at_load_keep_the_pool_away(pin):
+    """A variable this BLAS does not read, or one set after numpy loaded,
+    leaves the BLAS threads running, so no pool may fork."""
+    env = {k: v for k, v in os.environ.items() if k not in dataset_mod._BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(dataset_mod.__file__).parents[1])
+    code = "import numpy, os\n"
+    if pin.startswith("MKL"):
+        env["MKL_NUM_THREADS"] = "1"
+    else:
+        code += f"os.environ.update(dict.fromkeys({dataset_mod._BLAS_THREAD_VARS!r}, '1'))\n"
+    code += ("import rfcpca.dataset as d\n"
+             "d._usable_cpus = lambda: 2\n"
+             "print(d._os_threads(), d._fork_pool_workers(4))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout.split()
+    if out[0] in ("None", "1"):
+        pytest.skip("numpy's BLAS here starts no threads when it loads")
+    assert out[1] == "1"

@@ -1,12 +1,20 @@
+import concurrent.futures
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
 import reference as ref
+import rfcpca.dataset as dataset_mod
+import rfcpca.selection as selection_mod
 from conftest import planted_dataset
 from rfcpca.core import fit_fcpca
 from rfcpca.covariance import ClusterSubspaces
-from rfcpca.dataset import MtsDataset
-from rfcpca.exceptions import DegenerateSeparation, LagTooSmall, SingleCluster
+from rfcpca.dataset import _BLAS_THREAD_VARS, MtsDataset
+from rfcpca.exceptions import DegenerateSeparation, DimensionMismatch, LagTooSmall, SingleCluster
+from rfcpca.experiments import make_benchmark_dataset
 from rfcpca.rng import make_rng
 from rfcpca.selection import SearchGrid, cvi, grid_search, prototype_separation
 
@@ -149,3 +157,93 @@ class TestGridSearch:
         # d_min is defined and the index is finite
         assert fit.subspaces.n_clusters == 2
         assert report.winner["cvi"] is not None
+
+
+@pytest.fixture
+def grid_pool(monkeypatch):
+    """Two usable CPUs and BLAS on one thread; yields the sizes of the pools started."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            sizes.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for var in _BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    # the threads this process runs now are its BLAS threads when the tests
+    # run with BLAS unpinned; count only the ones started after them
+    os_threads = dataset_mod._os_threads
+    at_start = os_threads()
+    if at_start is None:
+        pytest.skip("this platform does not list a process's threads")
+    monkeypatch.setattr(dataset_mod, "_os_threads", lambda: os_threads() - at_start + 1)
+    return sizes
+
+
+class TestGridPool:
+    @pytest.mark.parametrize("variant", ["fcpca", "e", "n", "t"])
+    def test_pool_gives_the_serial_bytes(self, grid_pool, monkeypatch, variant):
+        dataset, _ = make_benchmark_dataset("burst", 8, 200, 4, n_per_group=5)
+        grid = SearchGrid(variant=variant, s_values=(2,), m_values=(1.2, 1.6, 2.0),
+                          alpha_values=(0.1, 0.3))
+        fit, report = grid_search(dataset, grid, seed=3, v=0.99)
+        assert grid_pool == [2]
+        monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 1)
+        serial_fit, serial_report = grid_search(dataset, grid, seed=3, v=0.99)
+        assert grid_pool == [2]
+        assert report.to_json() == serial_report.to_json()
+        assert report.winner == serial_report.winner
+        assert fit.memberships.u.tobytes() == serial_fit.memberships.u.tobytes()
+        assert fit.objective_trace == serial_fit.objective_trace
+        assert fit.subspaces.ranks() == serial_fit.subspaces.ranks()
+        for per_lag, serial_per_lag in zip(fit.subspaces.axes, serial_fit.subspaces.axes):
+            for c, serial_c in zip(per_lag, serial_per_lag):
+                assert c.tobytes() == serial_c.tobytes()
+
+    def test_runs_in_process_without_cpus_to_spare(self, grid_pool, monkeypatch):
+        dataset, _ = planted_dataset(31)
+        grid = SearchGrid(variant="fcpca", s_values=(2,), m_values=(1.4, 2.0))
+        # one usable CPU
+        monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 1)
+        grid_search(dataset, grid)
+        monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
+        # no BLAS thread count set: BLAS may use every CPU
+        for var in _BLAS_THREAD_VARS:
+            monkeypatch.delenv(var)
+        grid_search(dataset, grid)
+        for var in _BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        # while another thread runs
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            grid_search(dataset, grid)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        # on a platform without fork, where a spawned pool would fail in a
+        # caller script without a __main__ guard
+        with monkeypatch.context() as m:
+            m.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+            grid_search(dataset, grid)
+        # inside a pool worker
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        grid_search(dataset, grid)
+        assert grid_pool == []
+
+    def test_worker_error_keeps_its_type(self, grid_pool, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise DimensionMismatch(f"raised in process {os.getpid()}")
+
+        monkeypatch.setattr(selection_mod, "_fit_candidate", failing_fit)
+        dataset, _ = planted_dataset(32)
+        grid = SearchGrid(variant="fcpca", s_values=(2,), m_values=(1.4, 2.0))
+        with pytest.raises(DimensionMismatch) as exc:
+            grid_search(dataset, grid)
+        assert grid_pool == [2]
+        assert str(exc.value) != f"raised in process {os.getpid()}"
