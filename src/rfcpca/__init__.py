@@ -8,6 +8,8 @@ hyperparameter selection, and a deterministic synthetic-EEG generator with
 two artifact models provides the benchmark.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import channel_contributions, noise_subspace, principal_angles
 from .core import (
     FitResult,
@@ -15,17 +17,10 @@ from .core import (
     fit_fcpca,
     flag_outliers,
     init_memberships,
-    objective_fcpca,
-    update_memberships_fcpca,
-    update_subspaces,
 )
 from .covariance import (
     ClusterSubspaces,
-    block_covariance,
     common_axes,
-    lagged_cross_covariance,
-    lagged_embedding,
-    reconstruction_error,
     weighted_common_covariance,
 )
 from .dataset import MtsDataset, dataset_digest, read_csv_dir, write_csv_dir
@@ -44,8 +39,6 @@ from .robust import (
     fit_rfcpca_n,
     fit_rfcpca_t,
     select_lambda_elbow,
-    update_memberships_exponential,
-    update_memberships_noise,
     update_noise_distance,
 )
 from .selection import SearchGrid, SelectionReport, cvi, grid_search, prototype_separation
@@ -57,10 +50,10 @@ from .simulate import (
     inject_bursts,
     inject_eyeblinks,
     mixing_matrix,
-    replay_contamination,
     simulate_latents,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

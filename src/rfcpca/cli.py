@@ -161,16 +161,40 @@ def _read_dataset(data_dir):
         raise ConfigError(f"cannot load {data_dir}: {type(exc).__name__}: {exc}") from exc
 
 
+def _has_config_type(value, declared) -> bool:
+    """Whether ``value`` has the type SIMULATE_KEYS declares: a bool is no
+    number, a float key takes any finite number, and ``None`` is a length,
+    an int or an [lo, hi] pair of ints."""
+    if declared is None:
+        return _has_config_type(value, int) or (
+            isinstance(value, list) and len(value) == 2
+            and all(_has_config_type(v, int) for v in value))
+    if isinstance(value, bool):
+        return False
+    if declared is float:
+        return isinstance(value, int) or isinstance(value, float) and np.isfinite(value)
+    return isinstance(value, declared)
+
+
 def _load_simulate_config(path) -> dict:
     raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} is not a simulate config: a JSON object is expected")
     unknown = set(raw) - set(SIMULATE_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     missing = [k for k in SIMULATE_REQUIRED if k not in raw]
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
+    for key, value in raw.items():
+        declared = SIMULATE_KEYS[key]
+        if not _has_config_type(value, declared):
+            expected = declared.__name__ if declared else "an int or [lo, hi]"
+            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
     if raw["kind"] not in ("none", "burst", "eyeblink"):
         raise ConfigError(f"unknown kind {raw['kind']!r}")
+    if raw["seed"] < 0:
+        raise ConfigError(f"config key 'seed' must be nonnegative, got {raw['seed']}")
     return raw
 
 
@@ -180,21 +204,24 @@ def cmd_simulate(args) -> int:
     t_spec = config["length"]
     if isinstance(t_spec, list):
         t_spec = tuple(t_spec)
-    clean, manifest = generate_clean_dataset(
-        config["n_per_group"], config["channels"], t_spec,
-        fs=config.get("fs", 100.0), seed=config["seed"])
     kind = config["kind"]
-    if kind == "burst":
-        dataset, manifest = inject_bursts(clean, manifest,
-                                          rho=config.get("rho", 0.20),
-                                          eta=config.get("eta", 5.0),
-                                          seed=config["seed"] + 1)
-    elif kind == "eyeblink":
-        dataset, manifest = inject_eyeblinks(clean, manifest,
-                                             rho=config.get("rho", 0.40),
-                                             seed=config["seed"] + 1)
-    else:
-        dataset = clean
+    try:
+        clean, manifest = generate_clean_dataset(
+            config["n_per_group"], config["channels"], t_spec,
+            fs=config.get("fs", 100.0), seed=config["seed"])
+        if kind == "burst":
+            dataset, manifest = inject_bursts(clean, manifest,
+                                              rho=config.get("rho", 0.20),
+                                              eta=config.get("eta", 5.0),
+                                              seed=config["seed"] + 1)
+        elif kind == "eyeblink":
+            dataset, manifest = inject_eyeblinks(clean, manifest,
+                                                 rho=config.get("rho", 0.40),
+                                                 seed=config["seed"] + 1)
+        else:
+            dataset = clean
+    except (RFCPCAError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"cannot simulate {args.config}: {type(exc).__name__}: {exc}") from exc
     try:
         write_csv_dir(dataset, out_dir)
         manifest.dataset_sha256 = dataset_digest(out_dir)

@@ -136,21 +136,12 @@ def ratio_memberships(loss: np.ndarray, m: float) -> np.ndarray:
     return u
 
 
-def update_memberships_fcpca(errors: np.ndarray, m: float) -> MembershipMatrix:
-    """Membership update from squared reconstruction errors."""
-    return MembershipMatrix(ratio_memberships(errors, m), m)
-
-
-def update_subspaces(blocks: np.ndarray, memberships: MembershipMatrix,
-                     v: float = DEFAULT_VARIANCE_FRACTION) -> ClusterSubspaces:
+def _subspaces_from_weights(blocks, u, m, v) -> ClusterSubspaces:
     """Axes for every cluster and lag from weighted common covariances.
 
-    ``blocks`` is the (N, L, 2p, 2p) stack of per-series block matrices.
+    ``blocks`` is the (N, L, 2p, 2p) stack of per-series block matrices and
+    ``u`` the (N, S) weights whose columns are raised to ``m``.
     """
-    return _subspaces_from_weights(blocks, memberships.u, memberships.m, v)
-
-
-def _subspaces_from_weights(blocks, u, m, v) -> ClusterSubspaces:
     n_lags = blocks.shape[1]
     axes = []
     for s in range(u.shape[1]):
@@ -165,13 +156,8 @@ def _subspaces_from_weights(blocks, u, m, v) -> ClusterSubspaces:
     return ClusterSubspaces(axes=axes, variance_fraction=v)
 
 
-def objective_fcpca(errors: np.ndarray, memberships: MembershipMatrix, m: float | None = None) -> float:
-    """Total weighted reconstruction error sum_i sum_s u_is^m r2_is."""
-    m = memberships.m if m is None else m
-    return float(_per_object_loss(errors, memberships.u, m).sum())
-
-
 def _per_object_loss(errors, u, m):
+    """Per-object objective terms sum_s u_is^m r2_is; their sum is the objective."""
     return (u**m * errors).sum(axis=1)
 
 
@@ -200,7 +186,7 @@ class _Prepared:
         grams = np.empty((max_lag, n, d, d))
         self.energies = np.empty((n, max_lag))
         for i, x in enumerate(dataset.series):
-            _lag_summaries(x, max_lag, (blocks[:, i], grams[:, i], self.energies[i]))
+            _lag_summaries(x, blocks[:, i], grams[:, i], self.energies[i])
         self.blocks = blocks.transpose(1, 0, 2, 3)
         self.grams = grams.transpose(1, 0, 2, 3)
         self.n_series = n

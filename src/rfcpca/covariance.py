@@ -1,15 +1,20 @@
 """Lag-indexed second-order summaries of multivariate time series.
 
-Every series is reduced to, per lag l = 1..L, a 2p x 2p block covariance
-matrix and a (T - l) x 2p lagged embedding.  Cluster subspaces are the top
-eigenvectors of membership-weighted averages of the block matrices.
+Every series is reduced to, per lag l = 1..L, two 2p x 2p matrices: the
+block covariance [[G(0), G(l)], [G(l)^T, G(0)]], where G(l) is the lag-l
+cross-covariance, and the Gram matrix Xhat(l)^T Xhat(l) of the lagged
+embedding, the (T - l) x 2p matrix whose row t is [x_t, x_{t+l}].  The
+embedding itself is never formed: its total energy is the Gram trace and
+its reconstruction error against orthonormal axes C is
+trace(G) - <G, C C^T>_F.  Cluster subspaces are the top eigenvectors of
+membership-weighted averages of the block matrices.
 
 Conventions (fixed once, used everywhere):
 
 * covariances are normalised by T (not T - l, not T - 1), so the lag-0
   block is the same matrix in every lag structure;
 * per-channel means are computed once over the full series and reused for
-  both the covariances and the lagged embedding.
+  both the covariances and the Gram matrices.
 """
 
 from __future__ import annotations
@@ -18,14 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateWeights,
-    DimensionMismatch,
-    EigFailure,
-    LagTooLarge,
-    LagTooSmall,
-    NonFiniteInput,
-)
+from .exceptions import DegenerateWeights, DimensionMismatch, EigFailure
 
 DEFAULT_MAX_LAG = 2
 DEFAULT_VARIANCE_FRACTION = 0.95
@@ -34,90 +32,25 @@ DEFAULT_VARIANCE_FRACTION = 0.95
 _RANK_EPS = 1e-10
 
 
-def _as_series(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise DimensionMismatch(f"expected a T x p series, got shape {x.shape}")
-    return x
+def _lag_summaries(x, blocks, grams, energies) -> None:
+    """Block covariances, embedding Grams and energies of lags 1..L in one pass.
 
-
-def lagged_cross_covariance(x, lag: int) -> np.ndarray:
-    """Lag-l cross-covariance matrix of a T x p series.
-
-    Entry (a, b) is (1/T) * sum_{t=1..T-l} (x[t,a] - mu_a) * (x[t+l,b] - mu_b),
-    with mu the full-series column means.  The lag-0 matrix is symmetrised so
-    mirrored entries are bitwise equal.
+    Writes the summaries of the finite T x p series ``x`` (T > L) into
+    ``blocks`` and ``grams`` of shape (L, 2p, 2p) and ``energies`` of shape
+    (L,).  The series is centred once and S0 = xc^T xc formed once.  Each
+    lag then costs one cross product xc[:T-l]^T xc[l:]: over T it is the
+    off-diagonal covariance block G(l), and as it stands the off-diagonal
+    Gram block.  The diagonal covariance blocks are G(0) = S0 / T,
+    symmetrised so mirrored entries are bitwise equal; the diagonal Gram
+    blocks are S0 less the l rows each half of the embedding leaves out.
+    Grams equal Xhat^T Xhat of the explicit embedding up to rounding.
     """
-    x = _as_series(x)
-    t = x.shape[0]
-    if not np.isfinite(x).all():
-        raise NonFiniteInput("series contains NaN or Inf entries")
-    if lag < 0:
-        raise ValueError("lag must be nonnegative")
-    if lag >= t:
-        raise LagTooLarge(f"lag {lag} >= series length {t}")
-    xc = x - x.mean(axis=0)
-    cov = xc[: t - lag].T @ xc[lag:] / t
-    if lag == 0:
-        cov = (cov + cov.T) / 2.0
-    return cov
-
-
-def block_covariance(x, lag: int) -> np.ndarray:
-    """2p x 2p block matrix [[G(0), G(l)], [G(l)^T, G(0)]] for one series."""
-    if lag < 1:
-        raise ValueError("block covariance needs lag >= 1")
-    g0 = lagged_cross_covariance(x, 0)
-    gl = lagged_cross_covariance(x, lag)
-    return np.block([[g0, gl], [gl.T, g0]])
-
-
-def lagged_embedding(x, lag: int) -> np.ndarray:
-    """(T - l) x 2p matrix whose row t is [x_t, x_{t+l}], mean-centered.
-
-    Centering uses the same full-series column means as the covariances.
-    """
-    x = _as_series(x)
-    t = x.shape[0]
-    if lag < 1:
-        raise ValueError("lagged embedding needs lag >= 1")
-    if lag >= t:
-        raise LagTooLarge(f"lag {lag} >= series length {t}")
-    xc = x - x.mean(axis=0)
-    return np.hstack([xc[: t - lag], xc[lag:]])
-
-
-def _lag_summaries(x, max_lag: int, out=None):
-    """Block covariances, embedding Grams and energies of lags 1..max_lag in one pass.
-
-    Returns ``(blocks, grams, energies)`` of shapes (L, 2p, 2p), (L, 2p, 2p)
-    and (L,); with ``out`` given, writes into those three arrays instead.
-    The series is centred once and S0 = xc^T xc formed once.  Each lag then
-    costs one cross product xc[:T-l]^T xc[l:]: over T it is the off-diagonal
-    covariance block, and as it stands the off-diagonal Gram block.  The
-    diagonal Gram blocks are S0 less the l rows each half of the embedding
-    leaves out.  Blocks equal :func:`block_covariance` bit for bit; Grams
-    equal Xhat^T Xhat of :func:`lagged_embedding` up to rounding.
-    """
-    x = _as_series(x)
     t, p = x.shape
-    if max_lag < 1:
-        raise LagTooSmall(f"max lag must be at least 1, got {max_lag}")
-    if max_lag >= t:
-        raise LagTooLarge(f"lag {max_lag} >= series length {t}")
-    if not np.isfinite(x).all():
-        raise NonFiniteInput("series contains NaN or Inf entries")
-    if out is None:
-        out = (np.empty((max_lag, 2 * p, 2 * p)), np.empty((max_lag, 2 * p, 2 * p)),
-               np.empty(max_lag))
-    blocks, grams, energies = out
     xc = x - x.mean(axis=0)
     s0 = xc.T @ xc
     cov0 = s0 / t
     g0 = (cov0 + cov0.T) / 2.0
-    for lag_idx in range(max_lag):
+    for lag_idx in range(len(energies)):
         lag = lag_idx + 1
         cross = xc[: t - lag].T @ xc[lag:]
         gl = cross / t
@@ -134,27 +67,6 @@ def _lag_summaries(x, max_lag: int, out=None):
         g[p:, p:] = s0 - head.T @ head
         g[...] = (g + g.T) / 2.0
         energies[lag_idx] = np.trace(g)
-    return out
-
-
-def lagged_blocks(x, max_lag: int = DEFAULT_MAX_LAG) -> np.ndarray:
-    """Stack of block covariance matrices for lags 1..max_lag, shape (L, 2p, 2p)."""
-    return _lag_summaries(x, max_lag)[0]
-
-
-def lagged_embeddings(x, max_lag: int = DEFAULT_MAX_LAG) -> list[np.ndarray]:
-    """Lagged embeddings for lags 1..max_lag (row counts differ per lag)."""
-    return [lagged_embedding(x, lag) for lag in range(1, max_lag + 1)]
-
-
-def embedding_grams(x, max_lag: int = DEFAULT_MAX_LAG):
-    """Per-lag Gram matrices G(l) = Xhat(l)^T Xhat(l) and total energies.
-
-    The Gram form lets reconstruction errors be evaluated without touching
-    the raw embedding again: |Xhat C|_F^2 = trace(C^T G C).
-    """
-    _, grams, energies = _lag_summaries(x, max_lag)
-    return grams, energies
 
 
 def weighted_common_covariance(blocks, u_col, m: float) -> np.ndarray:
@@ -207,26 +119,6 @@ def common_axes(sigma, v: float = DEFAULT_VARIANCE_FRACTION) -> np.ndarray:
     axes = evecs[:, :-k - 1:-1]
     peak = np.abs(axes).argmax(axis=0)
     return axes * np.where(axes[peak, np.arange(k)] < 0.0, -1.0, 1.0)
-
-
-def reconstruction_error(embeddings, axes) -> float:
-    """Squared Frobenius distance between embeddings and their projections.
-
-    r^2 = sum_l |Xhat(l) - Xhat(l) C(l) C(l)^T|_F^2 over matching lags.
-    """
-    if len(embeddings) != len(axes):
-        raise DimensionMismatch("embeddings and axes cover different lags")
-    total = 0.0
-    for emb, c in zip(embeddings, axes):
-        emb = np.asarray(emb, dtype=float)
-        c = np.asarray(c, dtype=float)
-        if emb.shape[1] != c.shape[0]:
-            raise DimensionMismatch(
-                f"embedding has {emb.shape[1]} columns but axes have {c.shape[0]} rows"
-            )
-        resid = emb - (emb @ c) @ c.T
-        total += float((resid * resid).sum())
-    return total
 
 
 @dataclass

@@ -23,7 +23,6 @@ from .core import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     FitResult,
-    MembershipMatrix,
     _alternate,
     _fit_result,
     _prepare,
@@ -31,7 +30,6 @@ from .core import (
     _start,
     _subspaces_from_weights,
     fit_fcpca,
-    ratio_memberships,
 )
 from .covariance import DEFAULT_MAX_LAG, DEFAULT_VARIANCE_FRACTION, ClusterSubspaces
 from .dataset import MtsDataset
@@ -69,13 +67,6 @@ def exponential_loss(errors: np.ndarray, beta: float) -> np.ndarray:
     return -np.expm1(-beta * np.asarray(errors, dtype=float))
 
 
-def update_memberships_exponential(errors: np.ndarray, m: float, beta: float) -> MembershipMatrix:
-    """Membership update under the bounded exponential loss."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    return MembershipMatrix(ratio_memberships(exponential_loss(errors, beta), m), m)
-
-
 def fit_rfcpca_e(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
                  v: float = DEFAULT_VARIANCE_FRACTION, seed: int = 0,
                  max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
@@ -103,19 +94,6 @@ def fit_rfcpca_e(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
 def _noise_augment(errors: np.ndarray, delta_sq: float) -> np.ndarray:
     """The error matrix with a constant delta^2 column for the noise cluster."""
     return np.hstack([errors, np.full((errors.shape[0], 1), delta_sq)])
-
-
-def update_memberships_noise(errors: np.ndarray, m: float, delta_sq: float) -> MembershipMatrix:
-    """Membership update with an extra noise cluster at fixed distance.
-
-    Equivalent to the plain ratio update on the error matrix augmented with
-    a constant delta^2 column; the noise column comes out as the remainder
-    1 - sum of regular memberships.
-    """
-    if delta_sq <= 0:
-        raise ValueError("delta^2 must be positive")
-    augmented = _noise_augment(np.asarray(errors, dtype=float), delta_sq)
-    return MembershipMatrix(ratio_memberships(augmented, m), m)
 
 
 def update_noise_distance(errors: np.ndarray, lam: float) -> float:

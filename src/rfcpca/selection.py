@@ -124,17 +124,22 @@ def _evaluate_candidate(prep, grid, seed, restarts, fit_kwargs, idx, cand):
     """Record of the ``idx``-th grid candidate and its fit, or None when it cannot win.
 
     The restart with the best (converged, lowest objective) fit represents
-    the candidate; a candidate whose restarts all failed, that did not
-    converge, or whose validity index is undefined cannot win.
+    the candidate; a candidate whose elbow sweep or restarts all failed,
+    that did not converge, or whose validity index is undefined cannot win.
     """
     record = dict(cand)
     record["variant"] = grid.variant
     lam = None
     if grid.variant == "n":
         if grid.lam == "elbow":
-            elbow = select_lambda_elbow(prep, cand["s"], m=cand["m"],
-                                        seed=derive_seed(seed, _GRID_STREAM, idx),
-                                        **fit_kwargs)
+            try:
+                elbow = select_lambda_elbow(prep, cand["s"], m=cand["m"],
+                                            seed=derive_seed(seed, _GRID_STREAM, idx),
+                                            **fit_kwargs)
+            except (EmptyClusterError, DegenerateScale) as exc:
+                record.update({"converged": False, "cvi": None,
+                               "error": type(exc).__name__})
+                return record, None
             lam = elbow.lambda_star
             record["elbow_curve"] = elbow.curve
         else:

@@ -268,6 +268,8 @@ def apply_event(x: np.ndarray, event: dict, sigma: np.ndarray, fs: float) -> Non
 
 
 def _pick_contaminated(labels: np.ndarray, rho: float, rng: np.random.Generator) -> np.ndarray:
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"contaminated share rho must lie in [0, 1], got {rho}")
     chosen = []
     for g in np.unique(labels):
         members = np.flatnonzero(labels == g)

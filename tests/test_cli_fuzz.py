@@ -60,6 +60,18 @@ REPRODUCE_OPTIONS = {
     "--full": ([False, True], None),
     "--out": (["ok"], st.sampled_from(["dir", "under_file"])),
 }
+# simulate config key: (its usual values, None to leave it out; anything of its type)
+SIMULATE_CONFIG = {
+    "kind": (["none", "burst", "eyeblink"], st.text(max_size=8)),
+    "n_per_group": ([2, 3], st.integers(-3, 4)),
+    "channels": ([4, 8], st.integers(-3, 10)),
+    "length": ([150, [140, 170]], st.integers(-3, 300) | st.lists(st.integers(-3, 300),
+                                                                  max_size=3)),
+    "fs": ([None, 100.0], numbers),
+    "rho": ([None, 0.34], numbers),
+    "eta": ([None, 5.0], numbers),
+    "seed": ([0, 7], st.integers(-3, 2**64)),
+}
 # how one JSON input file is spoiled
 SPOILS = ("drop", "replace", "whole", "garbled", "missing")
 FIT_DOC_KEYS = sorted(cli_mod._FIT_KEYS) + ["provenance", "error"]
@@ -220,6 +232,24 @@ def test_analyze(inputs, data):
         options = {"--fit": fit, "--data": data_dir and inputs["data"][data_dir],
                    "--out-prefix": "under_file" if odd == "out" else "ok"}
         _run(_argv("analyze", options, scratch))
+
+
+@FUZZ
+@given(st.data())
+def test_simulate(data):
+    odd = data.draw(st.sampled_from([None, "value", "config", "out"]))
+    config = _draw_options(data.draw, {key: (usual, other if odd == "value" else None)
+                                       for key, (usual, other) in SIMULATE_CONFIG.items()})
+    config = {key: value for key, value in config.items() if value is not None}
+    with _scratch() as scratch:
+        path = _json_input(data.draw, scratch, "config.json", config, sorted(SIMULATE_CONFIG),
+                           odd == "config")
+        options = {"--config": path,
+                   "--out": data.draw(st.sampled_from(["dir", "under_file"]))
+                   if odd == "out" else "ok"}
+        code = _run(_argv("simulate", options, scratch))
+    if odd == "value" and config["seed"] < 0:
+        assert code == 2
 
 
 def _instant_benchmark(kind, p_values, t_spec, replications, seed, rho=None,

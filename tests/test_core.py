@@ -7,24 +7,15 @@ import reference as ref
 from conftest import planted_dataset
 from rfcpca.core import (
     FitResult,
-    MembershipMatrix,
     _errors_from_grams,
+    _per_object_loss,
     _Prepared,
+    _subspaces_from_weights,
     fit_fcpca,
     init_memberships,
-    objective_fcpca,
     ratio_memberships,
-    update_memberships_fcpca,
-    update_subspaces,
 )
-from rfcpca.covariance import (
-    ClusterSubspaces,
-    block_covariance,
-    embedding_grams,
-    lagged_blocks,
-    lagged_embeddings,
-    reconstruction_error,
-)
+from rfcpca.covariance import ClusterSubspaces, common_axes
 from rfcpca.dataset import MtsDataset
 from rfcpca.evaluation import rand_index
 from rfcpca.exceptions import InvalidShape, LagTooSmall
@@ -54,18 +45,18 @@ class TestInitMemberships:
 
 class TestMembershipUpdate:
     def test_symmetric_errors(self):
-        u = update_memberships_fcpca(np.array([[1.0, 1.0]]), 2.0)
-        np.testing.assert_allclose(u.u, [[0.5, 0.5]])
+        u = ratio_memberships(np.array([[1.0, 1.0]]), 2.0)
+        np.testing.assert_allclose(u, [[0.5, 0.5]])
 
     def test_closed_form(self):
-        u = update_memberships_fcpca(np.array([[1.0, 4.0]]), 2.0)
-        np.testing.assert_allclose(u.u, [[0.8, 0.2]], atol=1e-12)
+        u = ratio_memberships(np.array([[1.0, 4.0]]), 2.0)
+        np.testing.assert_allclose(u, [[0.8, 0.2]], atol=1e-12)
 
     def test_zero_error_limit(self):
-        u = update_memberships_fcpca(np.array([[0.0, 7.0]]), 2.0)
-        np.testing.assert_allclose(u.u, [[1.0, 0.0]])
-        u2 = update_memberships_fcpca(np.array([[0.0, 0.0, 3.0]]), 2.0)
-        np.testing.assert_allclose(u2.u, [[0.5, 0.5, 0.0]])
+        u = ratio_memberships(np.array([[0.0, 7.0]]), 2.0)
+        np.testing.assert_allclose(u, [[1.0, 0.0]])
+        u2 = ratio_memberships(np.array([[0.0, 0.0, 3.0]]), 2.0)
+        np.testing.assert_allclose(u2, [[0.5, 0.5, 0.0]])
 
     def test_matches_reference_on_random_errors(self):
         rng = make_rng(21)
@@ -84,19 +75,20 @@ class TestMembershipUpdate:
 
 
 class TestObjective:
+    # the objective the fits trace is the sum of the per-object terms
     def test_zero_errors(self):
-        u = MembershipMatrix(np.full((3, 2), 0.5), 2.0)
-        assert objective_fcpca(np.zeros((3, 2)), u) == 0.0
+        u = np.full((3, 2), 0.5)
+        assert _per_object_loss(np.zeros((3, 2)), u, 2.0).sum() == 0.0
 
     def test_one_hot(self):
-        u = MembershipMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]), 3.0)
+        u = np.array([[1.0, 0.0], [0.0, 1.0]])
         errors = np.array([[2.0, 9.0], [7.0, 3.0]])
-        assert objective_fcpca(errors, u) == pytest.approx(5.0)
+        assert _per_object_loss(errors, u, 3.0).sum() == pytest.approx(5.0)
 
     def test_hand_sum(self):
-        u = MembershipMatrix(np.full((2, 2), 0.5), 2.0)
+        u = np.full((2, 2), 0.5)
         errors = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert objective_fcpca(errors, u) == pytest.approx(2.5)
+        assert _per_object_loss(errors, u, 2.0).sum() == pytest.approx(2.5)
 
 
 class TestUpdateSubspaces:
@@ -104,10 +96,7 @@ class TestUpdateSubspaces:
         rng = make_rng(23)
         dataset = MtsDataset(series=[rng.standard_normal((30, 2)) for _ in range(4)])
         prep = _Prepared(dataset, 2)
-        u = MembershipMatrix(np.ones((4, 1)), 2.0)
-        subs = update_subspaces(prep.blocks, u, 0.95)
-        from rfcpca.covariance import common_axes
-
+        subs = _subspaces_from_weights(prep.blocks, np.ones((4, 1)), 2.0, 0.95)
         for lag_idx in range(2):
             expected = common_axes(prep.blocks[:, lag_idx].mean(axis=0), 0.95)
             np.testing.assert_allclose(subs.axes[0][lag_idx], expected, atol=1e-10)
@@ -119,9 +108,7 @@ class TestUpdateSubspaces:
         u = np.zeros((6, 2))
         u[:3, 0] = 1.0
         u[3:, 1] = 1.0
-        subs = update_subspaces(prep.blocks, MembershipMatrix(u, 2.0), 0.95)
-        from rfcpca.covariance import common_axes
-
+        subs = _subspaces_from_weights(prep.blocks, u, 2.0, 0.95)
         expected = common_axes(prep.blocks[:3, 0].mean(axis=0), 0.95)
         np.testing.assert_allclose(subs.axes[0][0], expected, atol=1e-10)
 
@@ -131,7 +118,7 @@ class TestUpdateSubspaces:
         prep = _Prepared(dataset, 2)
         u = rng.random((4, 2))
         u /= u.sum(axis=1, keepdims=True)
-        subs = update_subspaces(prep.blocks, MembershipMatrix(u, 2.0), 0.95)
+        subs = _subspaces_from_weights(prep.blocks, u, 2.0, 0.95)
         for s in range(2):
             for lag_idx in range(2):
                 sigma = ref.ref_weighted_cov(prep.blocks[:, lag_idx], u[:, s], 2.0)
@@ -145,32 +132,33 @@ class TestPrepared:
         rng = make_rng(26)
         series = [rng.standard_normal((40 + 5 * i, 3)) for i in range(5)]
         prep = _Prepared(MtsDataset(series=series), 3)
-        blocks = np.stack([lagged_blocks(x, 3) for x in series])
-        grams = np.stack([embedding_grams(x, 3)[0] for x in series])
+        alone = [_Prepared(MtsDataset(series=[x]), 3) for x in series]
         assert prep.blocks.shape == prep.grams.shape == (5, 3, 6, 6)
-        assert np.array_equal(prep.blocks, blocks)
-        assert np.array_equal(prep.grams, grams)
+        assert np.array_equal(prep.blocks, np.concatenate([a.blocks for a in alone]))
+        assert np.array_equal(prep.grams, np.concatenate([a.grams for a in alone]))
+        assert np.array_equal(prep.energies, np.concatenate([a.energies for a in alone]))
         for lag_idx in range(3):
             assert prep.blocks[:, lag_idx].flags.c_contiguous
             assert prep.grams[:, lag_idx].flags.c_contiguous
 
     @pytest.mark.parametrize("max_lag", [1, 2, 3])
     def test_one_pass_matches_per_lag_references(self, max_lag):
-        # blocks are the same arithmetic as block_covariance, so bit-equal;
-        # Grams subtract the rows each half of the embedding leaves out from
-        # one full-series product, so they match X^T X to rounding
+        # blocks match the loop reference to the oracle tolerance; Grams
+        # subtract the rows each half of the embedding leaves out from one
+        # full-series product, so they match X^T X to rounding
         rng = make_rng(28)
         series = [rng.standard_normal((20 + 13 * i, 3)) + i for i in range(4)]
         prep = _Prepared(MtsDataset(series=series), max_lag)
         assert prep.blocks.shape == prep.grams.shape == (4, max_lag, 6, 6)
         for i, x in enumerate(series):
-            for lag_idx, emb in enumerate(lagged_embeddings(x, max_lag)):
-                assert np.array_equal(prep.blocks[i, lag_idx], block_covariance(x, lag_idx + 1))
+            for lag_idx in range(max_lag):
+                np.testing.assert_allclose(prep.blocks[i, lag_idx], ref.ref_block(x, lag_idx + 1),
+                                           rtol=1e-8, atol=1e-8)
+                emb = ref.ref_embedding(x, lag_idx + 1)
                 np.testing.assert_allclose(prep.grams[i, lag_idx], emb.T @ emb,
                                            rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(prep.energies[i, lag_idx], (emb * emb).sum(),
                                            rtol=1e-12, atol=0.0)
-            assert np.array_equal(prep.blocks[i], lagged_blocks(x, max_lag))
 
     def test_max_lag_below_one_is_package_error(self):
         dataset, _ = planted_dataset(29)
@@ -194,8 +182,10 @@ class TestPrepared:
                 per_lag.append(q)
             axes.append(per_lag)
         errors = _errors_from_grams(prep, ClusterSubspaces(axes=axes))
-        expected = np.array([[reconstruction_error(lagged_embeddings(x, max_lag), per_lag)
-                              for per_lag in axes] for x in series])
+        embeddings = [[ref.ref_embedding(x, lag) for lag in range(1, max_lag + 1)]
+                      for x in series]
+        expected = np.array([[ref.ref_recon_error(embs, per_lag) for per_lag in axes]
+                             for embs in embeddings])
         np.testing.assert_allclose(errors, expected, rtol=1e-10, atol=0.0)
 
 

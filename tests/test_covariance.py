@@ -2,95 +2,95 @@ import numpy as np
 import pytest
 
 import reference as ref
-from rfcpca.covariance import (
-    block_covariance,
-    common_axes,
-    embedding_grams,
-    lagged_blocks,
-    lagged_cross_covariance,
-    lagged_embedding,
-    lagged_embeddings,
-    reconstruction_error,
-    weighted_common_covariance,
-)
-from rfcpca.exceptions import (
-    DegenerateWeights,
-    DimensionMismatch,
-    LagTooLarge,
-    NonFiniteInput,
-)
+from rfcpca.core import _errors_from_grams, _Prepared
+from rfcpca.covariance import ClusterSubspaces, common_axes, weighted_common_covariance
+from rfcpca.dataset import MtsDataset
+from rfcpca.exceptions import DegenerateWeights, LagTooLarge, NonFiniteInput
 from rfcpca.rng import make_rng
+
+
+def summaries(x, max_lag=2):
+    """One series' block covariances, Grams and energies as the fits hold them."""
+    prep = _Prepared(MtsDataset(series=[x]), max_lag)
+    return prep.blocks[0], prep.grams[0], prep.energies[0]
+
+
+def errors(x, axes_per_lag):
+    """The fits' reconstruction error of one series against per-lag axes."""
+    prep = _Prepared(MtsDataset(series=[x]), len(axes_per_lag))
+    return float(_errors_from_grams(prep, ClusterSubspaces(axes=[axes_per_lag]))[0, 0])
 
 
 class TestLaggedCrossCovariance:
     def test_constant_series_gives_zero(self):
-        x = np.full((50, 3), 4.5)
-        for lag in (0, 1, 2):
-            assert np.all(lagged_cross_covariance(x, lag) == 0.0)
+        blocks, grams, energies = summaries(np.full((50, 3), 4.5))
+        assert np.all(blocks == 0.0)
+        assert np.all(grams == 0.0)
+        assert np.all(energies == 0.0)
 
     def test_iid_noise_lag0_near_identity(self):
         x = make_rng(0).standard_normal((100_000, 2))
-        g0 = lagged_cross_covariance(x, 0)
+        g0 = summaries(x, 1)[0][0, :2, :2]
         assert abs(g0[0, 0] - 1.0) < 0.02
         assert abs(g0[1, 1] - 1.0) < 0.02
         assert abs(g0[0, 1]) < 0.02
 
     def test_hand_computed_lag1(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert lagged_cross_covariance(x, 1)[0, 0] == pytest.approx(0.3125, abs=1e-15)
+        x = np.array([[1.0], [2.0], [3.0], [4.0]])
+        assert summaries(x, 1)[0][0, 0, 1] == pytest.approx(0.3125, abs=1e-15)
 
     def test_matches_reference(self):
         rng = make_rng(3)
         x = rng.standard_normal((40, 3))
-        for lag in (0, 1, 2):
-            np.testing.assert_allclose(lagged_cross_covariance(x, lag),
-                                       ref.ref_lagged_cov(x, lag), atol=1e-12)
+        blocks = summaries(x)[0]
+        for lag in (1, 2):
+            np.testing.assert_allclose(blocks[lag - 1, :3, :3], ref.ref_lagged_cov(x, 0),
+                                       atol=1e-12)
+            np.testing.assert_allclose(blocks[lag - 1, :3, 3:], ref.ref_lagged_cov(x, lag),
+                                       atol=1e-12)
 
     def test_errors(self):
         x = np.ones((5, 2))
         with pytest.raises(LagTooLarge):
-            lagged_cross_covariance(x, 5)
+            summaries(x, 5)
         x_bad = x.copy()
         x_bad[0, 0] = np.nan
         with pytest.raises(NonFiniteInput):
-            lagged_cross_covariance(x_bad, 0)
+            summaries(x_bad)
 
 
 class TestBlockCovariance:
     def test_hand_computed_univariate(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_allclose(block_covariance(x, 1),
+        x = np.array([[1.0], [2.0], [3.0], [4.0]])
+        np.testing.assert_allclose(summaries(x, 1)[0][0],
                                    [[1.25, 0.3125], [0.3125, 1.25]], atol=1e-15)
 
     def test_bitwise_symmetry(self):
         x = make_rng(4).standard_normal((60, 4))
-        for lag in (1, 2):
-            b = block_covariance(x, lag)
+        for b in summaries(x)[0]:
             assert np.array_equal(b, b.T)
 
     def test_off_diagonal_blocks_are_transposes(self):
         x = make_rng(5).standard_normal((60, 3))
-        b = block_covariance(x, 1)
+        b = summaries(x, 1)[0][0]
         p = 3
         assert np.array_equal(b[:p, p:], b[p:, :p].T)
 
     def test_white_noise_block_diagonal(self):
         x = make_rng(6).standard_normal((200_000, 2))
-        b = block_covariance(x, 1)
+        b = summaries(x, 1)[0][0]
         assert np.abs(b[:2, 2:]).max() < 0.02
         np.testing.assert_allclose(b[:2, :2], np.eye(2), atol=0.02)
 
 
 class TestLaggedEmbedding:
     def test_hand_computed(self):
-        emb = lagged_embedding(np.array([1.0, 2.0, 3.0, 4.0]), 1)
-        np.testing.assert_allclose(emb, [[-1.5, -0.5], [-0.5, 0.5], [0.5, 1.5]], atol=1e-15)
-
-    def test_shape(self):
-        x = make_rng(7).standard_normal((30, 5))
-        for lag in (1, 2):
-            emb = lagged_embedding(x, lag)
-            assert emb.shape == (30 - lag, 10)
+        x = np.array([[1.0], [2.0], [3.0], [4.0]])
+        emb = [[-1.5, -0.5], [-0.5, 0.5], [0.5, 1.5]]
+        np.testing.assert_allclose(ref.ref_embedding(x, 1), emb, atol=1e-15)
+        _, grams, energies = summaries(x, 1)
+        np.testing.assert_allclose(grams[0], [[2.75, 1.25], [1.25, 2.75]], atol=1e-15)
+        assert energies[0] == pytest.approx(5.5, abs=1e-15)
 
     def test_gram_matches_block_up_to_edge_terms(self):
         # (1/T) Xhat^T Xhat equals the block matrix except for the
@@ -98,9 +98,9 @@ class TestLaggedEmbedding:
         x = make_rng(8).standard_normal((400, 3))
         t, p = x.shape
         lag = 2
-        emb = lagged_embedding(x, lag)
-        gram = emb.T @ emb / t
-        block = block_covariance(x, lag)
+        blocks, grams, _ = summaries(x, lag)
+        gram = grams[lag - 1] / t
+        block = blocks[lag - 1]
         np.testing.assert_allclose(gram[:p, p:], block[:p, p:], atol=1e-12)
         np.testing.assert_allclose(gram, block, atol=5 * lag / t * np.abs(block).max() + 0.05)
 
@@ -173,30 +173,23 @@ class TestCommonAxes:
 
 class TestReconstructionError:
     def test_full_rank_axes_zero_error(self):
-        rng = make_rng(16)
-        x = rng.standard_normal((30, 2))
-        embs = lagged_embeddings(x, 2)
-        axes = [np.eye(4), np.eye(4)]
-        assert reconstruction_error(embs, axes) == pytest.approx(0.0, abs=1e-8)
+        x = make_rng(16).standard_normal((30, 2))
+        assert errors(x, [np.eye(4), np.eye(4)]) == pytest.approx(0.0, abs=1e-8)
 
     def test_contained_embedding_zero_error(self):
+        # the second channel is silent, so every embedding row lies in the
+        # span of the first channel's two lag coordinates
         z = make_rng(17).standard_normal((20, 1))
-        emb = np.hstack([z, np.zeros((20, 1))])
-        axes = [np.array([[1.0], [0.0]])]
-        assert reconstruction_error([emb], axes) == pytest.approx(0.0, abs=1e-12)
+        x = np.hstack([z, np.zeros((20, 1))])
+        assert errors(x, [np.eye(4)[:, [0, 2]]]) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_reference(self):
         rng = make_rng(18)
-        embs = [rng.standard_normal((6, 4)) for _ in range(2)]
+        x = rng.standard_normal((8, 2))
         q, _ = np.linalg.qr(rng.standard_normal((4, 2)))
         axes = [q, q[:, :1]]
-        mine = reconstruction_error(embs, axes)
-        theirs = ref.ref_recon_error(embs, axes)
-        assert mine == pytest.approx(theirs, rel=1e-10)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            reconstruction_error([np.zeros((5, 4))], [np.zeros((6, 2))])
+        embs = [ref.ref_embedding(x, lag) for lag in (1, 2)]
+        assert errors(x, axes) == pytest.approx(ref.ref_recon_error(embs, axes), rel=1e-10)
 
 
 class TestInvariants:
@@ -204,22 +197,24 @@ class TestInvariants:
         rng = make_rng(19)
         for _ in range(20):
             x = rng.standard_normal((40, 3))
-            embs = lagged_embeddings(x, 2)
-            sigma = lagged_blocks(x, 2).mean(axis=0)
-            axes = common_axes(sigma, 0.9)
-            total = sum(float((e * e).sum()) for e in embs)
-            r2 = reconstruction_error(embs, [axes, axes])
+            blocks, _, energies = summaries(x)
+            axes = common_axes(blocks.mean(axis=0), 0.9)
+            r2 = errors(x, [axes, axes])
+            total = float(energies.sum())
             assert 0.0 <= r2 <= total + 1e-8
-            for emb in embs:
+            captured = resid = 0.0
+            for lag in (1, 2):
+                emb = ref.ref_embedding(x, lag)
                 proj = (emb @ axes) @ axes.T
-                lhs = float((emb * emb).sum())
-                rhs = float((proj * proj).sum()) + float(((emb - proj) ** 2).sum())
-                assert lhs == pytest.approx(rhs, rel=1e-8)
+                captured += float((proj * proj).sum())
+                resid += float(((emb - proj) ** 2).sum())
+            assert total == pytest.approx(captured + resid, rel=1e-8)
+            assert r2 == pytest.approx(resid, rel=1e-8)
 
     def test_grams_consistent_with_embeddings(self):
         x = make_rng(20).standard_normal((50, 3))
-        grams, energies = embedding_grams(x, 2)
-        embs = lagged_embeddings(x, 2)
+        _, grams, energies = summaries(x)
         for lag_idx in range(2):
-            np.testing.assert_allclose(grams[lag_idx], embs[lag_idx].T @ embs[lag_idx], rtol=1e-12)
-            assert energies[lag_idx] == pytest.approx(float((embs[lag_idx] ** 2).sum()), rel=1e-12)
+            emb = ref.ref_embedding(x, lag_idx + 1)
+            np.testing.assert_allclose(grams[lag_idx], emb.T @ emb, rtol=1e-12)
+            assert energies[lag_idx] == pytest.approx(float((emb ** 2).sum()), rel=1e-12)

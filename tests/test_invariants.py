@@ -5,20 +5,19 @@ import pytest
 
 from rfcpca.core import (
     _Prepared,
+    _subspaces_from_weights,
     fit_fcpca,
     init_memberships,
     ratio_memberships,
-    update_subspaces,
 )
 from rfcpca.analysis import channel_contributions, principal_angles
 from rfcpca.dataset import MtsDataset
 from rfcpca.robust import (
+    _noise_augment,
     exponential_loss,
     fit_rfcpca_e,
     fit_rfcpca_n,
     fit_rfcpca_t,
-    update_memberships_exponential,
-    update_memberships_noise,
 )
 from rfcpca.rng import make_rng
 from rfcpca.simulate import generate_clean_dataset, inject_bursts, replay_contamination
@@ -57,8 +56,8 @@ def test_membership_updates_row_stochastic():
         m = float(rng.uniform(1.1, 2.5))
         for u in (
             ratio_memberships(errors, m),
-            update_memberships_exponential(errors, m, float(rng.uniform(0.1, 2))).u,
-            update_memberships_noise(errors, m, float(rng.uniform(0.5, 5))).u,
+            ratio_memberships(exponential_loss(errors, float(rng.uniform(0.1, 2))), m),
+            ratio_memberships(_noise_augment(errors, float(rng.uniform(0.5, 5))), m),
         ):
             assert u.min() >= 0.0 and u.max() <= 1.0 + 1e-12
             np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-9)
@@ -96,7 +95,7 @@ def test_projectors_symmetric_idempotent():
         dataset = tiny_dataset(rng)
         prep = _Prepared(dataset, 2)
         u = init_memberships(dataset.n_series, 2, seed=checked, m=1.8)
-        subs = update_subspaces(prep.blocks, u, v=float(rng.uniform(0.7, 1.0)))
+        subs = _subspaces_from_weights(prep.blocks, u.u, u.m, float(rng.uniform(0.7, 1.0)))
         for s in range(2):
             for lag_idx in range(2):
                 p_mat = subs.projector(s, lag_idx)

@@ -1,32 +1,27 @@
-"""Oracle equivalence: every core formula against a naive reference.
+"""Oracle equivalence: the code the fits run against a naive reference.
 
-Twenty seeded small instances; each operation must match the
-straight-from-the-equations implementation in reference.py within 1e-8
-relative error (mixed with a matching absolute floor for near-zero
-values).
+Twenty seeded small instances; the prepared summaries, the reconstruction
+errors, the membership updates of every loss policy and the fitted
+memberships must match the straight-from-the-equations implementation in
+reference.py within 1e-8 relative error (mixed with a matching absolute
+floor for near-zero values).
 """
 
 import numpy as np
 import pytest
 
 import reference as ref
-from rfcpca.core import _Prepared, fit_fcpca, ratio_memberships
-from rfcpca.covariance import (
-    block_covariance,
-    common_axes,
-    lagged_cross_covariance,
-    lagged_embedding,
-    lagged_embeddings,
-    reconstruction_error,
-    weighted_common_covariance,
-)
+from rfcpca.core import _errors_from_grams, _Prepared, fit_fcpca, ratio_memberships
+from rfcpca.covariance import ClusterSubspaces, common_axes, weighted_common_covariance
 from rfcpca.dataset import MtsDataset
 from rfcpca.evaluation import adjusted_rand_index, rand_index
 from rfcpca.exceptions import DegenerateSeparation
 from rfcpca.robust import (
+    _noise_augment,
     estimate_beta,
-    update_memberships_exponential,
-    update_memberships_noise,
+    exponential_loss,
+    fit_rfcpca_e,
+    fit_rfcpca_n,
     update_noise_distance,
 )
 from rfcpca.rng import make_rng
@@ -59,18 +54,23 @@ def test_oracle_equivalence(seed):
     prep = _Prepared(dataset, 2)
     scale = float(prep.energies.sum(axis=1).mean())
 
-    # second-order summaries
-    for x in dataset.series:
-        for lag in (0, 1, 2):
-            _close(lagged_cross_covariance(x, lag), ref.ref_lagged_cov(x, lag))
+    # second-order summaries as the fits hold them
+    embeddings = [[ref.ref_embedding(x, lag) for lag in (1, 2)] for x in dataset.series]
+    for i, x in enumerate(dataset.series):
+        p = x.shape[1]
         for lag in (1, 2):
-            _close(block_covariance(x, lag), ref.ref_block(x, lag))
-            _close(lagged_embedding(x, lag), ref.ref_embedding(x, lag))
+            block = prep.blocks[i, lag - 1]
+            _close(block, ref.ref_block(x, lag))
+            _close(block[:p, :p], ref.ref_lagged_cov(x, 0))
+            _close(block[:p, p:], ref.ref_lagged_cov(x, lag))
+            emb = embeddings[i][lag - 1]
+            energy = float((emb * emb).sum())
+            _close(prep.grams[i, lag - 1], emb.T @ emb, scale=energy)
+            assert prep.energies[i, lag - 1] == pytest.approx(energy, rel=RTOL)
 
     # weighted common covariance, axes, projectors, reconstruction errors
-    errors_mine = np.zeros((n, 2))
     errors_ref = np.zeros((n, 2))
-    projectors = [[], []]
+    axes = []
     for s in range(2):
         axes_per_lag = []
         for lag_idx in range(2):
@@ -78,33 +78,42 @@ def test_oracle_equivalence(seed):
             sigma_mine = weighted_common_covariance(blocks, u[:, s], m)
             sigma_ref = ref.ref_weighted_cov(blocks, u[:, s], m)
             _close(sigma_mine, sigma_ref, scale=np.abs(sigma_ref).max())
-            axes = common_axes(sigma_mine, 0.95)
-            p_mine = axes @ axes.T
-            p_ref = ref.ref_projector(sigma_ref, 0.95)
-            _close(p_mine, p_ref, scale=1.0)
-            axes_per_lag.append(axes)
-            projectors[s].append(p_ref)
-        for i, x in enumerate(dataset.series):
-            embs = lagged_embeddings(x, 2)
-            errors_mine[i, s] = reconstruction_error(embs, axes_per_lag)
-            errors_ref[i, s] = ref.ref_recon_error(embs, axes_per_lag)
-    _close(errors_mine, errors_ref, scale=scale)
+            c = common_axes(sigma_mine, 0.95)
+            _close(c @ c.T, ref.ref_projector(sigma_ref, 0.95), scale=1.0)
+            axes_per_lag.append(c)
+        axes.append(axes_per_lag)
+        for i in range(n):
+            errors_ref[i, s] = ref.ref_recon_error(embeddings[i], axes_per_lag)
+    _close(_errors_from_grams(prep, ClusterSubspaces(axes=axes)), errors_ref, scale=scale)
 
-    # membership updates (all three), beta, noise distance
+    # membership updates as the three loss policies form them, beta, noise distance
     err = errors_ref + 1e-9  # keep strictly positive for the ratio formulas
     _close(ratio_memberships(err, m), ref.ref_update_fcpca(err, m))
     beta = estimate_beta(err)
     assert beta == pytest.approx(ref.ref_beta(err), rel=RTOL)
-    _close(update_memberships_exponential(err, m, beta).u,
+    _close(ratio_memberships(exponential_loss(err, beta), m),
            ref.ref_update_exponential(err, m, beta))
     lam = float(rng.uniform(0.05, 1.0))
     delta_sq = update_noise_distance(err[:, :1], lam)
     assert delta_sq == pytest.approx(ref.ref_delta_sq(err[:, :1], lam), rel=RTOL)
-    _close(update_memberships_noise(err[:, :1], m, delta_sq).u,
+    _close(ratio_memberships(_noise_augment(err[:, :1], delta_sq), m),
            ref.ref_update_noise(err[:, :1], m, delta_sq))
+
+    # fitted memberships follow from the fits' final errors and scales; on
+    # white noise only a variance level below 0.95 leaves the errors that
+    # the exponential scale needs nonzero
+    fit_e = fit_rfcpca_e(dataset, 2, m=m, v=0.7, seed=seed)
+    _close(fit_e.memberships.u,
+           ref.ref_update_exponential(fit_e.errors, m, fit_e.variant_params["beta"]))
+    fit_n = fit_rfcpca_n(dataset, 2, m=m, v=0.7, lam=lam, seed=seed)
+    assert fit_n.variant_params["delta_sq"] == pytest.approx(
+        ref.ref_delta_sq(fit_n.errors, lam), rel=RTOL)
+    _close(fit_n.memberships.u,
+           ref.ref_update_noise(fit_n.errors, m, fit_n.variant_params["delta_sq"]))
 
     # prototype separation and the validity index on a real fit
     fit = fit_fcpca(dataset, 2, m=m, seed=seed)
+    _close(fit.memberships.u, ref.ref_update_fcpca(fit.errors, m))
     d_mine = prototype_separation(fit.subspaces)
     proj_fit = [fit.subspaces.projectors(s) for s in range(2)]
     d_ref = ref.ref_dmin(proj_fit)

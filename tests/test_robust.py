@@ -3,21 +3,20 @@ import pytest
 
 import reference as ref
 from conftest import planted_dataset, planted_with_outliers
-from rfcpca.core import _trim_mask, fit_fcpca
+from rfcpca.core import _trim_mask, fit_fcpca, ratio_memberships
 from rfcpca.evaluation import rand_index
 from rfcpca.exceptions import DegenerateScale, EmptyClusterError, TooFewRetained
 from rfcpca.rng import derive_seed, make_rng
 from rfcpca.robust import (
     _ELBOW_STREAM,
     DEFAULT_LAMBDA_GRID,
+    _noise_augment,
     estimate_beta,
     exponential_loss,
     fit_rfcpca_e,
     fit_rfcpca_n,
     fit_rfcpca_t,
     select_lambda_elbow,
-    update_memberships_exponential,
-    update_memberships_noise,
     update_noise_distance,
 )
 
@@ -43,18 +42,18 @@ class TestBeta:
 
 class TestExponentialUpdate:
     def test_equal_errors_uniform(self):
-        u = update_memberships_exponential(np.array([[3.0, 3.0, 3.0]]), 2.0, 1.0)
-        np.testing.assert_allclose(u.u, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
+        u = ratio_memberships(exponential_loss(np.array([[3.0, 3.0, 3.0]]), 1.0), 2.0)
+        np.testing.assert_allclose(u, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-12)
 
     def test_closed_form(self):
-        u = update_memberships_exponential(np.array([[1.0, 4.0]]), 2.0, 1.0)
+        u = ratio_memberships(exponential_loss(np.array([[1.0, 4.0]]), 1.0), 2.0)
         expected = (1 - np.exp(-4.0)) / ((1 - np.exp(-1.0)) + (1 - np.exp(-4.0)))
-        assert u.u[0, 0] == pytest.approx(expected, abs=1e-9)
-        assert u.u[0, 0] == pytest.approx(0.6082, abs=5e-4)
+        assert u[0, 0] == pytest.approx(expected, abs=1e-9)
+        assert u[0, 0] == pytest.approx(0.6082, abs=5e-4)
 
     def test_saturation_limit(self):
-        u = update_memberships_exponential(np.array([[4e3, 9e3]]), 2.0, 1.0)
-        np.testing.assert_allclose(u.u, [[0.5, 0.5]], atol=1e-6)
+        u = ratio_memberships(exponential_loss(np.array([[4e3, 9e3]]), 1.0), 2.0)
+        np.testing.assert_allclose(u, [[0.5, 0.5]], atol=1e-6)
 
     def test_loss_bounded(self):
         # mathematically in [0, 1); floating point saturates at exactly 1.0
@@ -66,46 +65,46 @@ class TestExponentialUpdate:
     def test_invariance_to_scale_tradeoff(self):
         rng = make_rng(32)
         errors = rng.random((5, 3)) + 0.5
-        a = update_memberships_exponential(errors, 1.8, 2.0)
-        b = update_memberships_exponential(errors * 4.0, 1.8, 0.5)
-        np.testing.assert_allclose(a.u, b.u, atol=1e-10)
+        a = ratio_memberships(exponential_loss(errors, 2.0), 1.8)
+        b = ratio_memberships(exponential_loss(errors * 4.0, 0.5), 1.8)
+        np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_matches_reference(self):
         rng = make_rng(33)
         errors = rng.random((6, 3)) * 5
-        np.testing.assert_allclose(update_memberships_exponential(errors, 1.5, 0.8).u,
+        np.testing.assert_allclose(ratio_memberships(exponential_loss(errors, 0.8), 1.5),
                                    ref.ref_update_exponential(errors, 1.5, 0.8), atol=1e-10)
 
 
 class TestNoiseUpdate:
     def test_error_at_noise_distance_splits(self):
-        u = update_memberships_noise(np.array([[4.0]]), 2.0, 4.0)
-        np.testing.assert_allclose(u.u, [[0.5, 0.5]])
+        u = ratio_memberships(_noise_augment(np.array([[4.0]]), 4.0), 2.0)
+        np.testing.assert_allclose(u, [[0.5, 0.5]])
 
     def test_closed_form(self):
-        u = update_memberships_noise(np.array([[1.0]]), 2.0, 4.0)
-        np.testing.assert_allclose(u.u, [[0.8, 0.2]], atol=1e-12)
+        u = ratio_memberships(_noise_augment(np.array([[1.0]]), 4.0), 2.0)
+        np.testing.assert_allclose(u, [[0.8, 0.2]], atol=1e-12)
 
     def test_noise_absorbs_distant_objects(self):
-        u = update_memberships_noise(np.array([[1e6, 2e6]]), 1.5, 1.0)
-        assert u.u[0, -1] > 0.99
+        u = ratio_memberships(_noise_augment(np.array([[1e6, 2e6]]), 1.0), 1.5)
+        assert u[0, -1] > 0.99
 
     def test_rows_sum_to_one(self):
         rng = make_rng(34)
-        u = update_memberships_noise(rng.random((8, 2)) * 3, 1.3, 0.7)
-        np.testing.assert_allclose(u.u.sum(axis=1), 1.0, atol=1e-12)
-        assert u.u.min() >= 0.0
+        u = ratio_memberships(_noise_augment(rng.random((8, 2)) * 3, 0.7), 1.3)
+        np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-12)
+        assert u.min() >= 0.0
 
     def test_noise_membership_monotone_in_delta(self):
         errors = np.array([[2.0, 5.0]])
-        values = [update_memberships_noise(errors, 2.0, d).u[0, -1]
+        values = [ratio_memberships(_noise_augment(errors, d), 2.0)[0, -1]
                   for d in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_matches_reference(self):
         rng = make_rng(35)
         errors = rng.random((6, 2)) * 5 + 0.1
-        np.testing.assert_allclose(update_memberships_noise(errors, 1.4, 2.2).u,
+        np.testing.assert_allclose(ratio_memberships(_noise_augment(errors, 2.2), 1.4),
                                    ref.ref_update_noise(errors, 1.4, 2.2), atol=1e-10)
 
 

@@ -9,11 +9,17 @@ import pytest
 import reference as ref
 import rfcpca.dataset as dataset_mod
 import rfcpca.selection as selection_mod
-from conftest import planted_dataset
-from rfcpca.core import fit_fcpca
+from conftest import planted_dataset, planted_with_outliers
+from rfcpca.core import _Prepared, fit_fcpca
 from rfcpca.covariance import ClusterSubspaces
 from rfcpca.dataset import _BLAS_THREAD_VARS, MtsDataset
-from rfcpca.exceptions import DegenerateSeparation, DimensionMismatch, LagTooSmall, SingleCluster
+from rfcpca.exceptions import (
+    AllCandidatesFailed,
+    DegenerateSeparation,
+    DimensionMismatch,
+    LagTooSmall,
+    SingleCluster,
+)
 from rfcpca.experiments import make_benchmark_dataset
 from rfcpca.rng import make_rng
 from rfcpca.selection import SearchGrid, cvi, grid_search, prototype_separation
@@ -235,6 +241,24 @@ class TestGridPool:
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         grid_search(dataset, grid)
         assert grid_pool == []
+
+    def test_failed_elbow_sweep_is_recorded(self, grid_pool, monkeypatch):
+        # on this dataset the baseline fits of every candidate's elbow sweep
+        # empty a cluster; each candidate is recorded and the search goes on
+        dataset, _ = planted_with_outliers(21)
+        grid = SearchGrid(variant="n", s_values=(2,), m_values=(1.4, 2.0))
+        fit_kwargs = {"v": 0.99, "max_lag": 2, "max_iter": 1000, "tol": 1e-3}
+        search = (_Prepared(dataset, 2), grid, 3, 3, fit_kwargs)
+        candidates = list(enumerate(grid.candidates()))
+        expected = [{"s": 2, "m": m, "variant": "n", "converged": False, "cvi": None,
+                     "error": "EmptyClusterError"} for m in (1.4, 2.0)]
+        for usable in (2, 1):
+            monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda usable=usable: usable)
+            results = list(selection_mod._candidate_results(search, candidates))
+            assert results == [(record, None) for record in expected]
+        assert grid_pool == [2]
+        with pytest.raises(AllCandidatesFailed):
+            grid_search(dataset, grid, seed=3, v=0.99)
 
     def test_worker_error_keeps_its_type(self, grid_pool, monkeypatch):
         def failing_fit(*args, **kwargs):
