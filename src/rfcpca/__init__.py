@@ -23,7 +23,7 @@ from .covariance import (
     common_axes,
     weighted_common_covariance,
 )
-from .dataset import MtsDataset, dataset_digest, read_csv_dir, write_csv_dir
+from .dataset import MtsDataset, dataset_digest, load_csv_dir, write_csv_dir
 from .evaluation import (
     EvalReport,
     adjusted_rand_index,

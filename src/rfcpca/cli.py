@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import _check_orthonormal, channel_contributions, noise_subspace, principal_angles
-from .dataset import dataset_digest, read_csv_dir, write_csv_dir
+from .dataset import dataset_digest, load_csv_dir, write_csv_dir
 from .evaluation import EvalReport, evaluate_fit, harden, regular_memberships
 from .exceptions import RFCPCAError
 from .experiments import BENCHMARK_V, VARIANTS, run_benchmark, write_rows_csv
@@ -152,9 +152,10 @@ def _check_ground_truth(manifest: SimManifest, path, n: int) -> None:
 
 
 def _read_dataset(data_dir):
-    """Load a trial directory; unreadable or invalid trials are a usage error."""
+    """A trial directory's dataset and digest; unreadable or invalid trials
+    are a usage error."""
     try:
-        return read_csv_dir(data_dir)
+        return load_csv_dir(data_dir)
     except FileNotFoundError as exc:
         raise ConfigError(str(exc)) from exc
     except (RFCPCAError, ValueError) as exc:
@@ -292,8 +293,7 @@ def _check_fit_options(args) -> float | None:
 def cmd_fit(args) -> int:
     lam = _check_fit_options(args)
     data_dir = Path(args.data)
-    dataset = _read_dataset(data_dir)
-    data_hash = dataset_digest(data_dir)
+    dataset, data_hash = _read_dataset(data_dir)
     config = {
         "variant": args.variant, "s": args.clusters, "m": args.m, "v": args.v,
         "alpha": args.alpha, "lambda": args.lam, "auto": args.auto,
@@ -436,11 +436,10 @@ def cmd_analyze(args) -> int:
     extra_axes = []
     extra_names = []
     if fit.variant == "n" and args.data:
-        # hashed before it is parsed, so other data is turned away unparsed
-        if dataset_digest(args.data) != fit_doc["provenance"]["dataset_sha256"]:
+        dataset, data_hash = _read_dataset(args.data)
+        if data_hash != fit_doc["provenance"]["dataset_sha256"]:
             _report("error: fit and --data reference different datasets")
             return EXIT_HASH
-        dataset = _read_dataset(args.data)
         noise = noise_subspace(dataset, fit, max_lag=subs.n_lags)
         extra_axes = [noise.axes[0]]
         extra_names = ["noise"]

@@ -181,7 +181,9 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     a tiny lambda) counts as fraction 1.0.
 
     All grid fits start from one shared baseline state: the regular
-    clusters fitted without a noise cluster, best of three seeded restarts.
+    clusters fitted without a noise cluster, best of three seeded restarts;
+    a restart that empties a cluster is skipped, and the sweep raises its
+    ``EmptyClusterError`` only when all three do.
     Independent random inits per lambda would let isolated fits land in
     poor local optima and put spurious spikes on the curve.  The noise
     variant's burn-in does not depend on lambda, so it runs once on that
@@ -198,11 +200,18 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     n = prep.n_series
     base = None
     for r in range(3):
-        cand = fit_fcpca(prep, n_regular, m=m, v=v,
-                         seed=derive_seed(seed, _ELBOW_STREAM, 999, r),
-                         max_iter=max_iter, tol=tol, max_lag=max_lag)
+        try:
+            cand = fit_fcpca(prep, n_regular, m=m, v=v,
+                             seed=derive_seed(seed, _ELBOW_STREAM, 999, r),
+                             max_iter=max_iter, tol=tol, max_lag=max_lag)
+        except EmptyClusterError as exc:
+            # skipped as the grid skips a failed restart
+            failure = exc
+            continue
         if base is None or cand.objective_trace[-1] < base.objective_trace[-1]:
             base = cand
+    if base is None:
+        raise failure
     try:
         shared_init = _burn_in(prep, base.memberships.u, n_regular, m, v, tol,
                                DEFAULT_BURN_IN)

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 # One BLAS thread, set before numpy loads: the acceptance benchmarks run
 # replications on a process pool, and BLAS threads on top of that pool
@@ -10,6 +11,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+import rfcpca.dataset as dataset_mod  # noqa: E402
 from rfcpca.dataset import MtsDataset  # noqa: E402
 from rfcpca.rng import make_rng  # noqa: E402
 from scipy import signal  # noqa: E402
@@ -57,3 +59,79 @@ def planted_with_outliers(seed, n_clean_per_group=4, p=8, t=80, n_outliers=2,
 @pytest.fixture
 def small_planted():
     return planted_dataset(7)
+
+
+@pytest.fixture
+def read_only(monkeypatch):
+    """Makes a directory read-only, also for a process that may write anywhere."""
+    made = []
+    mkdir = os.mkdir
+
+    def refuse(target, *args, **kwargs):
+        if any(Path(target).is_relative_to(path) for path in made):
+            raise PermissionError(13, "Permission denied", str(target))
+        return mkdir(target, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", refuse)
+
+    def make(path):
+        path.chmod(0o555)
+        made.append(path)
+
+    yield make
+    for path in made:
+        path.chmod(0o755)
+
+
+SIDECAR_SPOILS = ("truncated", "empty_file", "wrong_shape", "wrong_dtype",
+                  "object_array", "non_finite", "missing_trial", "shapes_as_objects",
+                  "file_for_entry", "file_for_sidecar")
+
+
+class _Unpickled(Exception):
+    pass
+
+
+def _refuse_unpickling():
+    raise _Unpickled("a sidecar file was unpickled")
+
+
+class _Trap:
+    """Raises when it is unpickled."""
+
+    def __reduce__(self):
+        return _refuse_unpickling, ()
+
+
+def spoil_entry(entry, how):
+    """Spoil an entry of the sidecar of parsed trials the way ``how``, one
+    of ``SIDECAR_SPOILS``, names.  Files are rewritten in place, so no array
+    mapped from the entry may be read afterwards."""
+    first = dataset_mod._series_file(entry, 0)
+    if how == "truncated":
+        first.write_bytes(first.read_bytes()[:-8])
+    elif how == "empty_file":
+        first.write_bytes(b"")
+    elif how == "wrong_shape":
+        np.save(first, np.load(first)[:-1])
+    elif how == "wrong_dtype":
+        np.save(first, np.load(first).astype(np.float32))
+    elif how == "object_array":
+        np.save(first, np.array([_Trap(), None], dtype=object), allow_pickle=True)
+    elif how == "non_finite":
+        x = np.load(first)
+        x[0, 0] = np.nan
+        np.save(first, x)
+    elif how == "missing_trial":
+        first.unlink()
+    elif how == "shapes_as_objects":
+        np.save(entry / dataset_mod._SHAPES_FILE, np.array([_Trap()], dtype=object),
+                allow_pickle=True)
+    elif how == "file_for_entry":
+        dataset_mod._remove(entry)
+        entry.write_text("not a directory")
+    elif how == "file_for_sidecar":
+        dataset_mod._remove(entry.parent)
+        entry.parent.write_text("not a directory")
+    else:
+        raise AssertionError(how)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 import rfcpca
+import rfcpca.dataset as dataset_mod
+from conftest import SIDECAR_SPOILS, spoil_entry
 from rfcpca.cli import main
 from rfcpca.dataset import dataset_digest, read_csv_dir
 
@@ -180,6 +183,57 @@ class TestAnalyze:
         assert "noise" in text
 
 
+class TestSidecar:
+    """A fit reads the same arrays whether or not its parsed trials were kept."""
+
+    @staticmethod
+    def fit_bytes(data_dir, out):
+        code = run("fit", "--data", data_dir, "--variant", "n", "-S", "2",
+                   "--lambda", "0.05", "--seed", "6", "--out", out)
+        return code, out.read_bytes()
+
+    @pytest.fixture
+    def reference(self, simulated, tmp_path):
+        """The fit of a copy of ``simulated`` that has never been read."""
+        shutil.copytree(simulated, tmp_path / "pristine")
+        code, doc = self.fit_bytes(tmp_path / "pristine", tmp_path / "reference.json")
+        assert code == 0
+        return code, doc
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
+    def test_miss_then_hits(self, simulated, tmp_path, reference, monkeypatch, pool):
+        if pool:
+            monkeypatch.setattr(dataset_mod, "_PARALLEL_MIN_BYTES", 0)
+            monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
+        for k in range(3):
+            assert self.fit_bytes(simulated, tmp_path / f"fit{k}.json") == reference
+        assert (simulated / dataset_mod.SIDECAR_DIR / dataset_digest(simulated)).is_dir()
+
+    def test_read_only_directory(self, simulated, tmp_path, reference, read_only):
+        read_only(simulated)
+        for k in range(2):
+            assert self.fit_bytes(simulated, tmp_path / f"fit{k}.json") == reference
+        assert not (simulated / dataset_mod.SIDECAR_DIR).exists()
+
+    @pytest.mark.parametrize("how", SIDECAR_SPOILS)
+    def test_spoiled_entry(self, simulated, tmp_path, reference, how):
+        assert self.fit_bytes(simulated, tmp_path / "first.json") == reference
+        spoil_entry(simulated / dataset_mod.SIDECAR_DIR / dataset_digest(simulated), how)
+        assert self.fit_bytes(simulated, tmp_path / "spoiled.json") == reference
+
+    def test_trial_edited_after_the_first_fit(self, simulated, tmp_path):
+        self.fit_bytes(simulated, tmp_path / "before.json")
+        trial = simulated / "trial_002.csv"
+        lines = trial.read_text().splitlines()
+        trial.write_text("\n".join(lines[:-1]) + "\n")
+        shutil.copytree(simulated, tmp_path / "pristine",
+                        ignore=shutil.ignore_patterns(dataset_mod.SIDECAR_DIR))
+        assert (self.fit_bytes(simulated, tmp_path / "after.json")
+                == self.fit_bytes(tmp_path / "pristine", tmp_path / "pristine.json"))
+        doc = json.loads((tmp_path / "after.json").read_text())
+        assert doc["provenance"]["dataset_sha256"] == dataset_digest(simulated)
+
+
 class TestExitCodes:
     def test_malformed_fit_json_exits_2(self, simulated, tmp_path):
         bad = tmp_path / "bad.json"
@@ -208,8 +262,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("cell", ["nan", "abc"])
     def test_bad_trial_parsed_on_pool_exits_2(self, simulated, tmp_path, monkeypatch,
                                               capsys, cell):
-        import rfcpca.dataset as dataset_mod
-
         monkeypatch.setattr(dataset_mod, "_PARALLEL_MIN_BYTES", 0)
         monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
         trial = simulated / "trial_003.csv"
@@ -223,6 +275,8 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "f.json").exists()
+        # trials that do not load leave no parsed entry behind
+        assert list((simulated / dataset_mod.SIDECAR_DIR).iterdir()) == []
 
     @pytest.mark.parametrize("options", [
         ["--v", "1.5"],

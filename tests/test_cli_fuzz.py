@@ -22,7 +22,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rfcpca.cli as cli_mod
+from conftest import SIDECAR_SPOILS, spoil_entry
 from rfcpca.cli import main
+from rfcpca.dataset import SIDECAR_DIR, dataset_digest
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -41,7 +43,9 @@ json_values = st.recursive(
 
 # option: (its usual values, anything of its type or None)
 FIT_OPTIONS = {
-    "--data": (["good"], st.sampled_from(["missing", "empty", "nan", "text", "short"])),
+    # "spoiled": the trials of "good" with their parsed copies spoiled
+    "--data": (["good", "spoiled"], st.sampled_from(["missing", "empty", "nan", "text",
+                                                     "short"])),
     "--variant": (["fcpca", "e", "n", "t"], None),
     "--clusters": ([2, 3], st.integers(-1, 8)),
     "-m": ([1.2, 2.0], numbers),
@@ -191,14 +195,25 @@ def _json_input(draw, scratch, name, doc, keys, spoiled):
     return path
 
 
+def _spoiled_copy(good, scratch, how):
+    """A copy of the trial directory ``good`` whose parsed trials are spoiled."""
+    copy = shutil.copytree(good, scratch / "spoiled")
+    spoil_entry(copy / SIDECAR_DIR / dataset_digest(copy), how)
+    return copy
+
+
 @FUZZ
 @given(st.data())
 def test_fit(inputs, data):
     options = _draw_options(data.draw, FIT_OPTIONS)
-    options["--data"] = inputs["data"][options["--data"]]
     # two-point grids keep an --auto search as quick as a few plain fits
     with _scratch() as scratch, mock.patch.object(cli_mod, "DEFAULT_M_GRID", (1.2, 2.0)), \
             mock.patch.object(cli_mod, "DEFAULT_ALPHA_GRID", (0.1, 0.3)):
+        if options["--data"] == "spoiled":
+            options["--data"] = _spoiled_copy(inputs["data"]["good"], scratch,
+                                              data.draw(st.sampled_from(SIDECAR_SPOILS)))
+        else:
+            options["--data"] = inputs["data"][options["--data"]]
         _run(_argv("fit", options, scratch))
 
 

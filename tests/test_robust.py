@@ -19,6 +19,7 @@ from rfcpca.robust import (
     select_lambda_elbow,
     update_noise_distance,
 )
+from rfcpca.selection import _GRID_STREAM
 
 
 class TestBeta:
@@ -280,6 +281,25 @@ class TestLambdaElbow:
         assert elbow.curve == [(lam, 1.0) for lam in DEFAULT_LAMBDA_GRID]
         assert elbow.no_elbow
         assert elbow.lambda_star == DEFAULT_LAMBDA_GRID[0]
+
+    def test_failed_baseline_restart_is_skipped(self):
+        # restart 0 of this sweep's baseline fits, restarts 1 and 2 empty a
+        # cluster; the sweep goes on from restart 0
+        dataset, _ = planted_with_outliers(21)
+        seed = derive_seed(3, _GRID_STREAM, 0)
+        failed = 0
+        for r in range(3):
+            try:
+                fit_fcpca(dataset, 2, m=1.4, v=0.99,
+                          seed=derive_seed(seed, _ELBOW_STREAM, 999, r))
+            except EmptyClusterError:
+                failed += 1
+        assert failed == 2
+        elbow = select_lambda_elbow(dataset, 2, m=1.4, v=0.99, seed=seed)
+        assert len(elbow.curve) == len(DEFAULT_LAMBDA_GRID)
+        # all three fail at m = 2.0: the sweep raises
+        with pytest.raises(EmptyClusterError):
+            select_lambda_elbow(dataset, 2, m=2.0, v=0.99, seed=seed)
 
     def test_curve_saturates_with_outliers(self):
         # gross outliers are flagged from the largest multiplier onward and

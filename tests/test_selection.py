@@ -209,6 +209,16 @@ class TestGridPool:
             for c, serial_c in zip(per_lag, serial_per_lag):
                 assert c.tobytes() == serial_c.tobytes()
 
+    def test_back_to_back_searches_both_use_the_pool(self, grid_pool):
+        # the threads of the first pool leave the operating system's count a
+        # few ms after its shutdown returns; the second search waits for them
+        dataset, _ = planted_dataset(31)
+        grid = SearchGrid(variant="fcpca", s_values=(2,), m_values=(1.4, 2.0))
+        first = grid_search(dataset, grid)[1]
+        second = grid_search(dataset, grid)[1]
+        assert grid_pool == [2, 2]
+        assert first.to_json() == second.to_json()
+
     def test_runs_in_process_without_cpus_to_spare(self, grid_pool, monkeypatch):
         dataset, _ = planted_dataset(31)
         grid = SearchGrid(variant="fcpca", s_values=(2,), m_values=(1.4, 2.0))
@@ -243,15 +253,16 @@ class TestGridPool:
         assert grid_pool == []
 
     def test_failed_elbow_sweep_is_recorded(self, grid_pool, monkeypatch):
-        # on this dataset the baseline fits of every candidate's elbow sweep
-        # empty a cluster; each candidate is recorded and the search goes on
+        # on this dataset all three baseline fits of each candidate's elbow
+        # sweep empty a cluster; each candidate is recorded and the search
+        # goes on
         dataset, _ = planted_with_outliers(21)
-        grid = SearchGrid(variant="n", s_values=(2,), m_values=(1.4, 2.0))
+        grid = SearchGrid(variant="n", s_values=(2,), m_values=(2.0, 2.5))
         fit_kwargs = {"v": 0.99, "max_lag": 2, "max_iter": 1000, "tol": 1e-3}
         search = (_Prepared(dataset, 2), grid, 3, 3, fit_kwargs)
         candidates = list(enumerate(grid.candidates()))
         expected = [{"s": 2, "m": m, "variant": "n", "converged": False, "cvi": None,
-                     "error": "EmptyClusterError"} for m in (1.4, 2.0)]
+                     "error": "EmptyClusterError"} for m in (2.0, 2.5)]
         for usable in (2, 1):
             monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda usable=usable: usable)
             results = list(selection_mod._candidate_results(search, candidates))
