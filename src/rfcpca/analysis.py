@@ -10,10 +10,10 @@ from .dataset import MtsDataset
 from .exceptions import DimensionMismatch, NotOrthonormal
 
 
-def _check_orthonormal(b: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _check_orthonormal(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     gram = b.T @ b
-    if np.abs(gram - np.eye(b.shape[1])).max() > tol:
+    if np.abs(gram - np.eye(b.shape[1])).max() > 1e-8:
         raise NotOrthonormal("basis columns are not orthonormal within 1e-8")
     return b
 

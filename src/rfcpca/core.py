@@ -38,8 +38,10 @@ from .exceptions import (
 )
 from .rng import make_rng
 
-DEFAULT_TOL = 1e-3
-DEFAULT_MAX_ITER = 1000
+# every fit alternates at most MAX_ITER times and stops, converged, once its
+# objective moves by less than TOL
+MAX_ITER = 1000
+TOL = 1e-3
 HARDEN_THRESHOLD = 0.70
 NOISE_FLAG_THRESHOLD = 0.50
 
@@ -232,7 +234,7 @@ class _Run(NamedTuple):
 
 
 def _alternate(prep: _Prepared, u: np.ndarray, m: float, v: float, max_iter: int,
-               tol: float, loss=None, n_subspaces: int | None = None,
+               loss=None, n_subspaces: int | None = None,
                n_keep: int | None = None, patience: int | None = _STALL_LIMIT,
                stall_converges: bool = False, reweight=None,
                first_subspaces: ClusterSubspaces | None = None) -> _Run:
@@ -261,9 +263,11 @@ def _alternate(prep: _Prepared, u: np.ndarray, m: float, v: float, max_iter: int
       counts as converged.
 
     The run also stops, converged, when the objective changes by less than
-    ``tol`` or the memberships reach a fixed point.  ``first_subspaces``, when
-    given, must be the subspaces of the first iteration's weights; runs that
-    share a start state compute them once.
+    ``TOL`` or the memberships reach a fixed point; it ends after
+    ``max_iter`` iterations in any case (``MAX_ITER`` for a fit, the noise
+    variant's burn-in its own cap).  ``first_subspaces``, when given, must be
+    the subspaces of the first iteration's weights; runs that share a start
+    state compute them once.
     """
     n_sub = u.shape[1] if n_subspaces is None else n_subspaces
     mask = None if n_keep is None else np.ones(u.shape[0], dtype=bool)
@@ -292,7 +296,7 @@ def _alternate(prep: _Prepared, u: np.ndarray, m: float, v: float, max_iter: int
         else:
             mask = _trim_mask(per_object, n_keep)
             trace.append(float(per_object[mask].sum()))
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < TOL:
             converged = True
             break
         # memberships at a fixed point: nothing downstream can move any more
@@ -315,7 +319,7 @@ def _prepare(dataset, max_lag: int) -> _Prepared:
     return dataset if isinstance(dataset, _Prepared) else _Prepared(dataset, max_lag)
 
 
-def _start(dataset, n_clusters: int, m: float, seed: int, init_u, max_lag: int):
+def _start(dataset, n_clusters: int, m: float, seed: int, max_lag: int, init_u=None):
     """Shared fit set-up: the prepared summaries and the starting memberships."""
     prep = _prepare(dataset, max_lag)
     if init_u is None:
@@ -361,15 +365,13 @@ def _fit_result(run: _Run, m: float, variant: str, params: dict, seed: int) -> F
 
 def fit_fcpca(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
               v: float = DEFAULT_VARIANCE_FRACTION, seed: int = 0,
-              max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
-              init_u: np.ndarray | None = None,
               max_lag: int = DEFAULT_MAX_LAG) -> FitResult:
     """Fit the baseline fuzzy subspace clustering model.
 
     Alternates subspace and membership updates until the absolute change of
-    the objective drops below ``tol`` or ``max_iter`` is reached.  The run
+    the objective drops below ``TOL`` or ``MAX_ITER`` is reached.  The run
     is fully determined by (dataset, parameters, seed).
     """
-    prep, u = _start(dataset, n_clusters, m, seed, init_u, max_lag)
-    run = _alternate(prep, u, m, v, max_iter, tol)
+    prep, u = _start(dataset, n_clusters, m, seed, max_lag)
+    run = _alternate(prep, u, m, v, MAX_ITER)
     return _fit_result(run, m, "fcpca", {}, seed)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ TRIAL_PATTERN = "trial_{:03d}.csv"
 # entry per dataset digest (see load_csv_dir)
 SIDECAR_DIR = ".rfcpca-parsed"
 _SHAPES_FILE = "shapes.npy"
-# entries being written; never taken for an entry of another digest
+# entries being written, .tmp-<pid>-<hex>; never taken for an entry of another digest
 _TMP_PREFIX = ".tmp-"
 
 # trial directories at least this large are parsed on a process pool.
@@ -191,14 +192,37 @@ def _fork_pool_workers(n_tasks: int) -> int:
     return workers
 
 
-def _process_pool(workers: int, method: str = "fork", **kwargs):
+def _start_worker(parent: int, initializer, initargs) -> None:
+    """Pool worker start: die with the pool's process, then run ``initializer``.
+
+    A worker holds its own task pipe open, so it would outlive a parent
+    killed by SIGKILL.  On Linux it asks for SIGKILL when its parent dies,
+    and exits if the parent died before it asked.  Elsewhere, macOS among
+    them, such workers are left running.
+    """
+    if sys.platform.startswith("linux"):
+        import ctypes  # here, not at `import rfcpca`
+        import signal
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl.restype = ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        if os.getppid() != parent:
+            os._exit(1)
+    if initializer is not None:
+        initializer(*initargs)
+
+
+def _process_pool(workers: int, method: str = "fork", initializer=None, initargs=()):
     """A ``ProcessPoolExecutor`` of ``workers`` processes started by ``method``.
 
     ``fork`` falls back to ``spawn`` where the platform has no fork.  A
     forked worker starts from this process's memory: the imported package
     and whatever the caller prepared reach it without pickling, while spawn
     and forkserver import numpy again in every worker of every pool (0.2-0.3 s
-    more per pool on 2 cores).  ``kwargs`` go to the executor.
+    more per pool on 2 cores).  Each worker runs ``_start_worker``, then
+    ``initializer(*initargs)``; it dies with the caller's thread.
     """
     # imported on first use: `import rfcpca` would otherwise load the
     # process machinery (about 20 ms) for every caller
@@ -208,7 +232,8 @@ def _process_pool(workers: int, method: str = "fork", **kwargs):
     if method not in multiprocessing.get_all_start_methods():
         method = "spawn"
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method),
-                               **kwargs)
+                               initializer=_start_worker,
+                               initargs=(os.getpid(), initializer, initargs))
 
 
 def _parse_workers(paths) -> int:
@@ -273,9 +298,26 @@ def _remove(path: Path) -> None:
         path.unlink()
 
 
+def _orphaned(name: str) -> bool:
+    """Whether ``name`` is a ``.tmp-<pid>-<hex>`` entry whose process no
+    longer runs on this host, as after a parse killed midway."""
+    pid = name[len(_TMP_PREFIX):].split("-", 1)[0]
+    # signal 0 only checks for the process, except on Windows, where it kills
+    if os.name != "posix" or not pid.isdigit():
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):  # PermissionError: another user's process
+        pass
+    return False
+
+
 def _publish(tmp: Path, entry: Path) -> None:
     """Move the parsed entry ``tmp`` into place at ``entry`` and drop the
-    entries of other digests.  Leaves ``tmp`` where it is when it cannot."""
+    entries of other digests and the scratch entries of dead processes.
+    Leaves ``tmp`` where it is when it cannot."""
     try:
         if entry.exists() or entry.is_symlink():
             # a spoiled entry: the caller found it unusable
@@ -284,7 +326,8 @@ def _publish(tmp: Path, entry: Path) -> None:
     except OSError:
         return
     for other in entry.parent.iterdir():
-        if other.name != entry.name and not other.name.startswith(_TMP_PREFIX):
+        if other.name != entry.name and (not other.name.startswith(_TMP_PREFIX)
+                                         or _orphaned(other.name)):
             try:
                 _remove(other)
             except OSError:

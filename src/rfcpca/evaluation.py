@@ -35,14 +35,12 @@ class EvalReport:
         return json.dumps(asdict(self), **kwargs)
 
 
-def harden(memberships: np.ndarray, threshold: float = HARDEN_THRESHOLD) -> np.ndarray:
-    """Crisp labels by dominance: argmax if it reaches the threshold, else -1.
-
-    Argmax ties go to the lower cluster index.
-    """
+def harden(memberships: np.ndarray) -> np.ndarray:
+    """Crisp labels by dominance: argmax if it reaches ``HARDEN_THRESHOLD``
+    (0.70), else -1."""
     u = np.asarray(memberships, dtype=float)
     labels = np.argmax(u, axis=1)
-    labels[u.max(axis=1) < threshold] = UNASSIGNED
+    labels[u.max(axis=1) < HARDEN_THRESHOLD] = UNASSIGNED
     return labels
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import _BLAS_THREAD_VARS, MtsDataset, _pool_workers, _process_pool
 from .evaluation import evaluate_fit
 from .rng import derive_seed
-from .selection import DEFAULT_ALPHA_GRID, DEFAULT_M_GRID, SearchGrid, grid_search
+from .selection import DEFAULT_M_GRID, SearchGrid, grid_search
 from .simulate import generate_clean_dataset, inject_bursts, inject_eyeblinks
 
 VARIANTS = ("fcpca", "e", "n", "t")
@@ -33,44 +33,37 @@ VARIANTS = ("fcpca", "e", "n", "t")
 # (0.995+) starts absorbing them and masks the artifacts.
 BENCHMARK_V = 0.99
 
+# substantive clusters of every benchmark fit: the generator's two groups
+BENCHMARK_S = 2
+
 _GEN_STREAM = 0xD5
 _ART_STREAM = 0xA7
 _FIT_STREAM = 0xF1
 
 
-def make_benchmark_dataset(kind: str, p: int, t_spec, seed: int,
-                           n_per_group: int = 10, rho: float | None = None,
-                           eta: float = 5.0, fs: float = 100.0):
-    """Clean dataset plus the requested contamination; returns (data, manifest)."""
-    clean, manifest = generate_clean_dataset(n_per_group, p, t_spec, fs=fs,
+def make_benchmark_dataset(kind: str, p: int, t_spec, seed: int, n_per_group: int = 10):
+    """Clean dataset plus the injector's default contamination; returns (data, manifest)."""
+    clean, manifest = generate_clean_dataset(n_per_group, p, t_spec,
                                              seed=derive_seed(seed, _GEN_STREAM))
     art_seed = derive_seed(seed, _ART_STREAM)
     if kind == "burst":
-        return inject_bursts(clean, manifest, rho=0.20 if rho is None else rho,
-                             eta=eta, seed=art_seed)
+        return inject_bursts(clean, manifest, seed=art_seed)
     if kind == "eyeblink":
-        return inject_eyeblinks(clean, manifest, rho=0.40 if rho is None else rho,
-                                seed=art_seed)
+        return inject_eyeblinks(clean, manifest, seed=art_seed)
     if kind == "none":
         return clean, manifest
     raise ValueError(f"unknown contamination kind {kind!r}")
 
 
-def auto_fit(dataset: MtsDataset, variant: str, seed: int, s: int = 2,
-             restarts: int = 3, m_values=DEFAULT_M_GRID,
-             alpha_values=DEFAULT_ALPHA_GRID, v: float = BENCHMARK_V,
-             max_lag: int = 2):
-    """Grid-search fit of one variant with the benchmark's default grids."""
-    grid = SearchGrid(variant=variant, s_values=(s,), m_values=m_values,
-                      alpha_values=alpha_values, lam="elbow")
-    return grid_search(dataset, grid, seed=seed, restarts=restarts, v=v, max_lag=max_lag)
+def auto_fit(dataset: MtsDataset, variant: str, seed: int, m_values=DEFAULT_M_GRID):
+    """Grid-search fit of one variant at ``BENCHMARK_S`` clusters and ``BENCHMARK_V``
+    over ``m_values`` and the default grids of alpha and lambda."""
+    grid = SearchGrid(variant=variant, s_values=(BENCHMARK_S,), m_values=m_values,
+                      lam="elbow")
+    return grid_search(dataset, grid, seed=seed, v=BENCHMARK_V)
 
 
-def benchmark_replication(kind: str, p: int, t_spec, seed: int,
-                          n_per_group: int = 10, rho: float | None = None,
-                          variants=VARIANTS, s: int = 2, restarts: int = 3,
-                          m_values=DEFAULT_M_GRID, alpha_values=DEFAULT_ALPHA_GRID,
-                          v: float = BENCHMARK_V):
+def benchmark_replication(kind: str, p: int, t_spec, seed: int, n_per_group: int = 10):
     """Score all variants on one seeded contaminated dataset.
 
     Hyperparameter protocol: the baseline and each robust variant with a
@@ -83,23 +76,18 @@ def benchmark_replication(kind: str, p: int, t_spec, seed: int,
     assigning saturated outliers confidently.  Returns one row per variant
     with the selected values and the accuracy / outlier-recall metrics.
     """
-    dataset, _ = make_benchmark_dataset(kind, p, t_spec, seed,
-                                        n_per_group=n_per_group, rho=rho)
+    dataset, _ = make_benchmark_dataset(kind, p, t_spec, seed, n_per_group=n_per_group)
     truth = dataset.contaminated_indices()
-    base_fit, base_report = auto_fit(dataset, "fcpca",
-                                     seed=derive_seed(seed, _FIT_STREAM, 0),
-                                     s=s, restarts=restarts, m_values=m_values, v=v)
+    base_fit, base_report = auto_fit(dataset, "fcpca", seed=derive_seed(seed, _FIT_STREAM, 0))
     m_star = base_report.winner["m"]
     rows = []
-    for k, variant in enumerate(variants):
+    for k, variant in enumerate(VARIANTS):
         if variant == "fcpca":
             fit, report = base_fit, base_report
         else:
-            variant_m = (m_star,) if variant == "e" else m_values
-            fit, report = auto_fit(dataset, variant,
-                                   seed=derive_seed(seed, _FIT_STREAM, k),
-                                   s=s, restarts=restarts, m_values=variant_m,
-                                   alpha_values=alpha_values, v=v)
+            variant_m = (m_star,) if variant == "e" else DEFAULT_M_GRID
+            fit, report = auto_fit(dataset, variant, seed=derive_seed(seed, _FIT_STREAM, k),
+                                   m_values=variant_m)
         ev = evaluate_fit(fit, dataset.labels, truth)
         rows.append({
             "kind": kind,
@@ -125,9 +113,8 @@ def _mean(values):
 
 
 def _replication_task(args):
-    kind, p, t_spec, rep_seed, n_per_group, rho, variants = args
-    return benchmark_replication(kind, p, t_spec, rep_seed,
-                                 n_per_group=n_per_group, rho=rho, variants=variants)
+    kind, p, t_spec, rep_seed, n_per_group = args
+    return benchmark_replication(kind, p, t_spec, rep_seed, n_per_group=n_per_group)
 
 
 def _pool_map(fn, items, workers: int) -> list:
@@ -150,8 +137,7 @@ def _pool_map(fn, items, workers: int) -> list:
 
 
 def run_benchmark(kind: str, p_values, t_spec, replications: int, seed: int,
-                  n_per_group: int = 10, rho: float | None = None,
-                  variants=VARIANTS, progress=None, workers: int | None = None):
+                  n_per_group: int = 10, progress=None, workers: int | None = None):
     """Replicate the benchmark over seeds and channel counts.
 
     Replications are independent and run on a process pool, by default one
@@ -159,7 +145,7 @@ def run_benchmark(kind: str, p_values, t_spec, replications: int, seed: int,
     output does not depend on worker scheduling.  Returns (per-replication
     rows, summary rows averaged per variant and p).
     """
-    tasks = [(kind, p, t_spec, derive_seed(seed, p, r), n_per_group, rho, variants)
+    tasks = [(kind, p, t_spec, derive_seed(seed, p, r), n_per_group)
              for p in p_values for r in range(replications)]
     if workers is None:
         workers = _pool_workers(len(tasks))
@@ -174,7 +160,7 @@ def run_benchmark(kind: str, p_values, t_spec, replications: int, seed: int,
             progress(task[1], task[3], rows)
     summary = []
     for p in p_values:
-        for variant in variants:
+        for variant in VARIANTS:
             sub = [row for row in all_rows if row["p"] == p and row["variant"] == variant]
             summary.append({
                 "kind": kind,

@@ -23,8 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
+    MAX_ITER,
     FitResult,
     _alternate,
     _fit_result,
@@ -39,7 +38,7 @@ from .dataset import MtsDataset
 from .exceptions import DegenerateScale, EmptyClusterError, TooFewRetained
 from .rng import derive_seed
 
-# default multiplier grid for the noise-distance selection: 20 halvings of 1
+# multiplier grid of the noise-distance selection: 20 halvings of 1
 DEFAULT_LAMBDA_GRID = tuple(0.5**i for i in range(20))
 
 # cap on the plain iterations run before the noise cluster is switched on
@@ -89,8 +88,6 @@ def _exponential_weights(u: np.ndarray, errors: np.ndarray, beta: float,
 
 def fit_rfcpca_e(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
                  v: float = DEFAULT_VARIANCE_FRACTION, seed: int = 0,
-                 max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
-                 init_u: np.ndarray | None = None,
                  max_lag: int = DEFAULT_MAX_LAG) -> FitResult:
     """Fit with the exponential (bounded) reconstruction loss.
 
@@ -102,7 +99,7 @@ def fit_rfcpca_e(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
     majorise-minimise step of the bounded loss, so a contaminated object's
     errors do not steer the axes.
     """
-    prep, u = _start(dataset, n_clusters, m, seed, init_u, max_lag)
+    prep, u = _start(dataset, n_clusters, m, seed, max_lag)
     params = {"beta": None}
 
     def loss(errors):
@@ -113,7 +110,7 @@ def fit_rfcpca_e(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
     def reweight(u_sub, errors):
         return _exponential_weights(u_sub, errors, params["beta"], m)
 
-    run = _alternate(prep, u, m, v, max_iter, tol, loss=loss,
+    run = _alternate(prep, u, m, v, MAX_ITER, loss=loss,
                      patience=_STALL_PATIENCE, stall_converges=True,
                      reweight=reweight)
     return _fit_result(run, m, "e", params, seed)
@@ -137,7 +134,7 @@ def update_noise_distance(errors: np.ndarray, lam: float) -> float:
 
 
 def _burn_in(prep: _Prepared, u: np.ndarray, n_regular: int, m: float, v: float,
-             tol: float, max_steps: int) -> np.ndarray:
+             max_steps: int) -> np.ndarray:
     """Noise-variant start state: burned-in regular memberships, empty noise column.
 
     The regular columns of ``u`` are renormalised to sum to one per row, then
@@ -148,14 +145,13 @@ def _burn_in(prep: _Prepared, u: np.ndarray, n_regular: int, m: float, v: float,
     row_sums = u_reg.sum(axis=1, keepdims=True)
     u_reg = np.where(row_sums > 0, u_reg / np.where(row_sums > 0, row_sums, 1.0),
                      1.0 / n_regular)
-    run = _alternate(prep, u_reg, m, v, max_steps, tol, patience=None)
+    run = _alternate(prep, u_reg, m, v, max_steps, patience=None)
     return np.hstack([run.u, np.zeros((prep.n_series, 1))])
 
 
 def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
                  v: float = DEFAULT_VARIANCE_FRACTION, lam: float = 1.0,
-                 seed: int = 0, max_iter: int = DEFAULT_MAX_ITER,
-                 tol: float = DEFAULT_TOL, init_u: np.ndarray | None = None,
+                 seed: int = 0, init_u: np.ndarray | None = None,
                  burn_in: int = DEFAULT_BURN_IN, max_lag: int = DEFAULT_MAX_LAG,
                  _first_subspaces: ClusterSubspaces | None = None) -> FitResult:
     """Fit with a dedicated noise cluster (total clusters = n_regular + 1).
@@ -177,15 +173,15 @@ def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    prep, u = _start(dataset, n_regular + 1, m, seed, init_u, max_lag)
-    u = _burn_in(prep, u, n_regular, m, v, tol, burn_in)
+    prep, u = _start(dataset, n_regular + 1, m, seed, max_lag, init_u)
+    u = _burn_in(prep, u, n_regular, m, v, burn_in)
     params = {"lambda": lam, "delta_sq": None}
 
     def loss(errors):
         params["delta_sq"] = update_noise_distance(errors, lam)
         return _noise_augment(errors, params["delta_sq"])
 
-    run = _alternate(prep, u, m, v, max_iter, tol, loss=loss, n_subspaces=n_regular,
+    run = _alternate(prep, u, m, v, MAX_ITER, loss=loss, n_subspaces=n_regular,
                      first_subspaces=_first_subspaces)
     return _fit_result(run, m, "n", params, seed)
 
@@ -195,18 +191,16 @@ _ELBOW_STREAM = 0x3E1B
 
 
 def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
-                        v: float = DEFAULT_VARIANCE_FRACTION,
-                        lam_grid=DEFAULT_LAMBDA_GRID, seed: int = 0,
-                        max_iter: int = DEFAULT_MAX_ITER, tol: float = DEFAULT_TOL,
+                        v: float = DEFAULT_VARIANCE_FRACTION, seed: int = 0,
                         max_lag: int = DEFAULT_MAX_LAG) -> LambdaElbow:
     """Pick the noise multiplier at the elbow of the outlier-fraction curve.
 
-    Fits the noise variant at every grid value (descending) and records the
-    fraction of objects flagged as noise.  The curve is flat while genuine
-    members stay put, then jumps as the noise cluster starts absorbing them;
-    the selected lambda is the grid value immediately before the largest
-    single-step jump.  A fit that collapses (regular clusters emptied out by
-    a tiny lambda) counts as fraction 1.0.
+    Fits the noise variant at every value of ``DEFAULT_LAMBDA_GRID``
+    (descending) and records the fraction of objects flagged as noise.  The
+    curve is flat while genuine members stay put, then jumps as the noise
+    cluster starts absorbing them; the selected lambda is the grid value
+    immediately before the largest single-step jump.  A fit that collapses
+    (regular clusters emptied out by a tiny lambda) counts as fraction 1.0.
 
     All grid fits start from one shared baseline state: the regular
     clusters fitted without a noise cluster, best of three seeded restarts;
@@ -219,19 +213,13 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     (``burn_in=0``), whose subspaces are computed once as well; a burn-in
     that empties a cluster counts as a collapse of every grid fit.
     """
-    lam_grid = list(lam_grid)
-    if len(lam_grid) < 3:
-        raise ValueError("lambda grid needs at least 3 values")
-    if any(b >= a for a, b in zip(lam_grid, lam_grid[1:])):
-        raise ValueError("lambda grid must be strictly decreasing")
     prep = _prepare(dataset, max_lag)
     n = prep.n_series
     base = None
     for r in range(3):
         try:
             cand = fit_fcpca(prep, n_regular, m=m, v=v,
-                             seed=derive_seed(seed, _ELBOW_STREAM, 999, r),
-                             max_iter=max_iter, tol=tol, max_lag=max_lag)
+                             seed=derive_seed(seed, _ELBOW_STREAM, 999, r))
         except EmptyClusterError as exc:
             # skipped as the grid skips a failed restart
             failure = exc
@@ -241,39 +229,35 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     if base is None:
         raise failure
     try:
-        shared_init = _burn_in(prep, base.memberships.u, n_regular, m, v, tol,
-                               DEFAULT_BURN_IN)
+        shared_init = _burn_in(prep, base.memberships.u, n_regular, m, v, DEFAULT_BURN_IN)
         # the weights every grid fit starts from: fit_rfcpca_n renormalises
         # the regular columns of its init_u in the same way
-        start = _burn_in(prep, shared_init, n_regular, m, v, tol, 0)
+        start = _burn_in(prep, shared_init, n_regular, m, v, 0)
         first = _subspaces_from_weights(prep.blocks, start[:, :n_regular], m, v)
     except EmptyClusterError:
         # every grid fit would have collapsed in this same burn-in
-        curve = [(lam, 1.0) for lam in lam_grid]
-        return LambdaElbow(lambda_star=lam_grid[0], curve=curve, no_elbow=True)
+        curve = [(lam, 1.0) for lam in DEFAULT_LAMBDA_GRID]
+        return LambdaElbow(lambda_star=DEFAULT_LAMBDA_GRID[0], curve=curve, no_elbow=True)
     fractions = []
-    for k, lam in enumerate(lam_grid):
+    for k, lam in enumerate(DEFAULT_LAMBDA_GRID):
         try:
             fit = fit_rfcpca_n(prep, n_regular, m=m, v=v, lam=lam,
                                seed=derive_seed(seed, _ELBOW_STREAM, k),
-                               init_u=shared_init, max_iter=max_iter, tol=tol,
-                               burn_in=0, max_lag=max_lag, _first_subspaces=first)
+                               init_u=shared_init, burn_in=0, _first_subspaces=first)
             fractions.append(len(fit.flagged) / n)
         except (EmptyClusterError, DegenerateScale):
             fractions.append(1.0)
-    curve = list(zip(lam_grid, fractions))
+    curve = list(zip(DEFAULT_LAMBDA_GRID, fractions))
     jumps = np.diff(fractions)
     if np.all(jumps == 0.0):
-        return LambdaElbow(lambda_star=lam_grid[0], curve=curve, no_elbow=True)
+        return LambdaElbow(lambda_star=DEFAULT_LAMBDA_GRID[0], curve=curve, no_elbow=True)
     pre_jump = int(np.argmax(jumps))
-    return LambdaElbow(lambda_star=lam_grid[pre_jump], curve=curve, no_elbow=False)
+    return LambdaElbow(lambda_star=DEFAULT_LAMBDA_GRID[pre_jump], curve=curve, no_elbow=False)
 
 
 def fit_rfcpca_t(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
                  alpha: float = 0.2, v: float = DEFAULT_VARIANCE_FRACTION,
-                 seed: int = 0, max_iter: int = DEFAULT_MAX_ITER,
-                 tol: float = DEFAULT_TOL, init_u: np.ndarray | None = None,
-                 max_lag: int = DEFAULT_MAX_LAG) -> FitResult:
+                 seed: int = 0, max_lag: int = DEFAULT_MAX_LAG) -> FitResult:
     """Fit with trimming: the worst-fitting objects are excluded each iteration.
 
     Memberships are still updated for every object (for reporting), but only
@@ -282,11 +266,11 @@ def fit_rfcpca_t(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    prep, u = _start(dataset, n_clusters, m, seed, init_u, max_lag)
+    prep, u = _start(dataset, n_clusters, m, seed, max_lag)
     n = prep.n_series
     n_keep = int(np.floor(n * (1.0 - alpha)))
     if n_keep < n_clusters:
         raise TooFewRetained(f"retaining {n_keep} of {n} objects cannot fill {n_clusters} clusters")
-    run = _alternate(prep, u, m, v, max_iter, tol, n_keep=n_keep)
+    run = _alternate(prep, u, m, v, MAX_ITER, n_keep=n_keep)
     params = {"alpha": alpha, "retained": np.flatnonzero(run.mask)}
     return _fit_result(run, m, "t", params, seed)

@@ -2,7 +2,7 @@
 
 The validity index divides the fitted objective by N times the minimal
 pairwise distance between subspace prototypes; lower is better.  The grid
-search evaluates every candidate tuple with a fixed number of restarts and
+search evaluates every candidate tuple with ``RESTARTS`` seeded restarts and
 returns the converged candidate with the smallest index.
 """
 
@@ -30,6 +30,9 @@ from .robust import fit_rfcpca_e, fit_rfcpca_n, fit_rfcpca_t, select_lambda_elbo
 DEFAULT_M_GRID = (1.1, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.5)
 DEFAULT_S_GRID = (2, 3, 4, 5, 6)
 DEFAULT_ALPHA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
+
+# seeded fits per grid candidate; the best one represents the candidate
+RESTARTS = 3
 
 _GRID_STREAM = 0x62D5
 
@@ -109,18 +112,18 @@ def cvi(fit: FitResult) -> float:
     return fit.objective_trace[-1] / (fit.n_series * d_min)
 
 
-def _fit_candidate(prep, grid, cand, seed, lam, **fit_kwargs):
+def _fit_candidate(prep, grid, cand, seed, lam, v):
     s, m = cand["s"], cand["m"]
     if grid.variant == "fcpca":
-        return fit_fcpca(prep, s, m=m, seed=seed, **fit_kwargs)
+        return fit_fcpca(prep, s, m=m, v=v, seed=seed)
     if grid.variant == "e":
-        return fit_rfcpca_e(prep, s, m=m, seed=seed, **fit_kwargs)
+        return fit_rfcpca_e(prep, s, m=m, v=v, seed=seed)
     if grid.variant == "t":
-        return fit_rfcpca_t(prep, s, m=m, alpha=cand["alpha"], seed=seed, **fit_kwargs)
-    return fit_rfcpca_n(prep, s, m=m, lam=lam, seed=seed, **fit_kwargs)
+        return fit_rfcpca_t(prep, s, m=m, alpha=cand["alpha"], v=v, seed=seed)
+    return fit_rfcpca_n(prep, s, m=m, v=v, lam=lam, seed=seed)
 
 
-def _evaluate_candidate(prep, grid, seed, restarts, fit_kwargs, idx, cand):
+def _evaluate_candidate(prep, grid, seed, v, idx, cand):
     """Record of the ``idx``-th grid candidate and its fit, or None when it cannot win.
 
     The restart with the best (converged, lowest objective) fit represents
@@ -133,9 +136,8 @@ def _evaluate_candidate(prep, grid, seed, restarts, fit_kwargs, idx, cand):
     if grid.variant == "n":
         if grid.lam == "elbow":
             try:
-                elbow = select_lambda_elbow(prep, cand["s"], m=cand["m"],
-                                            seed=derive_seed(seed, _GRID_STREAM, idx),
-                                            **fit_kwargs)
+                elbow = select_lambda_elbow(prep, cand["s"], m=cand["m"], v=v,
+                                            seed=derive_seed(seed, _GRID_STREAM, idx))
             except (EmptyClusterError, DegenerateScale) as exc:
                 record.update({"converged": False, "cvi": None,
                                "error": type(exc).__name__})
@@ -147,10 +149,10 @@ def _evaluate_candidate(prep, grid, seed, restarts, fit_kwargs, idx, cand):
         record["lambda"] = lam
     tuple_best = None
     error_name = None
-    for r in range(restarts):
+    for r in range(RESTARTS):
         child = derive_seed(seed, idx, r)
         try:
-            fit = _fit_candidate(prep, grid, cand, child, lam, **fit_kwargs)
+            fit = _fit_candidate(prep, grid, cand, child, lam, v)
         except (EmptyClusterError, DegenerateScale, TooFewRetained) as exc:
             error_name = type(exc).__name__
             continue
@@ -179,7 +181,7 @@ def _evaluate_candidate(prep, grid, seed, restarts, fit_kwargs, idx, cand):
     return record, tuple_best
 
 
-# (prep, grid, seed, restarts, fit_kwargs) of the search a pool worker serves
+# (prep, grid, seed, v) of the search a pool worker serves
 _worker_search = None
 
 
@@ -213,12 +215,10 @@ def _candidate_results(search, candidates):
 
 
 def grid_search(dataset: MtsDataset, grid: SearchGrid, seed: int = 0,
-                restarts: int = 3, v: float = DEFAULT_VARIANCE_FRACTION,
-                max_lag: int = DEFAULT_MAX_LAG, max_iter: int = 1000,
-                tol: float = 1e-3):
+                v: float = DEFAULT_VARIANCE_FRACTION, max_lag: int = DEFAULT_MAX_LAG):
     """Evaluate every grid candidate and return (best fit, report).
 
-    Each candidate is fitted ``restarts`` times with deterministically
+    Each candidate is fitted ``RESTARTS`` times with deterministically
     derived seeds; the restart with the lowest final objective represents
     the candidate, and candidates are ranked by the validity index, ties
     going to the earlier candidate in grid order.  Candidates that error,
@@ -228,8 +228,7 @@ def grid_search(dataset: MtsDataset, grid: SearchGrid, seed: int = 0,
     may run on a process pool (see ``_candidate_results``); the results do
     not depend on it.
     """
-    fit_kwargs = {"v": v, "max_lag": max_lag, "max_iter": max_iter, "tol": tol}
-    search = (_Prepared(dataset, max_lag), grid, seed, restarts, fit_kwargs)
+    search = (_Prepared(dataset, max_lag), grid, seed, v)
     records = []
     best_fit = None
     best_record = None

@@ -69,6 +69,8 @@ _MIN_EDGE_HZ = 0.5
 _MAX_EDGE_FRACTION = 0.95  # of the Nyquist frequency
 _FILTER_ORDER = 2          # per pass; applied forward and backward
 _BURN_IN = 200
+_FRONTAL_FRACTION = 0.25        # eye blinks hit the first quarter of the channels,
+_BLINK_CHANNEL_FRACTION = 0.50  # half of them each
 
 
 def ar2_coefficients(peak_hz: float, sharpness: float, fs: float) -> tuple[float, float]:
@@ -203,7 +205,7 @@ class SimManifest:
 
 
 def generate_clean_dataset(n_per_group: int, p: int, t_spec, fs: float = DEFAULT_FS,
-                           seed: int = 0, bands=DEFAULT_BANDS):
+                           seed: int = 0):
     """Two groups of clean trials; returns (dataset, manifest).
 
     ``t_spec`` is either a fixed length or a (lo, hi) range from which each
@@ -222,7 +224,8 @@ def generate_clean_dataset(n_per_group: int, p: int, t_spec, fs: float = DEFAULT
     mixing = [mixing_matrix(g, p, derive_seed(seed, _MIXING_STREAM, g)) for g in (1, 2)]
     series = []
     for i in range(n):
-        latents = simulate_latents(lengths[i], fs, bands, derive_seed(seed, _LATENT_STREAM, i))
+        latents = simulate_latents(lengths[i], fs, DEFAULT_BANDS,
+                                   derive_seed(seed, _LATENT_STREAM, i))
         series.append(latents @ mixing[labels[i]])
     dataset = MtsDataset(series=series, labels=labels, contaminated=np.zeros(n, dtype=bool))
     manifest = SimManifest(
@@ -233,7 +236,6 @@ def generate_clean_dataset(n_per_group: int, p: int, t_spec, fs: float = DEFAULT
         lengths=lengths,
         group_labels=labels.tolist(),
         mixing=[a.tolist() for a in mixing],
-        bands=[asdict(b) for b in bands],
     )
     return dataset, manifest
 
@@ -325,12 +327,11 @@ def inject_bursts(dataset: MtsDataset, manifest: SimManifest, rho: float = 0.20,
 
 
 def inject_eyeblinks(dataset: MtsDataset, manifest: SimManifest, rho: float = 0.40,
-                     seed: int = 0, frontal_fraction: float = 0.25,
-                     channel_fraction: float = 0.50):
+                     seed: int = 0):
     """Contaminate a share of trials per group with frontal half-sine blinks.
 
-    The frontal set defaults to the first 25% of channels; each blink hits
-    half of them, lasts 200-400 ms, and deflects by 4-8 clean standard
+    The frontal set is the first 25% of channels; each blink hits half of
+    them, lasts 200-400 ms, and deflects by 4-8 clean standard
     deviations with random polarity.
     """
     labels = np.asarray(manifest.group_labels)
@@ -341,8 +342,8 @@ def inject_eyeblinks(dataset: MtsDataset, manifest: SimManifest, rho: float = 0.
     rng = make_rng(seed)
     chosen = _pick_contaminated(labels, rho, rng)
     p = dataset.n_channels
-    frontal = np.arange(ceil(frontal_fraction * p))
-    n_chan = ceil(channel_fraction * len(frontal))
+    frontal = np.arange(ceil(_FRONTAL_FRACTION * p))
+    n_chan = ceil(_BLINK_CHANNEL_FRACTION * len(frontal))
     out = dataset.copy()
     events = []
     for i in chosen:
@@ -369,8 +370,8 @@ def inject_eyeblinks(dataset: MtsDataset, manifest: SimManifest, rho: float = 0.
                                   "contamination_seed": seed,
                                   "contamination_params": {
                                       "rho": rho,
-                                      "frontal_fraction": frontal_fraction,
-                                      "channel_fraction": channel_fraction,
+                                      "frontal_fraction": _FRONTAL_FRACTION,
+                                      "channel_fraction": _BLINK_CHANNEL_FRACTION,
                                   },
                                   "contaminated": chosen.tolist(),
                                   "events": events})

@@ -34,14 +34,14 @@ def _by_variant(summary):
 @pytest.fixture(scope="module")
 def table1_summary():
     _, summary = run_benchmark("burst", [32], 400, replications=10,
-                               seed=TABLE1_SEED, rho=0.20)
+                               seed=TABLE1_SEED)
     return _by_variant(summary)
 
 
 @pytest.fixture(scope="module")
 def table4_summary():
     _, summary = run_benchmark("eyeblink", [32], (400, 2000), replications=10,
-                               seed=TABLE4_SEED, rho=0.40)
+                               seed=TABLE4_SEED)
     return _by_variant(summary)
 
 

@@ -306,6 +306,24 @@ class TestExitCodes:
         assert_clean_exit(proc, 4)
         assert "InvalidShape" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "simulate"])
+    def test_output_under_a_regular_file_exits_3(self, simulated, burst_config, tmp_path,
+                                                 capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        fit_path = tmp_path / "f.json"
+        assert run("fit", "--data", simulated, "--out", fit_path) == 0
+        argv = {
+            "fit": ["fit", "--data", simulated, "--out", blocker / "f.json"],
+            "evaluate": ["evaluate", "--fit", fit_path, "--manifest",
+                         simulated / "manifest.json", "--out", blocker / "r.json"],
+            "simulate": ["simulate", "--config", burst_config, "--out", blocker / "data"],
+        }[command]
+        capsys.readouterr()
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
 
 class TestReproduce:
     def test_unknown_experiment_exits_2(self, tmp_path):
@@ -317,11 +335,9 @@ class TestReproduce:
     def test_tiny_run_writes_summary(self, tmp_path, monkeypatch):
         import rfcpca.cli as cli_mod
 
-        def tiny_run_benchmark(kind, p_values, t_spec, replications, seed, rho=None,
-                               progress=None, **kwargs):
+        def tiny_run_benchmark(kind, p_values, t_spec, replications, seed, progress=None):
             from rfcpca.experiments import run_benchmark as real
-            return real(kind, [8], 150, 1, seed, n_per_group=3, rho=rho,
-                        progress=progress, workers=1)
+            return real(kind, [8], 150, 1, seed, n_per_group=3, progress=progress, workers=1)
 
         monkeypatch.setattr(cli_mod, "run_benchmark", tiny_run_benchmark)
         out = tmp_path / "rep"

@@ -267,8 +267,7 @@ def test_simulate(data):
         assert code == 2
 
 
-def _instant_benchmark(kind, p_values, t_spec, replications, seed, rho=None,
-                       progress=None, **kwargs):
+def _instant_benchmark(kind, p_values, t_spec, replications, seed, progress=None):
     """Stands in for run_benchmark: rows of the right shape at no cost."""
     rows = []
     for p in p_values:

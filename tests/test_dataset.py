@@ -1,6 +1,9 @@
 import concurrent.futures
+import json
 import multiprocessing
 import os
+import select
+import signal
 import subprocess
 import sys
 import tempfile
@@ -366,3 +369,70 @@ def test_bad_trial_publishes_no_entry(tmp_path):
         with pytest.raises(NonFiniteInput):
             dataset_mod.load_csv_dir(tmp_path)
     assert list((tmp_path / dataset_mod.SIDECAR_DIR).iterdir()) == []
+
+
+@pytest.mark.skipif(not Path("/proc/sys/kernel/pid_max").exists(), reason="needs Linux's pid_max")
+def test_publish_removes_the_scratch_entries_of_dead_processes_only(tmp_path):
+    # a parse killed midway leaves its .tmp-<pid>-<hex> directory behind; the
+    # next publish removes it once no process has that pid, and keeps the
+    # scratch entry of a running process
+    pid_max = int(Path("/proc/sys/kernel/pid_max").read_text())
+    write_csv_dir(MtsDataset(series=[np.ones((3, 2)), np.zeros((4, 2))]), tmp_path)
+    root = tmp_path / dataset_mod.SIDECAR_DIR
+    dead = root / f".tmp-{pid_max + 1}-0badc0de"
+    live = root / f".tmp-{os.getpid()}-0badc0de"
+    for scratch in (dead, live):
+        scratch.mkdir(parents=True)
+        (scratch / "00000.npy").write_bytes(b"partial")
+    dataset_mod.load_csv_dir(tmp_path)
+    assert sorted(path.name for path in root.iterdir()) == sorted(
+        [live.name, dataset_digest(tmp_path)])
+
+
+# holds a pool of two started workers, prints their pids, then waits to be killed
+_POOL_HOLDER = """
+import json, sys, time
+import rfcpca.dataset as dataset_mod
+import rfcpca.selection as selection_mod
+
+kwargs = {"initializer": selection_mod._init_worker, "initargs": ("search",)}
+with dataset_mod._process_pool(2, **(kwargs if sys.argv[1] == "grid" else {})) as pool:
+    # a fork pool starts all its workers at the first task
+    assert list(pool.map(abs, range(-4, 0))) == [4, 3, 2, 1]
+    print(json.dumps(sorted(pool._processes)), flush=True)
+    time.sleep(300)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+@pytest.mark.parametrize("pool", ["parse", "grid"])
+def test_pool_workers_die_with_a_parent_killed_by_sigkill(pool):
+    env = dict(os.environ, PYTHONPATH=str(Path(dataset_mod.__file__).parents[1]))
+    holder = subprocess.Popen([sys.executable, "-c", _POOL_HOLDER, pool],
+                              stdout=subprocess.PIPE, text=True, env=env)
+    workers = []
+    try:
+        assert select.select([holder.stdout], [], [], 60)[0], "the pool never started"
+        workers = json.loads(holder.stdout.readline())
+        assert len(workers) == 2
+        holder.kill()
+        holder.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        holder.kill()
+        holder.wait(timeout=10)
+        holder.stdout.close()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)

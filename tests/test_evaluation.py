@@ -45,10 +45,6 @@ class TestHarden:
         labels = harden(np.array([[0.6, 0.4]]))
         assert labels[0] == UNASSIGNED
 
-    def test_tie_breaks_to_lower_index(self):
-        labels = harden(np.array([[0.5, 0.5]]), threshold=0.5)
-        assert labels[0] == 0
-
 
 class TestFlagOutliers:
     def test_exponential_rule(self):

@@ -103,7 +103,7 @@ class TestGridSearch:
     def test_single_tuple_returns_that_fit(self):
         dataset, _ = planted_dataset(99)
         grid = SearchGrid(variant="fcpca", s_values=(2,), m_values=(2.0,))
-        fit, report = grid_search(dataset, grid, seed=1, restarts=2)
+        fit, report = grid_search(dataset, grid, seed=1)
         assert report.winner["s"] == 2
         assert report.winner["m"] == 2.0
         assert fit.converged
@@ -258,8 +258,7 @@ class TestGridPool:
         # goes on
         dataset, _ = planted_with_outliers(21)
         grid = SearchGrid(variant="n", s_values=(2,), m_values=(2.0, 2.5))
-        fit_kwargs = {"v": 0.99, "max_lag": 2, "max_iter": 1000, "tol": 1e-3}
-        search = (_Prepared(dataset, 2), grid, 3, 3, fit_kwargs)
+        search = (_Prepared(dataset, 2), grid, 3, 0.99)
         candidates = list(enumerate(grid.candidates()))
         expected = [{"s": 2, "m": m, "variant": "n", "converged": False, "cvi": None,
                      "error": "EmptyClusterError"} for m in (2.0, 2.5)]

@@ -1,0 +1,69 @@
+"""The benchmark's tracer still binds every layer it times.
+
+``perfbench/tracing.py`` rebinds the library's layer functions in every
+module that holds them and raises ``MissedBinding`` on any reference it
+could not rebind, such as a function kept in a default argument, a table or
+a ``partial``; every benchmark run would then fail.  This runs the tracer
+over one fit of each variant and a grid search, in a fresh interpreter as
+the benchmark does, without changing anything under ``perfbench/``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rfcpca
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_TRACED_RUN = """
+import importlib.util
+import json
+import sys
+
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+
+import rfcpca.cli  # loads every module of the package
+from rfcpca import core, dataset, robust, selection, simulate
+
+# the search runs in this process, where the tracer sees its fits
+dataset._usable_cpus = lambda: 1
+tracer = tracing.Tracer()
+tracer.install()
+clean, manifest = simulate.generate_clean_dataset(4, 4, 200, seed=1)
+data, _ = simulate.inject_bursts(clean, manifest, rho=0.25, seed=2)
+core.fit_fcpca(data, 2, seed=1)
+robust.fit_rfcpca_e(data, 2, seed=1)
+robust.fit_rfcpca_n(data, 2, lam=0.5, seed=1)
+robust.fit_rfcpca_t(data, 2, alpha=0.25, seed=1)
+grid = selection.SearchGrid(variant="fcpca", s_values=(2,), m_values=(1.6, 2.0))
+selection.grid_search(data, grid, seed=1)
+tracer.uninstall()
+print(json.dumps({"problems": tracer.check_identities(), "stats": tracer.stats}))
+"""
+
+
+def test_tracer_binds_every_layer_of_the_fits_and_the_grid_search():
+    env = dict(os.environ, PYTHONPATH=str(Path(rfcpca.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN,
+                           str(ROOT / "perfbench" / "tracing.py")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "MissedBinding" not in proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["problems"] == []
+    stats = doc["stats"]
+    # four fits, then two candidates of three restarts each
+    assert stats["selection.grid_search.calls"] == 1
+    assert stats["selection._fit_candidate.calls"] == 6
+    assert stats["core.fits"] == 4 + 6
+    for layer in ("core.fit_fcpca", "robust.fit_rfcpca_e", "robust.fit_rfcpca_n",
+                  "robust.fit_rfcpca_t", "selection.cvi", "core._Prepared",
+                  "simulate.generate_clean_dataset", "simulate.inject_bursts"):
+        assert stats[layer + ".calls"] >= 1, layer
+        assert stats.get(layer + ".failed", 0) == 0, layer
