@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FitResult, _Prepared, _subspaces_from_weights
+from .core import FitResult, _prepare, _subspaces_from_weights
 from .covariance import DEFAULT_MAX_LAG, ClusterSubspaces
 from .dataset import MtsDataset
 from .exceptions import DimensionMismatch, NotOrthonormal
@@ -58,11 +58,12 @@ def noise_subspace(dataset: MtsDataset, fit: FitResult,
 
     Runs the same weighted-covariance pipeline with the noise-membership
     column as weights, giving the flagged activity its own axes for
-    diagnostics alongside the regular clusters.
+    diagnostics alongside the regular clusters.  ``dataset`` may also be
+    its prepared summaries.
     """
     if fit.variant != "n":
         raise ValueError("noise subspace diagnostics need a noise-variant fit")
-    prep = _Prepared(dataset, max_lag)
+    prep = _prepare(dataset, max_lag)
     weights = fit.memberships.u[:, -1:]
     return _subspaces_from_weights(prep.blocks, weights, fit.memberships.m,
                                    fit.subspaces.variance_fraction)

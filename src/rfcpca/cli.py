@@ -22,11 +22,11 @@ import numpy as np
 
 from . import __version__
 from .analysis import _check_orthonormal, channel_contributions, noise_subspace, principal_angles
-from .dataset import dataset_digest, load_csv_dir, write_csv_dir
+from .dataset import TRIAL_PATTERN, _listed_trials, _trial_paths, dataset_digest, write_csv_dir
 from .evaluation import EvalReport, evaluate_fit, harden, regular_memberships
-from .exceptions import RFCPCAError
+from .exceptions import LagTooLarge, LagTooSmall, RFCPCAError
 from .experiments import BENCHMARK_V, VARIANTS, run_benchmark, write_rows_csv
-from .core import FitResult, MembershipMatrix, fit_fcpca
+from .core import FitResult, MembershipMatrix, _load_prepared, fit_fcpca
 from .covariance import ClusterSubspaces
 from .robust import fit_rfcpca_e, fit_rfcpca_n, fit_rfcpca_t, select_lambda_elbow
 from .selection import DEFAULT_ALPHA_GRID, DEFAULT_M_GRID, SearchGrid, cvi, grid_search
@@ -151,11 +151,25 @@ def _check_ground_truth(manifest: SimManifest, path, n: int) -> None:
                           "indices of the contaminated trials")
 
 
-def _read_dataset(data_dir):
-    """A trial directory's dataset and digest; unreadable or invalid trials
-    are a usage error."""
+def _read_digest(data_dir) -> str:
+    """The ``dataset_digest`` of a trial directory; a directory without
+    trials is a usage error."""
     try:
-        return load_csv_dir(data_dir)
+        _listed_trials(Path(data_dir))
+    except FileNotFoundError as exc:
+        raise ConfigError(str(exc)) from exc
+    return dataset_digest(data_dir)
+
+
+def _read_prepared(data_dir, digest: str, max_lag: int):
+    """The summaries at ``max_lag`` of a trial directory whose trials hashed
+    to ``digest``, and the digest of the trials they summarise (see
+    ``core._load_prepared``).  Unreadable or invalid trials are a usage
+    error; a lag the series cannot take is a fit error and raises as is."""
+    try:
+        return _load_prepared(data_dir, digest, max_lag)
+    except (LagTooSmall, LagTooLarge):
+        raise
     except FileNotFoundError as exc:
         raise ConfigError(str(exc)) from exc
     except (RFCPCAError, ValueError) as exc:
@@ -223,6 +237,12 @@ def cmd_simulate(args) -> int:
             dataset = clean
     except (RFCPCAError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot simulate {args.config}: {type(exc).__name__}: {exc}") from exc
+    # a trial the new dataset does not overwrite would be read as part of it
+    ours = {TRIAL_PATTERN.format(i) for i in range(dataset.n_series)}
+    others = [path.name for path in _trial_paths(out_dir) if path.name not in ours]
+    if others:
+        raise ConfigError(f"{out_dir} holds {len(others)} trial files of another dataset "
+                          f"(from {others[0]}); simulate into a new directory")
     write_csv_dir(dataset, out_dir)
     manifest.dataset_sha256 = dataset_digest(out_dir)
     (out_dir / "manifest.json").write_text(manifest.to_json(indent=2))
@@ -288,8 +308,7 @@ def _check_fit_options(args) -> float | None:
 
 def cmd_fit(args) -> int:
     lam = _check_fit_options(args)
-    data_dir = Path(args.data)
-    dataset, data_hash = _read_dataset(data_dir)
+    data_hash = _read_digest(args.data)
     config = {
         "variant": args.variant, "s": args.clusters, "m": args.m, "v": args.v,
         "alpha": args.alpha, "lambda": args.lam, "auto": args.auto,
@@ -298,29 +317,30 @@ def cmd_fit(args) -> int:
     report = None
     elbow = None
     try:
+        prep, data_hash = _read_prepared(args.data, data_hash, args.max_lag)
         if args.auto:
             grid = SearchGrid(variant=args.variant, s_values=(args.clusters,),
                               m_values=DEFAULT_M_GRID,
                               alpha_values=DEFAULT_ALPHA_GRID,
                               lam="elbow" if lam is None else lam)
-            fit, report = grid_search(dataset, grid, seed=args.seed, v=args.v,
+            fit, report = grid_search(prep, grid, seed=args.seed, v=args.v,
                                       max_lag=args.max_lag)
         elif args.variant == "fcpca":
-            fit = fit_fcpca(dataset, args.clusters, m=args.m, v=args.v,
+            fit = fit_fcpca(prep, args.clusters, m=args.m, v=args.v,
                             seed=args.seed, max_lag=args.max_lag)
         elif args.variant == "e":
-            fit = fit_rfcpca_e(dataset, args.clusters, m=args.m, v=args.v,
+            fit = fit_rfcpca_e(prep, args.clusters, m=args.m, v=args.v,
                                seed=args.seed, max_lag=args.max_lag)
         elif args.variant == "n":
             if lam is None:
-                elbow = select_lambda_elbow(dataset, args.clusters, m=args.m,
+                elbow = select_lambda_elbow(prep, args.clusters, m=args.m,
                                             v=args.v, seed=args.seed,
                                             max_lag=args.max_lag)
                 lam = elbow.lambda_star
-            fit = fit_rfcpca_n(dataset, args.clusters, m=args.m, v=args.v,
+            fit = fit_rfcpca_n(prep, args.clusters, m=args.m, v=args.v,
                                lam=lam, seed=args.seed, max_lag=args.max_lag)
         else:
-            fit = fit_rfcpca_t(dataset, args.clusters, m=args.m,
+            fit = fit_rfcpca_t(prep, args.clusters, m=args.m,
                                alpha=args.alpha if args.alpha is not None else 0.2,
                                v=args.v, seed=args.seed, max_lag=args.max_lag)
     except RFCPCAError as exc:
@@ -423,11 +443,12 @@ def cmd_analyze(args) -> int:
     extra_axes = []
     extra_names = []
     if fit.variant == "n" and args.data:
-        dataset, data_hash = _read_dataset(args.data)
+        data_hash = _read_digest(args.data)
         if data_hash != fit_doc["provenance"]["dataset_sha256"]:
             _report("error: fit and --data reference different datasets")
             return EXIT_HASH
-        noise = noise_subspace(dataset, fit, max_lag=subs.n_lags)
+        prep, _ = _read_prepared(args.data, data_hash, subs.n_lags)
+        noise = noise_subspace(prep, fit, max_lag=subs.n_lags)
         extra_axes = [noise.axes[0]]
         extra_names = ["noise"]
     names = [f"cluster_{s}" for s in range(subs.n_clusters)] + extra_names

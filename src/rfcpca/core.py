@@ -15,7 +15,10 @@ losses) and a stall rule.
 
 from __future__ import annotations
 
+import hashlib
+import types
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +31,15 @@ from .covariance import (
     common_axes,
     weighted_common_covariance,
 )
-from .dataset import MtsDataset
+from .dataset import (
+    MtsDataset,
+    _listed_trials,
+    _load_digested,
+    _map_array,
+    _map_shapes,
+    _sidecar_entry,
+    _write_arrays,
+)
 from .exceptions import (
     DegenerateWeights,
     EmptyClusterError,
@@ -183,18 +194,106 @@ class _Prepared:
             if t <= max_lag:
                 raise LagTooLarge(f"series {i} has length {t} <= max lag {max_lag}")
         n, d = dataset.n_series, 2 * dataset.n_channels
-        # stored lag-major and exposed as (N, L, 2p, 2p) views, so every
-        # per-lag slice [:, l] that the fitting loop reads is C-contiguous
-        # and numpy reduces over it without copying
         blocks = np.empty((max_lag, n, d, d))
         grams = np.empty((max_lag, n, d, d))
-        self.energies = np.empty((n, max_lag))
+        energies = np.empty((n, max_lag))
         for i, x in enumerate(dataset.series):
-            _lag_summaries(x, blocks[:, i], grams[:, i], self.energies[i])
+            _lag_summaries(x, blocks[:, i], grams[:, i], energies[i])
+        self._hold(blocks, grams, energies)
+
+    @classmethod
+    def _from_arrays(cls, blocks, grams, energies) -> "_Prepared":
+        """The summaries held in arrays laid out as ``__init__`` fills them,
+        such as arrays mapped from the sidecar; ``__init__`` does not run."""
+        prep = cls.__new__(cls)
+        prep._hold(blocks, grams, energies)
+        return prep
+
+    def _hold(self, blocks, grams, energies) -> None:
+        # stored lag-major, (L, N, 2p, 2p), and exposed as (N, L, 2p, 2p)
+        # views, so every per-lag slice [:, l] that the fitting loop reads is
+        # C-contiguous and numpy reduces over it without copying
         self.blocks = blocks.transpose(1, 0, 2, 3)
         self.grams = grams.transpose(1, 0, 2, 3)
-        self.n_series = n
-        self.max_lag = max_lag
+        self.energies = energies
+        self.n_series, self.max_lag = energies.shape
+
+
+# the arrays of a _Prepared kept in a sidecar entry (see _load_prepared), in
+# a directory "summaries-<L>-<tag>" of their own
+_SUMMARIES_PREFIX = "summaries-"
+_SUMMARY_ARRAYS = ("blocks", "grams", "energies")
+
+
+def _code_bytes(code: types.CodeType) -> bytes:
+    """Bytecode, names and constants of ``code``, and of the code it nests."""
+    parts = [code.co_code, repr(code.co_names).encode()]
+    for const in code.co_consts:
+        parts.append(_code_bytes(const) if isinstance(const, types.CodeType)
+                     else repr(const).encode())
+    return b"\0".join(parts)
+
+
+def _summaries_tag() -> str:
+    """A short hash of what computes the summaries: the ``_lag_summaries``
+    that ``_Prepared`` calls, and numpy's version.
+
+    ``_Prepared.__init__`` only lays out the arrays that ``_lag_summaries``
+    fills; it is left out because a tracer may replace it.
+    """
+    digest = hashlib.sha256(np.__version__.encode())
+    digest.update(_code_bytes(_lag_summaries.__code__))
+    return digest.hexdigest()[:16]
+
+
+def _kept_summaries(entry: Path, n: int, max_lag: int, name: str) -> _Prepared | None:
+    """The summaries kept as ``entry/name`` for ``n`` series at ``max_lag``
+    lags, mapped read-only, or None when they are missing or spoiled."""
+    try:
+        d = 2 * _map_shapes(entry, n)[0][1]
+        shapes = {"blocks": (max_lag, n, d, d), "grams": (max_lag, n, d, d),
+                  "energies": (n, max_lag)}
+        arrays = [_map_array(entry / name / f"{key}.npy", shapes[key])
+                  for key in _SUMMARY_ARRAYS]
+    except (OSError, EOFError, ValueError):
+        return None
+    if not all(np.isfinite(a).all() for a in arrays):
+        return None
+    return _Prepared._from_arrays(*arrays)
+
+
+def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]:
+    """The summaries at ``max_lag`` of the trial directory ``data_dir``, whose
+    trials hashed to ``digest``, and the digest of the trials they summarise.
+
+    The summaries are kept in the trials' sidecar entry (see
+    ``dataset.load_csv_dir``), keyed by the lag count and by
+    ``_summaries_tag``, so a kept summary is always what this process would
+    compute.  A later call for the same bytes and lags maps them read-only
+    and reads no trial.  Summaries that are missing or spoiled are computed
+    from the loaded trials and kept again; where they cannot be kept they
+    are only computed.  Raises what ``load_csv_dir`` raises for trials that
+    do not load and what ``_Prepared`` raises for lags the series cannot
+    take.
+    """
+    data_dir = Path(data_dir)
+    paths = _listed_trials(data_dir)
+    entry = _sidecar_entry(data_dir, digest)
+    tag = _summaries_tag()
+    name = f"{_SUMMARIES_PREFIX}{max_lag}-{tag}"
+    prep = _kept_summaries(entry, len(paths), max_lag, name)
+    if prep is not None:
+        return prep, digest
+    dataset, loaded = _load_digested(data_dir, paths, digest)
+    prep = _Prepared(dataset, max_lag)
+    if loaded == digest:
+        # summaries made by other code are never read again
+        _write_arrays(entry, name, {
+            "blocks": prep.blocks.transpose(1, 0, 2, 3),
+            "grams": prep.grams.transpose(1, 0, 2, 3),
+            "energies": prep.energies,
+        }, lambda other: other.startswith(_SUMMARIES_PREFIX) and not other.endswith(tag))
+    return prep, loaded
 
 
 def _errors_from_grams(prep: _Prepared, subspaces: ClusterSubspaces) -> np.ndarray:

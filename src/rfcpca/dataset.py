@@ -16,8 +16,9 @@ from .exceptions import DimensionMismatch, NonFiniteInput, RFCPCAError
 
 TRIAL_PATTERN = "trial_{:03d}.csv"
 
-# parsed trials are kept in this directory beside the trial files, one
-# entry per dataset digest (see load_csv_dir)
+# parsed trials, and the summaries fits prepare from them, are kept in this
+# directory beside the trial files, one entry per dataset digest (see
+# load_csv_dir and core._load_prepared)
 SIDECAR_DIR = ".rfcpca-parsed"
 _SHAPES_FILE = "shapes.npy"
 # entries being written, .tmp-<pid>-<hex>; never taken for an entry of another digest
@@ -271,24 +272,30 @@ def _series_file(entry: Path, i: int) -> Path:
     return entry / f"{i:05d}.npy"
 
 
-def _map_entry(entry: Path, n: int) -> list[np.ndarray]:
-    """The ``n`` parsed trials of a sidecar entry, memory-mapped read-only.
+def _map_array(path: Path, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The array of the ``.npy`` file at ``path``, memory-mapped read-only.
 
-    Raises OSError, EOFError or ValueError for an entry that is missing,
-    truncated, holds other than one float64 array of the recorded shape per
-    trial, or holds objects (which are never unpickled).
+    Raises OSError, EOFError or ValueError for a file that is missing or
+    truncated, holds other than one ``dtype`` array of ``shape``, or holds
+    objects (which are never unpickled).
     """
-    shapes = np.load(entry / _SHAPES_FILE, allow_pickle=False)
-    if shapes.dtype != np.int64 or shapes.shape != (n, 2):
-        raise ValueError(f"{entry} does not record {n} trial shapes")
-    series = []
-    for i, shape in enumerate(shapes.tolist()):
-        path = _series_file(entry, i)
-        x = np.load(path, mmap_mode="r", allow_pickle=False)
-        if x.dtype != np.float64 or list(x.shape) != shape:
-            raise ValueError(f"{path} is not a float64 array of shape {shape}")
-        series.append(x)
-    return series
+    x = np.load(path, mmap_mode="r", allow_pickle=False)
+    if x.dtype != dtype or x.shape != tuple(shape):
+        raise ValueError(f"{path} is not a {np.dtype(dtype)} array of shape {tuple(shape)}")
+    # a plain array over the mapping, as np.asarray gives for any other input
+    return np.asarray(x)
+
+
+def _map_shapes(entry: Path, n: int) -> list[list[int]]:
+    """The (T_i, p) shapes of the ``n`` parsed trials of a sidecar entry."""
+    return _map_array(entry / _SHAPES_FILE, (n, 2), np.int64).tolist()
+
+
+def _map_entry(entry: Path, n: int) -> list[np.ndarray]:
+    """The ``n`` parsed trials of a sidecar entry, memory-mapped read-only;
+    raises as ``_map_array`` does for a missing or spoiled entry."""
+    return [_map_array(_series_file(entry, i), shape)
+            for i, shape in enumerate(_map_shapes(entry, n))]
 
 
 def _remove(path: Path) -> None:
@@ -314,24 +321,59 @@ def _orphaned(name: str) -> bool:
     return False
 
 
-def _publish(tmp: Path, entry: Path) -> None:
-    """Move the parsed entry ``tmp`` into place at ``entry`` and drop the
-    entries of other digests and the scratch entries of dead processes.
-    Leaves ``tmp`` where it is when it cannot."""
+def _scratch_dir(parent: Path) -> Path:
+    """A new ``.tmp-<pid>-<hex>`` directory in ``parent``, made like any
+    other directory there (not by mkdtemp, whose directories only their owner
+    may read); raises OSError where none can be made."""
+    tmp = parent / f"{_TMP_PREFIX}{os.getpid()}-{os.urandom(4).hex()}"
+    tmp.mkdir()
+    return tmp
+
+
+def _publish(tmp: Path, target: Path, stale) -> None:
+    """Move the scratch directory ``tmp`` into place at ``target``, then
+    drop the other entries of its directory whose name ``stale`` accepts and
+    the scratch directories of dead processes.  Leaves ``tmp`` where it is
+    when it cannot."""
     try:
-        if entry.exists() or entry.is_symlink():
+        if target.exists() or target.is_symlink():
             # a spoiled entry: the caller found it unusable
-            _remove(entry)
-        tmp.rename(entry)
+            _remove(target)
+        tmp.rename(target)
     except OSError:
         return
-    for other in entry.parent.iterdir():
-        if other.name != entry.name and (not other.name.startswith(_TMP_PREFIX)
-                                         or _orphaned(other.name)):
+    for other in target.parent.iterdir():
+        if other.name == target.name:
+            continue
+        if (_orphaned(other.name) if other.name.startswith(_TMP_PREFIX)
+                else stale(other.name)):
             try:
                 _remove(other)
             except OSError:
                 pass
+
+
+def _write_arrays(parent: Path, name: str, arrays: dict, stale) -> None:
+    """Keep ``arrays`` as ``<key>.npy`` files in the new directory
+    ``parent/name``, written into a scratch directory and renamed into place,
+    so a reader sees all of them or none; ``stale`` is as for ``_publish``.
+
+    Writes nothing where it cannot, as in a read-only directory, on a full
+    disk or when another process removes ``parent`` meanwhile, and leaves no
+    scratch directory behind.
+    """
+    try:
+        tmp = _scratch_dir(parent)
+    except OSError:
+        return
+    try:
+        for key, array in arrays.items():
+            np.save(tmp / f"{key}.npy", array)
+        _publish(tmp, parent / name, stale)
+    except OSError:
+        pass
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _parse_dir(data_dir: Path, paths: list[Path], digest: str) -> tuple[MtsDataset, str]:
@@ -346,11 +388,7 @@ def _parse_dir(data_dir: Path, paths: list[Path], digest: str) -> tuple[MtsDatas
     root = data_dir / SIDECAR_DIR
     try:
         root.mkdir(exist_ok=True)
-        # not mkdtemp, whose directories only their owner may read: an entry
-        # is made like any other directory, for everyone who reads the trials
-        tmp = root / f"{_TMP_PREFIX}{os.getpid()}-{os.urandom(4).hex()}"
-        tmp.mkdir()
-        publishable = True
+        tmp, publishable = _scratch_dir(root), True
     except OSError:
         # a trial directory that cannot be written, or a file in the way
         tmp, publishable = Path(tempfile.mkdtemp(prefix="rfcpca-parsed-")), False
@@ -371,7 +409,8 @@ def _parse_dir(data_dir: Path, paths: list[Path], digest: str) -> tuple[MtsDatas
         dataset = MtsDataset(series=_map_entry(tmp, len(paths)))
         after = dataset_digest(data_dir)
         if publishable and after == digest:
-            _publish(tmp, root / digest)
+            # entries of other digests hold bytes no longer in the directory
+            _publish(tmp, root / digest, lambda name: True)
         return dataset, after
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -390,16 +429,34 @@ def load_csv_dir(data_dir) -> tuple[MtsDataset, str]:
     parses, and ``MtsDataset`` validates them.
     """
     data_dir = Path(data_dir)
+    paths = _listed_trials(data_dir)
+    return _load_digested(data_dir, paths, dataset_digest(data_dir))
+
+
+def _listed_trials(data_dir: Path) -> list[Path]:
+    """The trial files of ``data_dir``; raises FileNotFoundError when there are none."""
     paths = _trial_paths(data_dir)
     if not paths:
         raise FileNotFoundError(f"no trial_*.csv files under {data_dir}")
-    digest = dataset_digest(data_dir)
+    return paths
+
+
+def _load_digested(data_dir: Path, paths: list[Path], digest: str) -> tuple[MtsDataset, str]:
+    """``load_csv_dir`` of the trials ``paths`` of ``data_dir``, which hashed
+    to ``digest``; the digest returned is that of the trials loaded (see
+    ``_parse_dir``)."""
     try:
-        series = _map_entry(data_dir / SIDECAR_DIR / digest, len(paths))
+        series = _map_entry(_sidecar_entry(data_dir, digest), len(paths))
         return MtsDataset(series=series), digest
     except (OSError, EOFError, ValueError, RFCPCAError):
         pass  # no usable entry
     return _parse_dir(data_dir, paths, digest)
+
+
+def _sidecar_entry(data_dir, digest: str) -> Path:
+    """The sidecar entry that keeps what was read from the trials of
+    ``data_dir`` whose ``dataset_digest`` is ``digest``."""
+    return Path(data_dir) / SIDECAR_DIR / digest
 
 
 def read_csv_dir(data_dir) -> MtsDataset:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FitResult, _Prepared, fit_fcpca
+from .core import FitResult, _prepare, fit_fcpca
 from .covariance import DEFAULT_MAX_LAG, DEFAULT_VARIANCE_FRACTION, ClusterSubspaces
 from .dataset import MtsDataset, _fork_pool_workers, _process_pool
 from .exceptions import (
@@ -226,9 +226,9 @@ def grid_search(dataset: MtsDataset, grid: SearchGrid, seed: int = 0,
     win.  For the noise variant, each candidate's noise multiplier comes
     from its own elbow sweep unless a fixed value was supplied.  Candidates
     may run on a process pool (see ``_candidate_results``); the results do
-    not depend on it.
+    not depend on it.  ``dataset`` may also be its prepared summaries.
     """
-    search = (_Prepared(dataset, max_lag), grid, seed, v)
+    search = (_prepare(dataset, max_lag), grid, seed, v)
     records = []
     best_fit = None
     best_record = None

@@ -183,6 +183,35 @@ class TestAnalyze:
         assert "noise" in text
 
 
+class TestSimulateIntoUsedDirectory:
+    @staticmethod
+    def simulate(tmp_path, out, n_per_group):
+        config = tmp_path / f"config{n_per_group}.json"
+        config.write_text(json.dumps({"kind": "burst", "n_per_group": n_per_group,
+                                      "channels": 4, "length": 120, "seed": 1}))
+        return run("simulate", "--config", config, "--out", out)
+
+    def test_trials_of_another_dataset_are_refused(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert self.simulate(tmp_path, out, 6) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        # three per group would leave trials 6-11 of the first dataset
+        assert self.simulate(tmp_path, out, 3) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "trial_006.csv" in err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_a_dataset_that_overwrites_every_trial_may_reuse_it(self, tmp_path):
+        out = tmp_path / "data"
+        assert self.simulate(tmp_path, out, 3) == 0
+        assert self.simulate(tmp_path, out, 6) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(list(out.glob("trial_*.csv"))) == len(manifest["group_labels"]) == 12
+        assert manifest["dataset_sha256"] == dataset_digest(out)
+
+
 class TestSidecar:
     """A fit reads the same arrays whether or not its parsed trials were kept."""
 

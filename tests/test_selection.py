@@ -2,6 +2,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -182,11 +183,27 @@ def grid_pool(monkeypatch):
     # the threads this process runs now are its BLAS threads when the tests
     # run with BLAS unpinned; count only the ones started after them
     os_threads = dataset_mod._os_threads
-    at_start = os_threads()
+    at_start = _settled_os_threads()
     if at_start is None:
         pytest.skip("this platform does not list a process's threads")
     monkeypatch.setattr(dataset_mod, "_os_threads", lambda: os_threads() - at_start + 1)
     return sizes
+
+
+def _settled_os_threads():
+    """The operating system's thread count once threads already joined have
+    left it: the pool threads of a search that just ended stay counted for
+    3-5 ms, and a baseline that counts them would read a live thread as
+    none.  Read until two reads 20 ms apart agree (for at most 1 s)."""
+    count = dataset_mod._os_threads()
+    deadline = time.monotonic() + 1.0
+    while count is not None and time.monotonic() < deadline:
+        time.sleep(0.02)
+        again = dataset_mod._os_threads()
+        if again == count:
+            break
+        count = again
+    return count
 
 
 class TestGridPool:

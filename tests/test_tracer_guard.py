@@ -4,8 +4,10 @@
 module that holds them and raises ``MissedBinding`` on any reference it
 could not rebind, such as a function kept in a default argument, a table or
 a ``partial``; every benchmark run would then fail.  This runs the tracer
-over one fit of each variant and a grid search, in a fresh interpreter as
-the benchmark does, without changing anything under ``perfbench/``.
+over one fit of each variant and a grid search, and over two ``rfcpca fit``
+runs of one directory, the second of which maps the summaries the first
+kept, in a fresh interpreter as the benchmark does, without changing
+anything under ``perfbench/``.
 """
 
 import json
@@ -67,3 +69,59 @@ def test_tracer_binds_every_layer_of_the_fits_and_the_grid_search():
                   "simulate.generate_clean_dataset", "simulate.inject_bursts"):
         assert stats[layer + ".calls"] >= 1, layer
         assert stats.get(layer + ".failed", 0) == 0, layer
+
+
+_TRACED_CLI = """
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+
+import rfcpca.cli  # loads every module of the package
+from rfcpca import dataset, simulate
+
+clean, manifest = simulate.generate_clean_dataset(4, 4, 200, seed=1)
+data, _ = simulate.inject_bursts(clean, manifest, rho=0.25, seed=2)
+dataset.write_csv_dir(data, sys.argv[2] + "/data")
+tracer = tracing.Tracer()
+per_fit = []
+for k in range(2):
+    tracer.install()
+    before = dict(tracer.stats)
+    argv = ["fit", "--data", sys.argv[2] + "/data", "--variant", "t", "--alpha", "0.25",
+            "--seed", "1", "--out", sys.argv[2] + f"/fit{k}.json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = rfcpca.cli.main(argv)
+    tracer.uninstall()
+    per_fit.append({"code": code, **{key: tracer.stats.get(key, 0.0) - before.get(key, 0.0)
+                                     for key in ("core._Prepared.calls",
+                                                 "dataset.dataset_digest.calls",
+                                                 "core.fits")}})
+print(json.dumps({"problems": tracer.check_identities(), "per_fit": per_fit}))
+"""
+
+
+def test_tracer_binds_a_fit_that_maps_its_kept_summaries(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(rfcpca.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _TRACED_CLI,
+                           str(ROOT / "perfbench" / "tracing.py"), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "MissedBinding" not in proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["problems"] == []
+    first, second = doc["per_fit"]
+    assert first["code"] == second["code"] == 0
+    assert (tmp_path / "fit0.json").read_bytes() == (tmp_path / "fit1.json").read_bytes()
+    # the first fit computes the summaries and keeps them; the second maps them
+    assert first["core._Prepared.calls"] == 1
+    assert second["core._Prepared.calls"] == 0
+    for fit in (first, second):
+        assert fit["dataset.dataset_digest.calls"] >= 1
+        assert fit["core.fits"] == 1
