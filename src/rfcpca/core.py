@@ -11,6 +11,10 @@ subspace step (the memberships, or memberships reweighted by the previous
 errors), a retained set (everything, or the objects with the smallest
 losses) and a stall rule.
 :func:`flag_outliers` is the one per-variant outlier rule.
+
+Every fit reads a dataset only through its per-lag summaries,
+:class:`_Prepared`.  :func:`_load_prepared` gives those of a trial directory:
+the ones ``dataset.py`` keeps beside the trials, or new ones it then keeps.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import types
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -31,15 +34,7 @@ from .covariance import (
     common_axes,
     weighted_common_covariance,
 )
-from .dataset import (
-    MtsDataset,
-    _listed_trials,
-    _load_digested,
-    _map_array,
-    _map_shapes,
-    _sidecar_entry,
-    _write_arrays,
-)
+from .dataset import MtsDataset, _keep_summaries, _kept_summaries, load_csv_dir
 from .exceptions import (
     DegenerateWeights,
     EmptyClusterError,
@@ -219,12 +214,6 @@ class _Prepared:
         self.n_series, self.max_lag = energies.shape
 
 
-# the arrays of a _Prepared kept in a sidecar entry (see _load_prepared), in
-# a directory "summaries-<L>-<tag>" of their own
-_SUMMARIES_PREFIX = "summaries-"
-_SUMMARY_ARRAYS = ("blocks", "grams", "energies")
-
-
 def _code_bytes(code: types.CodeType) -> bytes:
     """Bytecode, names and constants of ``code``, and of the code it nests."""
     parts = [code.co_code, repr(code.co_names).encode()]
@@ -246,53 +235,27 @@ def _summaries_tag() -> str:
     return digest.hexdigest()[:16]
 
 
-def _kept_summaries(entry: Path, n: int, max_lag: int, name: str) -> _Prepared | None:
-    """The summaries kept as ``entry/name`` for ``n`` series at ``max_lag``
-    lags, mapped read-only, or None when they are missing or spoiled."""
-    try:
-        d = 2 * _map_shapes(entry, n)[0][1]
-        shapes = {"blocks": (max_lag, n, d, d), "grams": (max_lag, n, d, d),
-                  "energies": (n, max_lag)}
-        arrays = [_map_array(entry / name / f"{key}.npy", shapes[key])
-                  for key in _SUMMARY_ARRAYS]
-    except (OSError, EOFError, ValueError):
-        return None
-    if not all(np.isfinite(a).all() for a in arrays):
-        return None
-    return _Prepared._from_arrays(*arrays)
-
-
 def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]:
     """The summaries at ``max_lag`` of the trial directory ``data_dir``, whose
     trials hashed to ``digest``, and the digest of the trials they summarise.
 
-    The summaries are kept in the trials' sidecar entry (see
-    ``dataset.load_csv_dir``), keyed by the lag count and by
-    ``_summaries_tag``, so a kept summary is always what this process would
-    compute.  A later call for the same bytes and lags maps them read-only
-    and reads no trial.  Summaries that are missing or spoiled are computed
-    from the loaded trials and kept again; where they cannot be kept they
-    are only computed.  Raises what ``load_csv_dir`` raises for trials that
-    do not load and what ``_Prepared`` raises for lags the series cannot
+    Summaries that ``_summaries_tag``'s code made from those bytes for at
+    least ``max_lag`` lags are mapped from the trials' sidecar (see
+    ``dataset._kept_summaries``), and no trial is read.  Otherwise the trials
+    are parsed and summarised, and the summaries are kept when the trials
+    still hash to ``digest``.  Raises what ``load_csv_dir`` raises for trials
+    that do not load and what ``_Prepared`` raises for lags the series cannot
     take.
     """
-    data_dir = Path(data_dir)
-    paths = _listed_trials(data_dir)
-    entry = _sidecar_entry(data_dir, digest)
     tag = _summaries_tag()
-    name = f"{_SUMMARIES_PREFIX}{max_lag}-{tag}"
-    prep = _kept_summaries(entry, len(paths), max_lag, name)
-    if prep is not None:
-        return prep, digest
-    dataset, loaded = _load_digested(data_dir, paths, digest)
+    kept = _kept_summaries(data_dir, digest, tag, max_lag)
+    if kept is not None:
+        return _Prepared._from_arrays(*kept), digest
+    dataset, loaded = load_csv_dir(data_dir)
     prep = _Prepared(dataset, max_lag)
     if loaded == digest:
-        # summaries made by other code are never read again
-        _write_arrays(entry, name, {
-            "blocks": prep.blocks.transpose(1, 0, 2, 3),
-            "grams": prep.grams.transpose(1, 0, 2, 3),
-            "energies": prep.energies,
-        }, lambda other: other.startswith(_SUMMARIES_PREFIX) and not other.endswith(tag))
+        _keep_summaries(data_dir, digest, tag, prep.blocks.transpose(1, 0, 2, 3),
+                        prep.grams.transpose(1, 0, 2, 3), prep.energies)
     return prep, loaded
 
 

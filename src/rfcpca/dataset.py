@@ -1,4 +1,6 @@
-"""Dataset container and the on-disk trial format (one CSV per trial)."""
+"""Dataset container, the on-disk trial format (one CSV per trial), the
+sidecar that keeps each trial set's lag summaries beside its trials, and the
+process-pool rules."""
 
 from __future__ import annotations
 
@@ -6,28 +8,27 @@ import hashlib
 import os
 import shutil
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NonFiniteInput, RFCPCAError
+from .exceptions import DimensionMismatch, NonFiniteInput
 
 TRIAL_PATTERN = "trial_{:03d}.csv"
 
-# parsed trials, and the summaries fits prepare from them, are kept in this
-# directory beside the trial files, one entry per dataset digest (see
-# load_csv_dir and core._load_prepared)
+# the lag summaries fits prepare from a trial set (see core._load_prepared)
+# are kept in this directory beside the trial files, as one entry
+# "<digest>-<tag>" holding the arrays _SUMMARY_ARRAYS names, each a .npy file
 SIDECAR_DIR = ".rfcpca-parsed"
-_SHAPES_FILE = "shapes.npy"
-# entries being written, .tmp-<pid>-<hex>; never taken for an entry of another digest
+_SUMMARY_ARRAYS = ("blocks", "grams", "energies")
+# entries being written, .tmp-<pid>-<hex>; never taken for a kept entry
 _TMP_PREFIX = ".tmp-"
 
 # trial directories at least this large are parsed on a process pool.
 # Below it, starting the pool costs about what the split saves: on 2 cores,
-# a first load of 20 trials of 7.4 MB took 0.23 s serially and 0.27 s on the
-# pool, and of 14.8 MB 0.33 s and 0.19 s.
+# load_csv_dir of 20 trials of 7.4 MiB took 0.21 s serially and 0.20 s on
+# the pool, and of 14.8 MiB 0.29 s and 0.24 s (medians of 11).
 _PARALLEL_MIN_BYTES = 8 << 20
 
 # how long a forked pool's start waits for threads Python has joined to
@@ -256,46 +257,137 @@ def _load_trial(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
-def _parse_trial(task) -> tuple[int, int]:
-    """Parse the trial at ``path`` into the ``.npy`` file ``out``; returns its shape.
+def _save_trial(path, out) -> None:
+    """Parse the trial at ``path`` into the ``.npy`` file ``out``."""
+    np.save(out, _load_trial(path))
 
-    Pool workers run it, so a parsed trial reaches the caller as a file to
-    map, never through the pool's pipe.
+
+def _parse_dir(data_dir: Path, paths: list[Path]) -> list[np.ndarray]:
+    """The arrays ``_load_trial`` parses from ``paths``, in their order.
+
+    Large directories are parsed on a process pool, one trial per task; the
+    arrays, their order and the error a bad trial raises are the same as from
+    a serial parse.  The workers write their arrays into a scratch directory
+    of the sidecar, which this process maps and then removes: arrays sent
+    back through the pool's pipe raised the peak memory of a first fit of
+    20 trials of 4000 x 64 on 2 cores from 88 MB to 93-98 MB.  Where no
+    scratch directory can be made, as in a read-only directory, the trials
+    are parsed in this process.
     """
-    path, out = task
-    x = _load_trial(path)
-    np.save(out, x)
-    return x.shape
+    workers = _parse_workers(paths)
+    tmp = None
+    if workers > 1:
+        try:
+            tmp = _scratch_dir(data_dir)
+        except OSError:
+            pass
+    if tmp is None:
+        return [_load_trial(path) for path in paths]
+    try:
+        files = [tmp / f"{i:05d}.npy" for i in range(len(paths))]
+        # Python 3.12+ warns when a process with other threads forks; a
+        # worker here only parses text and calls no BLAS routine, the
+        # library whose threads those usually are
+        with _process_pool(workers) as pool:
+            list(pool.map(_save_trial, paths, files))
+        # a mapping stays valid once its file is removed
+        return [_map_array(file) for file in files]
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _series_file(entry: Path, i: int) -> Path:
-    return entry / f"{i:05d}.npy"
+def load_csv_dir(data_dir) -> tuple[MtsDataset, str]:
+    """Load every trial_*.csv in a directory, in sorted filename order, and
+    return the dataset with the ``dataset_digest`` of its trials, taken after
+    the parse.
+
+    The arrays are those ``_load_trial`` parses, and ``MtsDataset`` validates
+    them; nothing is kept.  Raises FileNotFoundError where there are no trials.
+    """
+    data_dir = Path(data_dir)
+    dataset = MtsDataset(series=_parse_dir(data_dir, _listed_trials(data_dir)))
+    return dataset, dataset_digest(data_dir)
 
 
-def _map_array(path: Path, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """The array of the ``.npy`` file at ``path``, memory-mapped read-only.
+def _listed_trials(data_dir: Path) -> list[Path]:
+    """The trial files of ``data_dir``; raises FileNotFoundError when there are none."""
+    paths = _trial_paths(data_dir)
+    if not paths:
+        raise FileNotFoundError(f"no trial_*.csv files under {data_dir}")
+    return paths
+
+
+def read_csv_dir(data_dir) -> MtsDataset:
+    """The dataset of ``load_csv_dir``, without its digest."""
+    return load_csv_dir(data_dir)[0]
+
+
+def _map_array(path: Path) -> np.ndarray:
+    """The float64 array of the ``.npy`` file at ``path``, memory-mapped read-only.
 
     Raises OSError, EOFError or ValueError for a file that is missing or
-    truncated, holds other than one ``dtype`` array of ``shape``, or holds
-    objects (which are never unpickled).
+    truncated, holds another dtype, or holds objects (which are never
+    unpickled).
     """
     x = np.load(path, mmap_mode="r", allow_pickle=False)
-    if x.dtype != dtype or x.shape != tuple(shape):
-        raise ValueError(f"{path} is not a {np.dtype(dtype)} array of shape {tuple(shape)}")
+    if x.dtype != np.float64:
+        raise ValueError(f"{path} is not a float64 array")
     # a plain array over the mapping, as np.asarray gives for any other input
     return np.asarray(x)
 
 
-def _map_shapes(entry: Path, n: int) -> list[list[int]]:
-    """The (T_i, p) shapes of the ``n`` parsed trials of a sidecar entry."""
-    return _map_array(entry / _SHAPES_FILE, (n, 2), np.int64).tolist()
+def _summaries_entry(data_dir, digest: str, tag: str) -> Path:
+    return Path(data_dir) / SIDECAR_DIR / f"{digest}-{tag}"
 
 
-def _map_entry(entry: Path, n: int) -> list[np.ndarray]:
-    """The ``n`` parsed trials of a sidecar entry, memory-mapped read-only;
-    raises as ``_map_array`` does for a missing or spoiled entry."""
-    return [_map_array(_series_file(entry, i), shape)
-            for i, shape in enumerate(_map_shapes(entry, n))]
+def _kept_summaries(data_dir, digest: str, tag: str, max_lag: int) -> tuple | None:
+    """The first ``max_lag`` lags of the summaries kept for the trials of
+    ``data_dir`` that hash to ``digest``, made by the code ``tag`` names, as
+    ``(blocks, grams, energies)`` laid out as ``_keep_summaries`` takes them
+    and mapped read-only; None when no whole, finite entry keeps that many
+    lags for as many series as there are trials.
+    """
+    entry = _summaries_entry(data_dir, digest, tag)
+    try:
+        blocks, grams, energies = (_map_array(entry / f"{key}.npy") for key in _SUMMARY_ARRAYS)
+    except (OSError, EOFError, ValueError):
+        return None
+    n = len(_trial_paths(Path(data_dir)))
+    kept = energies.shape[1] if energies.ndim == 2 else 0
+    d = blocks.shape[-1] if blocks.ndim else 0
+    if not (0 < max_lag <= kept and energies.shape == (n, kept)
+            and blocks.shape == grams.shape == (kept, n, d, d)):
+        return None
+    # the energies of fewer lags are copied out, C-contiguous as computed
+    arrays = (blocks[:max_lag], grams[:max_lag], np.ascontiguousarray(energies[:, :max_lag]))
+    if not all(np.isfinite(a).all() for a in arrays):
+        return None
+    return arrays
+
+
+def _keep_summaries(data_dir, digest: str, tag: str, blocks, grams, energies) -> None:
+    """Keep the lag summaries of the trials of ``data_dir`` that hash to
+    ``digest``, made by the code ``tag`` names, as the one entry of its sidecar.
+
+    ``blocks`` and ``grams`` are (L, N, 2p, 2p) and ``energies`` (N, L).  They
+    are written into a scratch directory and renamed into place, so a reader
+    sees all of them or none; every other name in the sidecar then goes (see
+    ``_publish``).  Writes nothing where it cannot, as in a read-only
+    directory, on a full disk or when another process removes the sidecar
+    meanwhile, and leaves no scratch directory behind.
+    """
+    try:
+        tmp = _scratch_dir(Path(data_dir))
+    except OSError:
+        return
+    try:
+        for key, array in zip(_SUMMARY_ARRAYS, (blocks, grams, energies)):
+            np.save(tmp / f"{key}.npy", array)
+        _publish(tmp, _summaries_entry(data_dir, digest, tag))
+    except OSError:
+        pass
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _remove(path: Path) -> None:
@@ -307,7 +399,7 @@ def _remove(path: Path) -> None:
 
 def _orphaned(name: str) -> bool:
     """Whether ``name`` is a ``.tmp-<pid>-<hex>`` entry whose process no
-    longer runs on this host, as after a parse killed midway."""
+    longer runs on this host, as after a write killed midway."""
     pid = name[len(_TMP_PREFIX):].split("-", 1)[0]
     # signal 0 only checks for the process, except on Windows, where it kills
     if os.name != "posix" or not pid.isdigit():
@@ -321,154 +413,45 @@ def _orphaned(name: str) -> bool:
     return False
 
 
-def _scratch_dir(parent: Path) -> Path:
-    """A new ``.tmp-<pid>-<hex>`` directory in ``parent``, made like any
-    other directory there (not by mkdtemp, whose directories only their owner
-    may read); raises OSError where none can be made."""
-    tmp = parent / f"{_TMP_PREFIX}{os.getpid()}-{os.urandom(4).hex()}"
+def _scratch_dir(data_dir: Path) -> Path:
+    """A new ``.tmp-<pid>-<hex>`` directory in the sidecar of ``data_dir``,
+    which is made if need be, like any other directory there (not by mkdtemp,
+    whose directories only their owner may read); raises OSError where none
+    can be made."""
+    root = data_dir / SIDECAR_DIR
+    root.mkdir(exist_ok=True)
+    tmp = root / f"{_TMP_PREFIX}{os.getpid()}-{os.urandom(4).hex()}"
     tmp.mkdir()
     return tmp
 
 
-def _publish(tmp: Path, target: Path, stale) -> None:
-    """Move the scratch directory ``tmp`` into place at ``target``, then
-    drop the other entries of its directory whose name ``stale`` accepts and
-    the scratch directories of dead processes.  Leaves ``tmp`` where it is
-    when it cannot."""
+def _publish(tmp: Path, target: Path) -> None:
+    """Move the scratch directory ``tmp`` into place at ``target``, then drop
+    every other name of its directory except the scratch directories of
+    running processes: entries of other bytes or other code, and anything
+    else found there.  Leaves ``tmp`` where it is when it cannot."""
     try:
         if target.exists() or target.is_symlink():
-            # a spoiled entry: the caller found it unusable
+            # a spoiled entry, or one of fewer lags
             _remove(target)
         tmp.rename(target)
     except OSError:
         return
     for other in target.parent.iterdir():
-        if other.name == target.name:
+        if other.name == target.name or (other.name.startswith(_TMP_PREFIX)
+                                         and not _orphaned(other.name)):
             continue
-        if (_orphaned(other.name) if other.name.startswith(_TMP_PREFIX)
-                else stale(other.name)):
-            try:
-                _remove(other)
-            except OSError:
-                pass
-
-
-def _write_arrays(parent: Path, name: str, arrays: dict, stale) -> None:
-    """Keep ``arrays`` as ``<key>.npy`` files in the new directory
-    ``parent/name``, written into a scratch directory and renamed into place,
-    so a reader sees all of them or none; ``stale`` is as for ``_publish``.
-
-    Writes nothing where it cannot, as in a read-only directory, on a full
-    disk or when another process removes ``parent`` meanwhile, and leaves no
-    scratch directory behind.
-    """
-    try:
-        tmp = _scratch_dir(parent)
-    except OSError:
-        return
-    try:
-        for key, array in arrays.items():
-            np.save(tmp / f"{key}.npy", array)
-        _publish(tmp, parent / name, stale)
-    except OSError:
-        pass
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def _parse_dir(data_dir: Path, paths: list[Path], digest: str) -> tuple[MtsDataset, str]:
-    """Parse every trial into a new sidecar entry and load the dataset from it.
-
-    Large directories are parsed on a process pool, one trial per task; the
-    arrays, their order and the error a bad trial raises are the same as from
-    a serial parse.  The entry is published under ``digest`` only when the
-    files still hash to it after the parse; the digest returned is the one
-    taken after the parse.
-    """
-    root = data_dir / SIDECAR_DIR
-    try:
-        root.mkdir(exist_ok=True)
-        tmp, publishable = _scratch_dir(root), True
-    except OSError:
-        # a trial directory that cannot be written, or a file in the way
-        tmp, publishable = Path(tempfile.mkdtemp(prefix="rfcpca-parsed-")), False
-    try:
-        tasks = [(path, _series_file(tmp, i)) for i, path in enumerate(paths)]
-        workers = _parse_workers(paths)
-        if workers == 1:
-            shapes = [_parse_trial(task) for task in tasks]
-        else:
-            # Python 3.12+ warns when a process with other threads forks; a
-            # worker here only parses text and calls no BLAS routine, the
-            # library whose threads those usually are
-            with _process_pool(workers) as pool:
-                shapes = list(pool.map(_parse_trial, tasks))
-        np.save(tmp / _SHAPES_FILE, np.array(shapes, dtype=np.int64).reshape(len(paths), 2))
-        # mapped before the entry moves: a mapping stays valid across the
-        # rename, and across the removal of an entry never published
-        dataset = MtsDataset(series=_map_entry(tmp, len(paths)))
-        after = dataset_digest(data_dir)
-        if publishable and after == digest:
-            # entries of other digests hold bytes no longer in the directory
-            _publish(tmp, root / digest, lambda name: True)
-        return dataset, after
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-
-def load_csv_dir(data_dir) -> tuple[MtsDataset, str]:
-    """Load every trial_*.csv in a directory, in sorted filename order, and
-    return the dataset with its ``dataset_digest``.
-
-    Each trial file is read once to hash it.  The parsed trials are kept
-    beside them, in ``<data_dir>/.rfcpca-parsed/<digest>/``, one ``.npy``
-    file per trial, and a later load of the same bytes memory-maps those
-    files instead of parsing the text again.  An entry that is missing,
-    partial or spoiled, or a directory that cannot be written, means the
-    trials are parsed again; either way the arrays are those ``_load_trial``
-    parses, and ``MtsDataset`` validates them.
-    """
-    data_dir = Path(data_dir)
-    paths = _listed_trials(data_dir)
-    return _load_digested(data_dir, paths, dataset_digest(data_dir))
-
-
-def _listed_trials(data_dir: Path) -> list[Path]:
-    """The trial files of ``data_dir``; raises FileNotFoundError when there are none."""
-    paths = _trial_paths(data_dir)
-    if not paths:
-        raise FileNotFoundError(f"no trial_*.csv files under {data_dir}")
-    return paths
-
-
-def _load_digested(data_dir: Path, paths: list[Path], digest: str) -> tuple[MtsDataset, str]:
-    """``load_csv_dir`` of the trials ``paths`` of ``data_dir``, which hashed
-    to ``digest``; the digest returned is that of the trials loaded (see
-    ``_parse_dir``)."""
-    try:
-        series = _map_entry(_sidecar_entry(data_dir, digest), len(paths))
-        return MtsDataset(series=series), digest
-    except (OSError, EOFError, ValueError, RFCPCAError):
-        pass  # no usable entry
-    return _parse_dir(data_dir, paths, digest)
-
-
-def _sidecar_entry(data_dir, digest: str) -> Path:
-    """The sidecar entry that keeps what was read from the trials of
-    ``data_dir`` whose ``dataset_digest`` is ``digest``."""
-    return Path(data_dir) / SIDECAR_DIR / digest
-
-
-def read_csv_dir(data_dir) -> MtsDataset:
-    """The dataset of ``load_csv_dir``, without its digest."""
-    return load_csv_dir(data_dir)[0]
+        try:
+            _remove(other)
+        except OSError:
+            pass
 
 
 def dataset_digest(data_dir) -> str:
     """SHA-256 over the bytes of all trial files in sorted filename order.
 
     Binds fitted models to the exact data they were computed from, and keys
-    the sidecar of parsed trials.
+    the sidecar of kept summaries.
     """
     digest = hashlib.sha256()
     for path in _trial_paths(Path(data_dir)):

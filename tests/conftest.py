@@ -11,6 +11,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+import rfcpca.core as core  # noqa: E402
 import rfcpca.dataset as dataset_mod  # noqa: E402
 from rfcpca.dataset import MtsDataset  # noqa: E402
 from rfcpca.rng import make_rng  # noqa: E402
@@ -84,8 +85,8 @@ def read_only(monkeypatch):
 
 
 SIDECAR_SPOILS = ("truncated", "empty_file", "wrong_shape", "wrong_dtype",
-                  "object_array", "non_finite", "missing_trial", "shapes_as_objects",
-                  "file_for_entry", "file_for_sidecar")
+                  "object_array", "non_finite", "missing_array", "missing_trial",
+                  "shapes_as_objects", "file_for_entry", "file_for_sidecar")
 
 
 class _Unpickled(Exception):
@@ -103,11 +104,22 @@ class _Trap:
         return _refuse_unpickling, ()
 
 
+def summaries_entry(data_dir):
+    """The sidecar entry that keeps the summaries of the trials now in ``data_dir``."""
+    return dataset_mod._summaries_entry(data_dir, dataset_mod.dataset_digest(data_dir),
+                                        core._summaries_tag())
+
+
 def spoil_entry(entry, how):
-    """Spoil an entry of the sidecar of parsed trials the way ``how``, one
-    of ``SIDECAR_SPOILS``, names.  Files are rewritten in place, so no array
-    mapped from the entry may be read afterwards."""
-    first = dataset_mod._series_file(entry, 0)
+    """Spoil a sidecar entry of kept summaries the way ``how``, one of
+    ``SIDECAR_SPOILS``, names.  Files are rewritten in place, so no array
+    mapped from the entry may be read afterwards.
+
+    ``missing_trial`` leaves whole arrays that summarise one trial fewer, and
+    ``shapes_as_objects`` puts an object array in place of the energies,
+    whose shape gives the entry's trial and lag counts.
+    """
+    first = entry / "blocks.npy"
     if how == "truncated":
         first.write_bytes(first.read_bytes()[:-8])
     elif how == "empty_file":
@@ -122,10 +134,14 @@ def spoil_entry(entry, how):
         x = np.load(first)
         x[0, 0] = np.nan
         np.save(first, x)
-    elif how == "missing_trial":
+    elif how == "missing_array":
         first.unlink()
+    elif how == "missing_trial":
+        for key in ("blocks", "grams"):
+            np.save(entry / f"{key}.npy", np.load(entry / f"{key}.npy")[:, :-1])
+        np.save(entry / "energies.npy", np.load(entry / "energies.npy")[:-1])
     elif how == "shapes_as_objects":
-        np.save(entry / dataset_mod._SHAPES_FILE, np.array([_Trap()], dtype=object),
+        np.save(entry / "energies.npy", np.array([_Trap()], dtype=object),
                 allow_pickle=True)
     elif how == "file_for_entry":
         dataset_mod._remove(entry)

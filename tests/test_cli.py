@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import rfcpca
 import rfcpca.dataset as dataset_mod
-from conftest import SIDECAR_SPOILS, spoil_entry
+from conftest import SIDECAR_SPOILS, spoil_entry, summaries_entry
 from rfcpca.cli import main
 from rfcpca.dataset import dataset_digest, read_csv_dir
 
@@ -213,7 +214,7 @@ class TestSimulateIntoUsedDirectory:
 
 
 class TestSidecar:
-    """A fit reads the same arrays whether or not its parsed trials were kept."""
+    """A fit gives the same bytes whether or not its summaries were kept."""
 
     @staticmethod
     def fit_bytes(data_dir, out):
@@ -236,9 +237,13 @@ class TestSidecar:
             monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
         for k in range(3):
             assert self.fit_bytes(simulated, tmp_path / f"fit{k}.json") == reference
-        assert (simulated / dataset_mod.SIDECAR_DIR / dataset_digest(simulated)).is_dir()
+        assert summaries_entry(simulated).is_dir()
 
-    def test_read_only_directory(self, simulated, tmp_path, reference, read_only):
+    def test_read_only_directory(self, simulated, tmp_path, reference, read_only,
+                                 monkeypatch):
+        # the parse needs no temporary directory: any use of one fails here
+        (tmp_path / "file").write_text("not a directory")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "file" / "tmp"))
         read_only(simulated)
         for k in range(2):
             assert self.fit_bytes(simulated, tmp_path / f"fit{k}.json") == reference
@@ -247,7 +252,7 @@ class TestSidecar:
     @pytest.mark.parametrize("how", SIDECAR_SPOILS)
     def test_spoiled_entry(self, simulated, tmp_path, reference, how):
         assert self.fit_bytes(simulated, tmp_path / "first.json") == reference
-        spoil_entry(simulated / dataset_mod.SIDECAR_DIR / dataset_digest(simulated), how)
+        spoil_entry(summaries_entry(simulated), how)
         assert self.fit_bytes(simulated, tmp_path / "spoiled.json") == reference
 
     def test_trial_edited_after_the_first_fit(self, simulated, tmp_path):
@@ -304,7 +309,7 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "f.json").exists()
-        # trials that do not load leave no parsed entry behind
+        # trials that do not load leave no entry behind
         assert list((simulated / dataset_mod.SIDECAR_DIR).iterdir()) == []
 
     @pytest.mark.parametrize("options", [

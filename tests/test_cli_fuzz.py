@@ -22,9 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rfcpca.cli as cli_mod
-from conftest import SIDECAR_SPOILS, spoil_entry
+from conftest import SIDECAR_SPOILS, spoil_entry, summaries_entry
 from rfcpca.cli import main
-from rfcpca.dataset import SIDECAR_DIR, dataset_digest
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -43,7 +42,7 @@ json_values = st.recursive(
 
 # option: (its usual values, anything of its type or None)
 FIT_OPTIONS = {
-    # "spoiled": the trials of "good" with their parsed copies spoiled
+    # "spoiled": the trials of "good" with their kept summaries spoiled
     "--data": (["good", "spoiled"], st.sampled_from(["missing", "empty", "nan", "text",
                                                      "short"])),
     "--variant": (["fcpca", "e", "n", "t"], None),
@@ -196,9 +195,9 @@ def _json_input(draw, scratch, name, doc, keys, spoiled):
 
 
 def _spoiled_copy(good, scratch, how):
-    """A copy of the trial directory ``good`` whose parsed trials are spoiled."""
+    """A copy of the trial directory ``good`` whose kept summaries are spoiled."""
     copy = shutil.copytree(good, scratch / "spoiled")
-    spoil_entry(copy / SIDECAR_DIR / dataset_digest(copy), how)
+    spoil_entry(summaries_entry(copy), how)
     return copy
 
 

@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rfcpca.core as core
 import rfcpca.dataset as dataset_mod
-from conftest import SIDECAR_SPOILS, spoil_entry
+from conftest import SIDECAR_SPOILS, spoil_entry, summaries_entry
 from rfcpca.dataset import MtsDataset, dataset_digest, read_csv_dir, write_csv_dir
 from rfcpca.exceptions import DimensionMismatch, NonFiniteInput
 from rfcpca.rng import make_rng
@@ -101,6 +102,23 @@ def test_parallel_read_matches_serial(tmp_path, parse_on_pool):
         assert np.array_equal(got, want)
 
 
+def test_a_read_only_directory_too_large_for_one_process_parses_in_it(
+        tmp_path, parse_on_pool, read_only, count_parses):
+    rng = make_rng(6)
+    write_csv_dir(MtsDataset(series=[rng.standard_normal((t, 3)) for t in (9, 14, 11)]),
+                  tmp_path)
+    expected = [dataset_mod._load_trial(path) for path in dataset_mod._trial_paths(tmp_path)]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    read_only(tmp_path)
+    count_parses.clear()
+    dataset, _ = dataset_mod.load_csv_dir(tmp_path)
+    # the pool's workers would have nowhere to write their arrays
+    assert parse_on_pool == [] and len(count_parses) == 3
+    for got, want in zip(dataset.series, expected):
+        assert np.array_equal(got, want)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_parse_workers_serial_cases(tmp_path, monkeypatch):
     rng = make_rng(5)
     paths = write_csv_dir(MtsDataset(series=[rng.standard_normal((20, 2))] * 3), tmp_path)
@@ -168,6 +186,9 @@ def test_joined_threads_are_waited_for_and_live_ones_never_count_as_gone(monkeyp
 
 
 def test_os_threads_counts_a_python_thread():
+    # a thread joined just before, as by the test above, stays in the count
+    # for a few ms more; _runs_one_thread waits for it to leave
+    dataset_mod._runs_one_thread()
     before = dataset_mod._os_threads()
     if before is None:
         pytest.skip("this platform does not list a process's threads")
@@ -208,8 +229,9 @@ def _write_trials(data_dir, texts):
         (data_dir / f"trial_{i:03d}.csv").write_text(text)
 
 
-def _entry(data_dir):
-    return data_dir / dataset_mod.SIDECAR_DIR / dataset_digest(data_dir)
+def _prepare(data_dir, max_lag=2):
+    """Summaries of ``data_dir`` as a CLI fit loads them: kept or computed and kept."""
+    return core._load_prepared(data_dir, dataset_digest(data_dir), max_lag)
 
 
 @pytest.fixture
@@ -236,23 +258,17 @@ def count_parses(monkeypatch):
 def test_loaded_arrays_equal_the_parser(tmp_path, count_parses, texts):
     _write_trials(tmp_path, texts)
     expected = [dataset_mod._load_trial(path) for path in dataset_mod._trial_paths(tmp_path)]
-    count_parses.clear()
-    for parses in (len(texts), 0):  # a miss, then a hit
-        dataset, digest = dataset_mod.load_csv_dir(tmp_path)
-        assert len(count_parses) == parses
+    for _ in range(2):
         count_parses.clear()
+        dataset, digest = dataset_mod.load_csv_dir(tmp_path)
+        # every load parses: only summaries are kept, and only by a fit
+        assert len(count_parses) == len(texts)
         assert digest == dataset_digest(tmp_path)
         assert len(dataset.series) == len(expected)
         for got, want in zip(dataset.series, expected):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
-            # mapped from the sidecar, never written through
-            assert not got.flags.writeable
-    assert sorted(p.name for p in _entry(tmp_path).iterdir()) == sorted(
-        [f"{i:05d}.npy" for i in range(len(texts))] + ["shapes.npy"])
-    # readable by whoever may read a directory made here
-    (tmp_path / "probe").mkdir()
-    assert _entry(tmp_path).stat().st_mode == (tmp_path / "probe").stat().st_mode
+    assert not (tmp_path / dataset_mod.SIDECAR_DIR).exists()
 
 
 def test_pooled_parse_maps_the_files_its_workers_wrote(tmp_path, parse_on_pool, count_parses):
@@ -264,25 +280,41 @@ def test_pooled_parse_maps_the_files_its_workers_wrote(tmp_path, parse_on_pool, 
     dataset, _ = dataset_mod.load_csv_dir(tmp_path)
     # the workers parsed every trial; this process only mapped their files
     assert parse_on_pool == [2] and count_parses == []
-    for i, (got, want) in enumerate(zip(dataset.series, expected)):
+    for got, want in zip(dataset.series, expected):
         assert np.array_equal(got, want)
-        assert np.array_equal(np.load(dataset_mod._series_file(_entry(tmp_path), i)), want)
+        assert not got.flags.writeable
+    # which are gone with the parse
+    assert list((tmp_path / dataset_mod.SIDECAR_DIR).iterdir()) == []
+
+
+def test_kept_summaries_are_readable_by_whoever_may_read_the_directory(tmp_path):
+    rng = make_rng(6)
+    write_csv_dir(MtsDataset(series=[rng.standard_normal((t, 3)) for t in (9, 14, 11)]),
+                  tmp_path)
+    _prepare(tmp_path)
+    entry = summaries_entry(tmp_path)
+    assert sorted(p.name for p in entry.iterdir()) == sorted(
+        f"{key}.npy" for key in dataset_mod._SUMMARY_ARRAYS)
+    (tmp_path / "probe").mkdir()
+    assert entry.stat().st_mode == (tmp_path / "probe").stat().st_mode
 
 
 def test_an_edited_trial_replaces_the_entry(tmp_path, count_parses):
     rng = make_rng(7)
     write_csv_dir(MtsDataset(series=[rng.standard_normal((8, 2)) for _ in range(3)]), tmp_path)
-    dataset_mod.load_csv_dir(tmp_path)
-    old = _entry(tmp_path)
+    _prepare(tmp_path)
+    old = summaries_entry(tmp_path)
     with (tmp_path / "trial_001.csv").open("a") as fh:
         fh.write("7,8\n")
     count_parses.clear()
-    dataset, digest = dataset_mod.load_csv_dir(tmp_path)
+    prep, digest = _prepare(tmp_path)
     assert len(count_parses) == 3
-    assert dataset.lengths == [8, 9, 8]
-    assert dataset.series[1][-1].tolist() == [7.0, 8.0]
+    assert digest == dataset_digest(tmp_path)
+    fresh = core._Prepared(read_csv_dir(tmp_path), 2)
+    assert np.array_equal(prep.energies, fresh.energies)
     # only the entry of the current bytes is kept
-    assert [p.name for p in (tmp_path / dataset_mod.SIDECAR_DIR).iterdir()] == [digest]
+    assert [p.name for p in (tmp_path / dataset_mod.SIDECAR_DIR).iterdir()] == [
+        summaries_entry(tmp_path).name]
     assert not old.exists()
 
 
@@ -290,90 +322,87 @@ def test_an_edited_trial_replaces_the_entry(tmp_path, count_parses):
 def test_spoiled_entry_is_a_miss(tmp_path, count_parses, how):
     rng = make_rng(8)
     write_csv_dir(MtsDataset(series=[rng.standard_normal((t, 3)) for t in (6, 9)]), tmp_path)
-    fresh, digest = dataset_mod.load_csv_dir(tmp_path)
+    fresh, digest = _prepare(tmp_path)
     # copied out of the mapping: a file spoiled in place can no longer be read
-    expected = [np.array(x) for x in fresh.series]
+    expected = [np.array(getattr(fresh, key)) for key in dataset_mod._SUMMARY_ARRAYS]
     del fresh
-    spoil_entry(_entry(tmp_path), how)
+    spoil_entry(summaries_entry(tmp_path), how)
     count_parses.clear()
-    dataset, again = dataset_mod.load_csv_dir(tmp_path)
+    prep, again = _prepare(tmp_path)
     assert again == digest
     assert len(count_parses) == 2
-    for got, want in zip(dataset.series, expected):
-        assert np.array_equal(got, want)
+    for key, want in zip(dataset_mod._SUMMARY_ARRAYS, expected):
+        assert np.array_equal(getattr(prep, key), want)
     # the entry is whole again, unless the sidecar directory is a file
     count_parses.clear()
-    dataset_mod.load_csv_dir(tmp_path)
+    _prepare(tmp_path)
     assert len(count_parses) == (2 if how == "file_for_sidecar" else 0)
 
 
 def test_read_only_directory_is_a_miss_that_writes_nothing(tmp_path, monkeypatch, read_only,
                                                            count_parses):
     rng = make_rng(9)
-    data_dir, scratch = tmp_path / "data", tmp_path / "tmp"
-    scratch.mkdir()
-    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    data_dir = tmp_path / "data"
+    # the parse needs no temporary directory: any use of one fails here
+    (tmp_path / "file").write_text("not a directory")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "file" / "tmp"))
     write_csv_dir(MtsDataset(series=[rng.standard_normal((7, 2)) for _ in range(2)]), data_dir)
-    expected = [dataset_mod._load_trial(path) for path in dataset_mod._trial_paths(data_dir)]
+    expected = core._Prepared(read_csv_dir(data_dir), 2)
     before = sorted(p.name for p in data_dir.iterdir())
     read_only(data_dir)
     for _ in range(2):
         count_parses.clear()
-        dataset, digest = dataset_mod.load_csv_dir(data_dir)
+        prep, digest = _prepare(data_dir)
         assert len(count_parses) == 2 and digest == dataset_digest(data_dir)
-        for got, want in zip(dataset.series, expected):
-            assert np.array_equal(got, want)
-    # parsed into the system's temporary directory, and removed from it
+        assert np.array_equal(prep.grams, expected.grams)
     assert sorted(p.name for p in data_dir.iterdir()) == before
-    assert list(scratch.iterdir()) == []
 
 
 def test_read_only_directory_still_reads_its_entry(tmp_path, read_only, count_parses):
     rng = make_rng(10)
     write_csv_dir(MtsDataset(series=[rng.standard_normal((7, 2)) for _ in range(2)]), tmp_path)
-    fresh, _ = dataset_mod.load_csv_dir(tmp_path)
+    fresh = np.array(_prepare(tmp_path)[0].blocks)
     read_only(tmp_path)
     read_only(tmp_path / dataset_mod.SIDECAR_DIR)
     count_parses.clear()
-    dataset, _ = dataset_mod.load_csv_dir(tmp_path)
+    prep, _ = _prepare(tmp_path)
     assert count_parses == []
-    for got, want in zip(dataset.series, fresh.series):
-        assert np.array_equal(got, want)
+    assert np.array_equal(prep.blocks, fresh)
 
 
 def test_entry_is_published_only_for_the_bytes_it_was_parsed_from(tmp_path, monkeypatch):
     rng = make_rng(11)
     write_csv_dir(MtsDataset(series=[rng.standard_normal((5, 2)) for _ in range(2)]), tmp_path)
     before = dataset_digest(tmp_path)
-    parse = dataset_mod._parse_trial
+    load = dataset_mod._load_trial
 
-    def edit_while_parsing(task):
+    def edit_while_parsing(path):
         # another writer changes a trial once it has been parsed
-        shape = parse(task)
-        with Path(task[0]).open("a") as fh:
+        x = load(path)
+        with Path(path).open("a") as fh:
             fh.write("1,2\n")
-        return shape
+        return x
 
-    monkeypatch.setattr(dataset_mod, "_parse_trial", edit_while_parsing)
-    dataset, digest = dataset_mod.load_csv_dir(tmp_path)
-    assert dataset.lengths == [5, 5]
+    monkeypatch.setattr(dataset_mod, "_load_trial", edit_while_parsing)
+    prep, digest = core._load_prepared(tmp_path, before, 2)
+    assert prep.n_series == 2
     # the digest taken after the parse, and no entry under either digest
     assert digest == dataset_digest(tmp_path) != before
-    assert list((tmp_path / dataset_mod.SIDECAR_DIR).iterdir()) == []
+    assert not (tmp_path / dataset_mod.SIDECAR_DIR).exists()
 
 
 def test_bad_trial_publishes_no_entry(tmp_path):
-    (tmp_path / "trial_000.csv").write_text("a,b\n1,2\n")
-    (tmp_path / "trial_001.csv").write_text("a,b\n1,nan\n")
+    (tmp_path / "trial_000.csv").write_text("a,b\n1,2\n3,4\n")
+    (tmp_path / "trial_001.csv").write_text("a,b\n1,nan\n3,4\n")
     for _ in range(2):
         with pytest.raises(NonFiniteInput):
-            dataset_mod.load_csv_dir(tmp_path)
-    assert list((tmp_path / dataset_mod.SIDECAR_DIR).iterdir()) == []
+            _prepare(tmp_path, 1)
+    assert not (tmp_path / dataset_mod.SIDECAR_DIR).exists()
 
 
 @pytest.mark.skipif(not Path("/proc/sys/kernel/pid_max").exists(), reason="needs Linux's pid_max")
 def test_publish_removes_the_scratch_entries_of_dead_processes_only(tmp_path):
-    # a parse killed midway leaves its .tmp-<pid>-<hex> directory behind; the
+    # a write killed midway leaves its .tmp-<pid>-<hex> directory behind; the
     # next publish removes it once no process has that pid, and keeps the
     # scratch entry of a running process
     pid_max = int(Path("/proc/sys/kernel/pid_max").read_text())
@@ -383,10 +412,10 @@ def test_publish_removes_the_scratch_entries_of_dead_processes_only(tmp_path):
     live = root / f".tmp-{os.getpid()}-0badc0de"
     for scratch in (dead, live):
         scratch.mkdir(parents=True)
-        (scratch / "00000.npy").write_bytes(b"partial")
-    dataset_mod.load_csv_dir(tmp_path)
+        (scratch / "blocks.npy").write_bytes(b"partial")
+    _prepare(tmp_path, 1)
     assert sorted(path.name for path in root.iterdir()) == sorted(
-        [live.name, dataset_digest(tmp_path)])
+        [live.name, summaries_entry(tmp_path).name])
 
 
 # holds a pool of two started workers, prints their pids, then waits to be killed

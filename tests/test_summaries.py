@@ -1,14 +1,15 @@
-"""The prepared summaries a fit keeps in its trials' sidecar entry.
+"""The prepared summaries a fit keeps in its trials' sidecar.
 
 A fit of a trial directory keeps the lag summaries of ``core._Prepared``
-beside the parsed trials, and a later fit of the same bytes at the same lag
-count maps them instead of computing them.  Whatever is kept, missing,
-spoiled or unwritable, a fit gives the bytes of a fit of a directory that
-was never read.
+beside the trials, at the largest lag count asked for so far, and a later
+fit of the same bytes at that many lags or fewer maps them instead of
+computing them.  Whatever is kept, missing, spoiled or unwritable, a fit
+gives the bytes of a fit of a directory that was never read.
 """
 
 import errno
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +18,13 @@ import pytest
 import rfcpca.cli as cli_mod
 import rfcpca.core as core
 import rfcpca.dataset as dataset_mod
-from conftest import _Trap
+from conftest import _Trap, summaries_entry
 from rfcpca.cli import main
 from rfcpca.dataset import MtsDataset, dataset_digest, read_csv_dir, write_csv_dir
 from rfcpca.rng import make_rng
 
 SUMMARY_SPOILS = ("truncated", "empty_file", "wrong_shape", "wrong_dtype", "object_array",
-                  "non_finite", "missing_file")
+                  "non_finite", "missing_file", "scalar")
 
 
 def _write(data_dir, seed=12, n=6, p=3):
@@ -56,13 +57,9 @@ def count_prepares(monkeypatch):
     return made
 
 
-def _entry(data_dir):
-    return dataset_mod._sidecar_entry(data_dir, dataset_digest(data_dir))
-
-
 def _kept(data_dir):
-    """Names of the summary directories and scratch entries of the entry."""
-    return sorted(p.name for p in _entry(data_dir).iterdir() if p.is_dir())
+    """Names of the entries and scratch directories of the sidecar."""
+    return sorted(p.name for p in (data_dir / dataset_mod.SIDECAR_DIR).iterdir())
 
 
 def _load(data_dir, max_lag=2):
@@ -103,29 +100,29 @@ def test_a_hit_maps_the_arrays_a_fresh_prepare_computes(data_dir, count_prepares
     count_prepares.clear()
     computed = _load(data_dir)
     assert count_prepares == [2]
-    assert _kept(data_dir) == [f"summaries-2-{core._summaries_tag()}"]
+    assert _kept(data_dir) == [summaries_entry(data_dir).name]
     count_prepares.clear()
     hit = _load(data_dir)
     assert count_prepares == []
     for prep in (computed, hit):
         assert (prep.n_series, prep.max_lag) == (fresh.n_series, fresh.max_lag)
-        for key in core._SUMMARY_ARRAYS:
+        for key in dataset_mod._SUMMARY_ARRAYS:
             got, want = getattr(prep, key), getattr(fresh, key)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.strides == want.strides
             assert got.tobytes() == want.tobytes()
-    for key in core._SUMMARY_ARRAYS:
+    for key in dataset_mod._SUMMARY_ARRAYS:
         array = getattr(hit, key)
         assert not array.flags.writeable and _mapped(array)
 
 
-@pytest.mark.parametrize("key", core._SUMMARY_ARRAYS)
+@pytest.mark.parametrize("key", dataset_mod._SUMMARY_ARRAYS)
 @pytest.mark.parametrize("how", SUMMARY_SPOILS)
 def test_spoiled_summaries_are_a_miss(data_dir, tmp_path, pristine, count_prepares, how,
                                       key):
     reference = pristine()
     assert _fit_bytes(data_dir, tmp_path / "first.json") == reference
-    path = _entry(data_dir) / _kept(data_dir)[0] / f"{key}.npy"
+    path = summaries_entry(data_dir) / f"{key}.npy"
     if how == "truncated":
         path.write_bytes(path.read_bytes()[:-8])
     elif how == "empty_file":
@@ -140,6 +137,8 @@ def test_spoiled_summaries_are_a_miss(data_dir, tmp_path, pristine, count_prepar
         array = np.load(path)
         array.flat[-1] = np.inf
         np.save(path, array)
+    elif how == "scalar":
+        np.save(path, np.float64(1.0))
     else:
         path.unlink()
     count_prepares.clear()
@@ -155,7 +154,7 @@ def test_a_file_for_the_summaries_directory_is_a_miss(data_dir, tmp_path, pristi
                                                       count_prepares):
     reference = pristine()
     _fit_bytes(data_dir, tmp_path / "first.json")
-    kept = _entry(data_dir) / _kept(data_dir)[0]
+    kept = summaries_entry(data_dir)
     shutil.rmtree(kept)
     kept.write_text("not a directory")
     count_prepares.clear()
@@ -163,15 +162,61 @@ def test_a_file_for_the_summaries_directory_is_a_miss(data_dir, tmp_path, pristi
     assert count_prepares == [2] and kept.is_dir()
 
 
-def test_each_lag_count_has_its_own_summaries(data_dir, tmp_path, pristine, count_prepares):
-    tag = core._summaries_tag()
-    reference = {lag: pristine("--max-lag", lag) for lag in ("1", "2")}
-    for max_lag, computed in (("2", [2]), ("1", [1]), ("2", []), ("1", [])):
+def test_fewer_lags_are_served_from_the_kept_summaries(data_dir, tmp_path, pristine,
+                                                      count_prepares):
+    largest = 0
+    for max_lag, computed in ((3, [3]), (2, []), (1, []), (4, [4]), (2, [])):
         count_prepares.clear()
-        assert _fit_bytes(data_dir, tmp_path / f"lag{max_lag}.json",
-                          "--max-lag", max_lag) == reference[max_lag]
+        options = ("--max-lag", str(max_lag))
+        assert _fit_bytes(data_dir, tmp_path / f"lag{max_lag}.json", *options) == pristine(
+            *options)
         assert count_prepares == computed
-    assert _kept(data_dir) == [f"summaries-1-{tag}", f"summaries-2-{tag}"]
+        # one entry, of the largest lag count asked for so far
+        largest = max(largest, max_lag)
+        assert _kept(data_dir) == [summaries_entry(data_dir).name]
+        assert np.load(summaries_entry(data_dir) / "energies.npy").shape[1] == largest
+
+
+def test_analyze_of_fewer_lags_computes_nothing(data_dir, tmp_path, count_prepares):
+    fit = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(data_dir), "--max-lag", "2",
+                 "--out", str(tmp_path / "first.json")]) == 0
+    assert main(["fit", "--data", str(data_dir), "--variant", "n", "--lambda", "0.05",
+                 "--max-lag", "1", "--out", str(fit)]) == 0
+    copy = shutil.copytree(data_dir, tmp_path / "copy",
+                           ignore=shutil.ignore_patterns(dataset_mod.SIDECAR_DIR))
+    outputs = []
+    for data in (data_dir, copy):
+        prefix = tmp_path / data.name
+        assert main(["analyze", "--fit", str(fit), "--data", str(data),
+                     "--out-prefix", str(prefix)]) == 0
+        outputs.append([Path(f"{prefix}_{name}.csv").read_bytes()
+                        for name in ("angles", "contributions")])
+    # the L=2 fit computed; the L=1 fit and its analysis mapped; the copy computed
+    assert count_prepares == [2, 1]
+    assert outputs[0] == outputs[1]
+
+
+def test_an_entry_of_the_old_layout_is_never_read_and_goes_at_the_first_publish(
+        data_dir, tmp_path, pristine, count_prepares):
+    # the layout that kept the parsed trials and, beside them, the summaries
+    # for each lag count: <digest>/ with NNNNN.npy, shapes.npy and
+    # summaries-<L>-<tag>/, here holding summaries that are all zeros
+    old = data_dir / dataset_mod.SIDECAR_DIR / dataset_digest(data_dir)
+    summaries = old / f"summaries-2-{core._summaries_tag()}"
+    summaries.mkdir(parents=True)
+    series = read_csv_dir(data_dir).series
+    for i, x in enumerate(series):
+        np.save(old / f"{i:05d}.npy", np.zeros_like(x))
+    np.save(old / "shapes.npy", np.array([x.shape for x in series], dtype=np.int64))
+    n, d = len(series), 2 * series[0].shape[1]
+    np.save(summaries / "blocks.npy", np.zeros((2, n, d, d)))
+    np.save(summaries / "grams.npy", np.zeros((2, n, d, d)))
+    np.save(summaries / "energies.npy", np.zeros((n, 2)))
+    count_prepares.clear()
+    assert _fit_bytes(data_dir, tmp_path / "fit.json") == pristine()
+    assert count_prepares == [2]
+    assert _kept(data_dir) == [summaries_entry(data_dir).name]
 
 
 def test_summaries_of_other_code_are_a_miss(data_dir, monkeypatch, count_prepares):
@@ -193,7 +238,7 @@ def test_summaries_of_other_code_are_a_miss(data_dir, monkeypatch, count_prepare
         assert np.array_equal(prep.energies, 2.0 * energies)
         count_prepares.clear()
     # only the summaries of the code that runs are kept
-    assert _kept(data_dir) == [f"summaries-2-{core._summaries_tag()}"]
+    assert _kept(data_dir) == [summaries_entry(data_dir).name]
     monkeypatch.setattr(core, "_lag_summaries", summarise)
     assert np.array_equal(_load(data_dir).energies, energies)
     assert count_prepares == [2]
@@ -202,30 +247,50 @@ def test_summaries_of_other_code_are_a_miss(data_dir, monkeypatch, count_prepare
 def test_a_read_only_entry_computes_the_summaries_and_writes_nothing(
         data_dir, tmp_path, pristine, read_only, count_prepares):
     reference = pristine()
-    dataset_mod.load_csv_dir(data_dir)
-    entry = _entry(data_dir)
-    before = sorted(p.name for p in entry.iterdir())
-    read_only(entry)
+    # an entry of one lag serves no fit at two
+    _load(data_dir, 1)
+    root = data_dir / dataset_mod.SIDECAR_DIR
+    before = sorted(p.name for p in root.rglob("*"))
+    read_only(root)
+    read_only(summaries_entry(data_dir))
     count_prepares.clear()
     for k in range(2):
         assert _fit_bytes(data_dir, tmp_path / f"fit{k}.json") == reference
     assert count_prepares == [2, 2]
-    assert sorted(p.name for p in entry.iterdir()) == before
+    assert sorted(p.name for p in root.rglob("*")) == before
+
+
+def test_a_read_only_directory_runs_every_fit_and_writes_nothing(
+        data_dir, tmp_path, pristine, monkeypatch, read_only, count_prepares):
+    # the parse needs no temporary directory: any use of one fails here
+    (tmp_path / "file").write_text("not a directory")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "file" / "tmp"))
+    monkeypatch.setattr(cli_mod, "DEFAULT_M_GRID", (1.4, 2.0))
+    runs = [("--variant", "fcpca"), ("--variant", "e"),
+            ("--variant", "n", "--lambda", "0.05"), ("--variant", "t", "--alpha", "0.2"),
+            ("--variant", "n", "--lambda", "auto"), ("--variant", "fcpca", "--auto"),
+            ("--max-lag", "1"), ("--max-lag", "3")]
+    references = [pristine(*options) for options in runs]
+    before = sorted(p.name for p in data_dir.iterdir())
+    read_only(data_dir)
+    count_prepares.clear()
+    for k, (options, reference) in enumerate(zip(runs, references)):
+        assert _fit_bytes(data_dir, tmp_path / f"fit{k}.json", *options) == reference
+    assert len(count_prepares) == len(runs)
+    assert sorted(p.name for p in data_dir.iterdir()) == before
 
 
 @pytest.mark.parametrize("fault", ["disk_full", "entry_removed"])
 def test_summaries_that_cannot_be_written_leave_the_fit_and_no_scratch(
         data_dir, tmp_path, pristine, monkeypatch, count_prepares, fault):
     reference = pristine()
-    # the trials are parsed already: the fit writes only its summaries
-    dataset_mod.load_csv_dir(data_dir)
     save = np.save
 
     def failing(path, array, *args, **kwargs):
         if Path(path).parent.name.startswith(dataset_mod._TMP_PREFIX):
             if fault == "disk_full":
                 raise OSError(errno.ENOSPC, "No space left on device", str(path))
-            # another process's publish of other bytes removes this entry
+            # another process removes the whole sidecar meanwhile
             shutil.rmtree(Path(path).parents[1])
         return save(path, array, *args, **kwargs)
 
@@ -233,18 +298,17 @@ def test_summaries_that_cannot_be_written_leave_the_fit_and_no_scratch(
     count_prepares.clear()
     assert _fit_bytes(data_dir, tmp_path / "fit.json") == reference
     assert count_prepares == [2]
-    entry = _entry(data_dir)
+    root = data_dir / dataset_mod.SIDECAR_DIR
     if fault == "disk_full":
         assert _kept(data_dir) == []
     else:
-        assert not entry.exists()
-    root = data_dir / dataset_mod.SIDECAR_DIR
+        assert not root.exists()
     assert not [p for p in root.rglob(f"{dataset_mod._TMP_PREFIX}*")]
 
 
 def test_an_edited_trial_drops_the_old_summaries(data_dir, tmp_path, count_prepares):
     _fit_bytes(data_dir, tmp_path / "before.json")
-    old = _entry(data_dir)
+    old = summaries_entry(data_dir)
     trial = data_dir / "trial_002.csv"
     trial.write_text("\n".join(trial.read_text().splitlines()[:-1]) + "\n")
     copy = shutil.copytree(data_dir, tmp_path / "edited",
@@ -254,32 +318,29 @@ def test_an_edited_trial_drops_the_old_summaries(data_dir, tmp_path, count_prepa
             == _fit_bytes(copy, tmp_path / "copy.json"))
     assert count_prepares == [2, 2]
     assert not old.exists()
-    assert [p.name for p in (data_dir / dataset_mod.SIDECAR_DIR).iterdir()] == [
-        dataset_digest(data_dir)]
-    assert _kept(data_dir) == [f"summaries-2-{core._summaries_tag()}"]
+    assert _kept(data_dir) == [summaries_entry(data_dir).name]
 
 
 def test_no_summaries_are_kept_for_trials_edited_while_loading(data_dir, monkeypatch,
                                                                count_prepares):
-    dataset_mod.load_csv_dir(data_dir)
-    entry = _entry(data_dir)
-    digest = entry.name
-    # a spoiled entry, so the trials are parsed again
-    dataset_mod._series_file(entry, 0).unlink()
-    parse = dataset_mod._parse_trial
+    _load(data_dir, 1)
+    digest = dataset_digest(data_dir)
+    before = _kept(data_dir)
+    load = dataset_mod._load_trial
 
-    def edit_while_parsing(task):
-        shape = parse(task)
-        with Path(task[0]).open("a") as fh:
+    def edit_while_parsing(path):
+        x = load(path)
+        with Path(path).open("a") as fh:
             fh.write("1,2,3\n")
-        return shape
+        return x
 
-    monkeypatch.setattr(dataset_mod, "_parse_trial", edit_while_parsing)
+    monkeypatch.setattr(dataset_mod, "_load_trial", edit_while_parsing)
     count_prepares.clear()
+    # more lags than are kept, so the trials are parsed again
     prep, loaded = core._load_prepared(data_dir, digest, 2)
     assert loaded == dataset_digest(data_dir) != digest
     assert count_prepares == [2] and prep.n_series == 6
-    assert [p.name for p in entry.iterdir() if p.is_dir()] == []
+    assert _kept(data_dir) == before
 
 
 @pytest.mark.parametrize("options", [

@@ -4,10 +4,10 @@
 module that holds them and raises ``MissedBinding`` on any reference it
 could not rebind, such as a function kept in a default argument, a table or
 a ``partial``; every benchmark run would then fail.  This runs the tracer
-over one fit of each variant and a grid search, and over two ``rfcpca fit``
-runs of one directory, the second of which maps the summaries the first
-kept, in a fresh interpreter as the benchmark does, without changing
-anything under ``perfbench/``.
+over one fit of each variant and a grid search, and over three ``rfcpca fit``
+runs of one directory, the later two of which map the summaries the first
+kept, the last at fewer lags, in a fresh interpreter as the benchmark does,
+without changing anything under ``perfbench/``.
 """
 
 import json
@@ -90,11 +90,11 @@ data, _ = simulate.inject_bursts(clean, manifest, rho=0.25, seed=2)
 dataset.write_csv_dir(data, sys.argv[2] + "/data")
 tracer = tracing.Tracer()
 per_fit = []
-for k in range(2):
+for k, max_lag in enumerate(["2", "2", "1"]):
     tracer.install()
     before = dict(tracer.stats)
     argv = ["fit", "--data", sys.argv[2] + "/data", "--variant", "t", "--alpha", "0.25",
-            "--seed", "1", "--out", sys.argv[2] + f"/fit{k}.json"]
+            "--max-lag", max_lag, "--seed", "1", "--out", sys.argv[2] + f"/fit{k}.json"]
     with contextlib.redirect_stdout(io.StringIO()):
         code = rfcpca.cli.main(argv)
     tracer.uninstall()
@@ -116,12 +116,14 @@ def test_tracer_binds_a_fit_that_maps_its_kept_summaries(tmp_path):
     assert "MissedBinding" not in proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc["problems"] == []
-    first, second = doc["per_fit"]
-    assert first["code"] == second["code"] == 0
+    first, second, fewer_lags = doc["per_fit"]
+    assert first["code"] == second["code"] == fewer_lags["code"] == 0
     assert (tmp_path / "fit0.json").read_bytes() == (tmp_path / "fit1.json").read_bytes()
-    # the first fit computes the summaries and keeps them; the second maps them
+    # the first fit computes the summaries and keeps them; the second maps
+    # them, and the third maps the first of their two lags
     assert first["core._Prepared.calls"] == 1
     assert second["core._Prepared.calls"] == 0
-    for fit in (first, second):
+    assert fewer_lags["core._Prepared.calls"] == 0
+    for fit in (first, second, fewer_lags):
         assert fit["dataset.dataset_digest.calls"] >= 1
         assert fit["core.fits"] == 1
