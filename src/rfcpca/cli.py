@@ -25,11 +25,11 @@ from .analysis import _check_orthonormal, channel_contributions, noise_subspace,
 from .dataset import TRIAL_PATTERN, _listed_trials, _trial_paths, dataset_digest, write_csv_dir
 from .evaluation import EvalReport, evaluate_fit, harden, regular_memberships
 from .exceptions import LagTooLarge, LagTooSmall, RFCPCAError
-from .experiments import BENCHMARK_V, VARIANTS, run_benchmark, write_rows_csv
-from .core import FitResult, MembershipMatrix, _load_prepared, fit_fcpca
+from .experiments import BENCHMARK_V, run_benchmark, write_rows_csv
+from .core import FitResult, MembershipMatrix, _load_prepared
 from .covariance import ClusterSubspaces
-from .robust import fit_rfcpca_e, fit_rfcpca_n, fit_rfcpca_t, select_lambda_elbow
-from .selection import DEFAULT_ALPHA_GRID, DEFAULT_M_GRID, SearchGrid, cvi, grid_search
+from .robust import select_lambda_elbow
+from .selection import VARIANTS, SearchGrid, _fit_candidate, cvi, grid_search
 from .simulate import SimManifest, generate_clean_dataset, inject_bursts, inject_eyeblinks
 
 EXIT_OK = 0
@@ -320,29 +320,16 @@ def cmd_fit(args) -> int:
         prep, data_hash = _read_prepared(args.data, data_hash, args.max_lag)
         if args.auto:
             grid = SearchGrid(variant=args.variant, s_values=(args.clusters,),
-                              m_values=DEFAULT_M_GRID,
-                              alpha_values=DEFAULT_ALPHA_GRID,
                               lam="elbow" if lam is None else lam)
-            fit, report = grid_search(prep, grid, seed=args.seed, v=args.v,
-                                      max_lag=args.max_lag)
-        elif args.variant == "fcpca":
-            fit = fit_fcpca(prep, args.clusters, m=args.m, v=args.v,
-                            seed=args.seed, max_lag=args.max_lag)
-        elif args.variant == "e":
-            fit = fit_rfcpca_e(prep, args.clusters, m=args.m, v=args.v,
-                               seed=args.seed, max_lag=args.max_lag)
-        elif args.variant == "n":
-            if lam is None:
-                elbow = select_lambda_elbow(prep, args.clusters, m=args.m,
-                                            v=args.v, seed=args.seed,
-                                            max_lag=args.max_lag)
-                lam = elbow.lambda_star
-            fit = fit_rfcpca_n(prep, args.clusters, m=args.m, v=args.v,
-                               lam=lam, seed=args.seed, max_lag=args.max_lag)
+            fit, report = grid_search(prep, grid, seed=args.seed, v=args.v)
         else:
-            fit = fit_rfcpca_t(prep, args.clusters, m=args.m,
-                               alpha=args.alpha if args.alpha is not None else 0.2,
-                               v=args.v, seed=args.seed, max_lag=args.max_lag)
+            if args.variant == "n" and lam is None:
+                elbow = select_lambda_elbow(prep, args.clusters, m=args.m,
+                                            v=args.v, seed=args.seed)
+                lam = elbow.lambda_star
+            cand = {"s": args.clusters, "m": args.m,
+                    "alpha": 0.2 if args.alpha is None else args.alpha}
+            fit = _fit_candidate(prep, args.variant, cand, args.seed, lam, args.v)
     except RFCPCAError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc),
                "provenance": _provenance(config, data_hash, args.seed)}
@@ -522,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a clustering model to a dataset directory")
     p_fit.add_argument("--data", required=True, help="directory of trial_*.csv files")
-    p_fit.add_argument("--variant", choices=("fcpca", "e", "n", "t"), default="fcpca")
+    p_fit.add_argument("--variant", choices=VARIANTS, default="fcpca")
     p_fit.add_argument("-S", "--clusters", type=int, default=2,
                        help="substantive clusters (the noise variant adds one)")
     p_fit.add_argument("-m", type=float, default=2.0, help="fuzziness exponent")

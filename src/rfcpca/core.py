@@ -107,9 +107,6 @@ class FitResult:
     def n_series(self) -> int:
         return self.memberships.n_series
 
-    def hard_labels(self) -> np.ndarray:
-        return np.argmax(self.memberships.u, axis=1)
-
 
 def init_memberships(n_series: int, n_clusters: int, seed: int, m: float = 2.0) -> MembershipMatrix:
     """Random row-stochastic init: S i.i.d. uniforms per row, divided by their sum."""
@@ -381,15 +378,10 @@ def _prepare(dataset, max_lag: int) -> _Prepared:
     return dataset if isinstance(dataset, _Prepared) else _Prepared(dataset, max_lag)
 
 
-def _start(dataset, n_clusters: int, m: float, seed: int, max_lag: int, init_u=None):
-    """Shared fit set-up: the prepared summaries and the starting memberships."""
+def _start(dataset, n_clusters: int, m: float, seed: int, max_lag: int):
+    """Shared fit set-up: the prepared summaries and the seeded random memberships."""
     prep = _prepare(dataset, max_lag)
-    if init_u is None:
-        return prep, init_memberships(prep.n_series, n_clusters, seed, m).u
-    u = MembershipMatrix(init_u, m).u.copy()
-    if u.shape != (prep.n_series, n_clusters):
-        raise InvalidShape("initial memberships have the wrong shape")
-    return prep, u
+    return prep, init_memberships(prep.n_series, n_clusters, seed, m).u
 
 
 def flag_outliers(fit: FitResult) -> np.ndarray:

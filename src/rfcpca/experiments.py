@@ -16,10 +16,8 @@ import numpy as np
 from .dataset import _BLAS_THREAD_VARS, MtsDataset, _pool_workers, _process_pool
 from .evaluation import evaluate_fit
 from .rng import derive_seed
-from .selection import DEFAULT_M_GRID, SearchGrid, grid_search
+from .selection import DEFAULT_M_GRID, VARIANTS, SearchGrid, grid_search
 from .simulate import generate_clean_dataset, inject_bursts, inject_eyeblinks
-
-VARIANTS = ("fcpca", "e", "n", "t")
 
 # Variance fraction used by the benchmark fits.  The synthetic trials are
 # exact five-factor mixtures, so the cluster subspaces must capture the

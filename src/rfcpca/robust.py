@@ -33,9 +33,9 @@ from .core import (
     _subspaces_from_weights,
     fit_fcpca,
 )
-from .covariance import DEFAULT_MAX_LAG, DEFAULT_VARIANCE_FRACTION, ClusterSubspaces
+from .covariance import DEFAULT_MAX_LAG, DEFAULT_VARIANCE_FRACTION
 from .dataset import MtsDataset
-from .exceptions import DegenerateScale, EmptyClusterError, TooFewRetained
+from .exceptions import DegenerateScale, EmptyClusterError, InvalidShape, TooFewRetained
 from .rng import derive_seed
 
 # multiplier grid of the noise-distance selection: 20 halvings of 1
@@ -151,9 +151,8 @@ def _burn_in(prep: _Prepared, u: np.ndarray, n_regular: int, m: float, v: float,
 
 def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
                  v: float = DEFAULT_VARIANCE_FRACTION, lam: float = 1.0,
-                 seed: int = 0, init_u: np.ndarray | None = None,
-                 burn_in: int = DEFAULT_BURN_IN, max_lag: int = DEFAULT_MAX_LAG,
-                 _first_subspaces: ClusterSubspaces | None = None) -> FitResult:
+                 seed: int = 0, max_lag: int = DEFAULT_MAX_LAG,
+                 _start_state: tuple | None = None) -> FitResult:
     """Fit with a dedicated noise cluster (total clusters = n_regular + 1).
 
     Objects whose best regular-cluster error exceeds the noise distance
@@ -161,20 +160,23 @@ def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     flagged as outliers.
 
     Before the noise cluster is switched on, plain alternating iterations
-    run on the regular clusters until their objective settles (``burn_in``
-    caps the count).  Without this, the very first noise distance is
+    run on the regular clusters until their objective settles (at most
+    ``DEFAULT_BURN_IN``).  Without this, the very first noise distance is
     computed from the blended random-init subspaces, whose error scale is
     far below that of formed clusters, and the noise cluster can
-    permanently swallow a whole genuine cluster.  ``burn_in=0`` skips the
-    burn-in: the caller then supplies already burned-in memberships as
-    ``init_u`` (their regular columns are only renormalised).  A caller
-    that runs many fits from one such start may also pass the subspaces of
-    that start as ``_first_subspaces``.
+    permanently swallow a whole genuine cluster.  ``_start_state`` replaces
+    the random start and the burn-in with the elbow sweep's shared start:
+    burned-in memberships and the subspaces of their regular columns, or None.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    prep, u = _start(dataset, n_regular + 1, m, seed, max_lag, init_u)
-    u = _burn_in(prep, u, n_regular, m, v, burn_in)
+    if n_regular < 1:
+        raise InvalidShape(f"need at least one regular cluster, got {n_regular}")
+    if _start_state is None:
+        prep, u = _start(dataset, n_regular + 1, m, seed, max_lag)
+        u, first = _burn_in(prep, u, n_regular, m, v, DEFAULT_BURN_IN), None
+    else:
+        prep, (u, first) = _prepare(dataset, max_lag), _start_state
     params = {"lambda": lam, "delta_sq": None}
 
     def loss(errors):
@@ -182,7 +184,7 @@ def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
         return _noise_augment(errors, params["delta_sq"])
 
     run = _alternate(prep, u, m, v, MAX_ITER, loss=loss, n_subspaces=n_regular,
-                     first_subspaces=_first_subspaces)
+                     first_subspaces=first)
     return _fit_result(run, m, "n", params, seed)
 
 
@@ -209,9 +211,9 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     Independent random inits per lambda would let isolated fits land in
     poor local optima and put spurious spikes on the curve.  The noise
     variant's burn-in does not depend on lambda, so it runs once on that
-    baseline and every grid fit starts from the one burned-in state
-    (``burn_in=0``), whose subspaces are computed once as well; a burn-in
-    that empties a cluster counts as a collapse of every grid fit.
+    baseline and every grid fit starts from the one burned-in state, whose
+    subspaces are computed once as well; a burn-in that empties a cluster
+    counts as a collapse of every grid fit.
     """
     prep = _prepare(dataset, max_lag)
     n = prep.n_series
@@ -229,10 +231,10 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     if base is None:
         raise failure
     try:
-        shared_init = _burn_in(prep, base.memberships.u, n_regular, m, v, DEFAULT_BURN_IN)
-        # the weights every grid fit starts from: fit_rfcpca_n renormalises
-        # the regular columns of its init_u in the same way
-        start = _burn_in(prep, shared_init, n_regular, m, v, 0)
+        burned = _burn_in(prep, base.memberships.u, n_regular, m, v, DEFAULT_BURN_IN)
+        # the weights every grid fit starts from: the burned-in regular
+        # columns renormalised to sum to one per row
+        start = _burn_in(prep, burned, n_regular, m, v, 0)
         first = _subspaces_from_weights(prep.blocks, start[:, :n_regular], m, v)
     except EmptyClusterError:
         # every grid fit would have collapsed in this same burn-in
@@ -243,7 +245,7 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
         try:
             fit = fit_rfcpca_n(prep, n_regular, m=m, v=v, lam=lam,
                                seed=derive_seed(seed, _ELBOW_STREAM, k),
-                               init_u=shared_init, burn_in=0, _first_subspaces=first)
+                               _start_state=(start, first))
             fractions.append(len(fit.flagged) / n)
         except (EmptyClusterError, DegenerateScale):
             fractions.append(1.0)

@@ -27,8 +27,10 @@ from .exceptions import (
 from .rng import derive_seed
 from .robust import fit_rfcpca_e, fit_rfcpca_n, fit_rfcpca_t, select_lambda_elbow
 
+# the baseline and the exponential, noise-cluster and trimmed variants
+VARIANTS = ("fcpca", "e", "n", "t")
+
 DEFAULT_M_GRID = (1.1, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.5)
-DEFAULT_S_GRID = (2, 3, 4, 5, 6)
 DEFAULT_ALPHA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 # seeded fits per grid candidate; the best one represents the candidate
@@ -46,14 +48,14 @@ class SearchGrid:
     variant; ``lam`` is either a fixed noise multiplier or "elbow".
     """
 
-    variant: str = "fcpca"
-    s_values: tuple = DEFAULT_S_GRID
+    variant: str
+    s_values: tuple
     m_values: tuple = DEFAULT_M_GRID
     alpha_values: tuple = DEFAULT_ALPHA_GRID
     lam: float | str = "elbow"
 
     def __post_init__(self):
-        if self.variant not in ("fcpca", "e", "n", "t"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if not self.s_values or not self.m_values:
             raise ValueError("grid lists must be nonempty")
@@ -112,13 +114,14 @@ def cvi(fit: FitResult) -> float:
     return fit.objective_trace[-1] / (fit.n_series * d_min)
 
 
-def _fit_candidate(prep, grid, cand, seed, lam, v):
+def _fit_candidate(prep, variant, cand, seed, lam, v):
+    """One fit of ``variant`` at the candidate's s and m (and alpha, if trimmed)."""
     s, m = cand["s"], cand["m"]
-    if grid.variant == "fcpca":
+    if variant == "fcpca":
         return fit_fcpca(prep, s, m=m, v=v, seed=seed)
-    if grid.variant == "e":
+    if variant == "e":
         return fit_rfcpca_e(prep, s, m=m, v=v, seed=seed)
-    if grid.variant == "t":
+    if variant == "t":
         return fit_rfcpca_t(prep, s, m=m, alpha=cand["alpha"], v=v, seed=seed)
     return fit_rfcpca_n(prep, s, m=m, v=v, lam=lam, seed=seed)
 
@@ -152,7 +155,7 @@ def _evaluate_candidate(prep, grid, seed, v, idx, cand):
     for r in range(RESTARTS):
         child = derive_seed(seed, idx, r)
         try:
-            fit = _fit_candidate(prep, grid, cand, child, lam, v)
+            fit = _fit_candidate(prep, grid.variant, cand, child, lam, v)
         except (EmptyClusterError, DegenerateScale, TooFewRetained) as exc:
             error_name = type(exc).__name__
             continue

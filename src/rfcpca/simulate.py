@@ -199,10 +199,6 @@ class SimManifest:
     def to_json(self, **kwargs) -> str:
         return json.dumps(asdict(self), **kwargs)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SimManifest":
-        return cls(**json.loads(text))
-
 
 def generate_clean_dataset(n_per_group: int, p: int, t_spec, fs: float = DEFAULT_FS,
                            seed: int = 0):
@@ -222,12 +218,6 @@ def generate_clean_dataset(n_per_group: int, p: int, t_spec, fs: float = DEFAULT
         lengths = [int(v) for v in rng.integers(lo, hi + 1, size=n)]
     labels = np.repeat([0, 1], n_per_group)
     mixing = [mixing_matrix(g, p, derive_seed(seed, _MIXING_STREAM, g)) for g in (1, 2)]
-    series = []
-    for i in range(n):
-        latents = simulate_latents(lengths[i], fs, DEFAULT_BANDS,
-                                   derive_seed(seed, _LATENT_STREAM, i))
-        series.append(latents @ mixing[labels[i]])
-    dataset = MtsDataset(series=series, labels=labels, contaminated=np.zeros(n, dtype=bool))
     manifest = SimManifest(
         seed=seed,
         fs=fs,
@@ -237,7 +227,7 @@ def generate_clean_dataset(n_per_group: int, p: int, t_spec, fs: float = DEFAULT
         group_labels=labels.tolist(),
         mixing=[a.tolist() for a in mixing],
     )
-    return dataset, manifest
+    return regenerate_clean(manifest), manifest
 
 
 def _burst_waveform(tau: int, freq: float, fs: float) -> np.ndarray:
@@ -297,33 +287,21 @@ def inject_bursts(dataset: MtsDataset, manifest: SimManifest, rho: float = 0.20,
     chosen = _pick_contaminated(labels, rho, rng)
     p = dataset.n_channels
     n_chan = ceil(0.10 * p)
-    out = dataset.copy()
     events = []
     for i in chosen:
-        x = out.series[i]
-        sigma = x.std(axis=0)
         n_burst = int(rng.integers(1, 4))
         for _ in range(n_burst):
-            event = {
+            events.append({
                 "kind": "burst",
                 "trial": int(i),
-                "t0": int(rng.integers(0, x.shape[0] - tau)),
+                "t0": int(rng.integers(0, len(dataset.series[i]) - tau)),
                 "tau": int(tau),
                 "freq_hz": float(rng.uniform(30.0, 80.0)),
                 "channels": sorted(int(c) for c in rng.choice(p, size=n_chan, replace=False)),
                 "amplitude": float(eta),
-            }
-            apply_event(x, event, sigma, fs)
-            events.append(event)
-    out.contaminated = np.zeros(out.n_series, dtype=bool)
-    out.contaminated[chosen] = True
-    new_manifest = SimManifest(**{**asdict(manifest),
-                                  "contamination": "burst",
-                                  "contamination_seed": seed,
-                                  "contamination_params": {"rho": rho, "eta": eta},
-                                  "contaminated": chosen.tolist(),
-                                  "events": events})
-    return out, new_manifest
+            })
+    return _contaminate(dataset, manifest, "burst", seed, {"rho": rho, "eta": eta},
+                        chosen, events)
 
 
 def inject_eyeblinks(dataset: MtsDataset, manifest: SimManifest, rho: float = 0.40,
@@ -344,38 +322,36 @@ def inject_eyeblinks(dataset: MtsDataset, manifest: SimManifest, rho: float = 0.
     p = dataset.n_channels
     frontal = np.arange(ceil(_FRONTAL_FRACTION * p))
     n_chan = ceil(_BLINK_CHANNEL_FRACTION * len(frontal))
-    out = dataset.copy()
     events = []
     for i in chosen:
-        x = out.series[i]
-        sigma = x.std(axis=0)
         n_blink = int(rng.integers(1, 3))
         for _ in range(n_blink):
             tau = int(floor(rng.uniform(0.20, 0.40) * fs))
-            event = {
+            events.append({
                 "kind": "eyeblink",
                 "trial": int(i),
-                "t0": int(rng.integers(0, x.shape[0] - tau)),
+                "t0": int(rng.integers(0, len(dataset.series[i]) - tau)),
                 "tau": tau,
                 "channels": sorted(int(c) for c in rng.choice(frontal, size=n_chan, replace=False)),
                 "amplitude": float(rng.uniform(4.0, 8.0)),
                 "polarity": int(rng.choice([-1, 1])),
-            }
-            apply_event(x, event, sigma, fs)
-            events.append(event)
-    out.contaminated = np.zeros(out.n_series, dtype=bool)
-    out.contaminated[chosen] = True
+            })
+    params = {"rho": rho, "frontal_fraction": _FRONTAL_FRACTION,
+              "channel_fraction": _BLINK_CHANNEL_FRACTION}
+    return _contaminate(dataset, manifest, "eyeblink", seed, params, chosen, events)
+
+
+def _contaminate(dataset: MtsDataset, manifest: SimManifest, kind: str, seed: int,
+                 params: dict, chosen: np.ndarray, events: list):
+    """The injector's (dataset, manifest): ``manifest`` with the drawn
+    contamination recorded, and ``dataset`` with its events replayed."""
     new_manifest = SimManifest(**{**asdict(manifest),
-                                  "contamination": "eyeblink",
+                                  "contamination": kind,
                                   "contamination_seed": seed,
-                                  "contamination_params": {
-                                      "rho": rho,
-                                      "frontal_fraction": _FRONTAL_FRACTION,
-                                      "channel_fraction": _BLINK_CHANNEL_FRACTION,
-                                  },
+                                  "contamination_params": params,
                                   "contaminated": chosen.tolist(),
                                   "events": events})
-    return out, new_manifest
+    return replay_contamination(dataset, new_manifest), new_manifest
 
 
 def replay_contamination(clean: MtsDataset, manifest: SimManifest) -> MtsDataset:

@@ -13,7 +13,9 @@ import rfcpca
 import rfcpca.dataset as dataset_mod
 from conftest import SIDECAR_SPOILS, spoil_entry, summaries_entry
 from rfcpca.cli import main
+from rfcpca.core import fit_fcpca
 from rfcpca.dataset import dataset_digest, read_csv_dir
+from rfcpca.robust import fit_rfcpca_e, fit_rfcpca_n, fit_rfcpca_t, select_lambda_elbow
 
 
 def run(*argv):
@@ -125,6 +127,31 @@ class TestFit:
     def test_missing_data_dir_is_config_error(self, tmp_path):
         assert run("fit", "--data", tmp_path / "missing", "--variant", "fcpca",
                    "--out", tmp_path / "f.json") == 2
+
+    @pytest.mark.parametrize("options, library_fit", [
+        (["--variant", "fcpca"], lambda d, seed: fit_fcpca(d, 2, seed=seed)),
+        (["--variant", "e"], lambda d, seed: fit_rfcpca_e(d, 2, seed=seed)),
+        (["--variant", "n", "--lambda", "0.05"],
+         lambda d, seed: fit_rfcpca_n(d, 2, lam=0.05, seed=seed)),
+        (["--variant", "n", "--lambda", "auto"],
+         lambda d, seed: fit_rfcpca_n(d, 2, lam=select_lambda_elbow(d, 2, seed=seed).lambda_star,
+                                      seed=seed)),
+        (["--variant", "t", "--alpha", "0.25"],
+         lambda d, seed: fit_rfcpca_t(d, 2, alpha=0.25, seed=seed)),
+        (["--variant", "t"], lambda d, seed: fit_rfcpca_t(d, 2, seed=seed)),
+    ], ids=["fcpca", "e", "n_lambda", "n_auto", "t_alpha", "t_default"])
+    def test_cli_fit_equals_library_fit(self, simulated, tmp_path, options, library_fit):
+        out = tmp_path / "fit.json"
+        assert run("fit", "--data", simulated, *options, "--seed", "5", "--out", out) == 0
+        doc = json.loads(out.read_text())
+        fit = library_fit(read_csv_dir(simulated), 5)
+        params = dict(fit.variant_params)
+        if "retained" in params:
+            params["retained"] = params["retained"].tolist()
+        assert doc["memberships"] == fit.memberships.u.tolist()
+        assert doc["objective_trace"] == fit.objective_trace
+        assert doc["flagged"] == fit.flagged.tolist()
+        assert doc["variant_params"] == params
 
 
 class TestEvaluate:
@@ -333,6 +360,13 @@ class TestExitCodes:
         proc = run_process("evaluate", "--fit", fit_path, "--manifest", bad,
                            "--out", tmp_path / "r.json")
         assert_clean_exit(proc, 2)
+
+    def test_noise_variant_without_regular_clusters_is_invalid_shape(self, simulated,
+                                                                      tmp_path):
+        proc = run_process("fit", "--data", simulated, "--variant", "n", "-S", "0",
+                           "--lambda", "0.5", "--out", tmp_path / "f.json")
+        assert_clean_exit(proc, 4)
+        assert "InvalidShape" in proc.stderr
 
     def test_more_clusters_than_series_is_invalid_shape(self, simulated, tmp_path):
         proc = run_process("fit", "--data", simulated, "--variant", "fcpca", "-S", "50",

@@ -10,6 +10,7 @@ than argparse's usage errors.
 """
 
 import contextlib
+import functools
 import io
 import json
 import shutil
@@ -206,8 +207,9 @@ def _spoiled_copy(good, scratch, how):
 def test_fit(inputs, data):
     options = _draw_options(data.draw, FIT_OPTIONS)
     # two-point grids keep an --auto search as quick as a few plain fits
-    with _scratch() as scratch, mock.patch.object(cli_mod, "DEFAULT_M_GRID", (1.2, 2.0)), \
-            mock.patch.object(cli_mod, "DEFAULT_ALPHA_GRID", (0.1, 0.3)):
+    small_grid = functools.partial(cli_mod.SearchGrid, m_values=(1.2, 2.0),
+                                   alpha_values=(0.1, 0.3))
+    with _scratch() as scratch, mock.patch.object(cli_mod, "SearchGrid", small_grid):
         if options["--data"] == "spoiled":
             options["--data"] = _spoiled_copy(inputs["data"]["good"], scratch,
                                               data.draw(st.sampled_from(SIDECAR_SPOILS)))

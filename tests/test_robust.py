@@ -14,11 +14,13 @@ from rfcpca.core import (
 )
 from rfcpca.covariance import weighted_common_covariance
 from rfcpca.evaluation import rand_index
-from rfcpca.exceptions import DegenerateScale, EmptyClusterError, TooFewRetained
+from rfcpca.exceptions import DegenerateScale, EmptyClusterError, InvalidShape, TooFewRetained
 from rfcpca.rng import derive_seed, make_rng
 from rfcpca.robust import (
     _ELBOW_STREAM,
+    DEFAULT_BURN_IN,
     DEFAULT_LAMBDA_GRID,
+    _burn_in,
     _exponential_weights,
     _noise_augment,
     estimate_beta,
@@ -182,8 +184,9 @@ class TestFitExponential:
         dataset, truth = planted_dataset(40)
         base = fit_fcpca(dataset, 2, m=2.0, seed=3)
         fit = fit_rfcpca_e(dataset, 2, m=2.0, seed=3)
-        assert rand_index(fit.hard_labels(), base.hard_labels()) == 1.0
-        assert rand_index(fit.hard_labels(), truth) == 1.0
+        labels = np.argmax(fit.memberships.u, axis=1)
+        assert rand_index(labels, np.argmax(base.memberships.u, axis=1)) == 1.0
+        assert rand_index(labels, truth) == 1.0
 
     def test_single_cluster_converges_fast(self):
         dataset, _ = planted_dataset(41)
@@ -200,7 +203,7 @@ class TestFitExponential:
         fit = fit_rfcpca_e(dataset, 2, m=2.0, seed=2)
         clean = [i for i in range(dataset.n_series) if i not in outliers]
         assert fit.memberships.u[outliers[0]].max() < 0.70
-        labels = fit.hard_labels()[clean]
+        labels = np.argmax(fit.memberships.u, axis=1)[clean]
         assert rand_index(labels, dataset.labels[clean]) == 1.0
 
     def test_subspace_step_reweighted_by_previous_errors(self, monkeypatch):
@@ -262,6 +265,11 @@ class TestFitNoise:
         fit = fit_rfcpca_n(dataset, 2, m=1.5, lam=0.5, seed=0)
         np.testing.assert_allclose(fit.memberships.u.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_no_regular_cluster_is_invalid_shape(self):
+        dataset, _ = planted_dataset(46)
+        with pytest.raises(InvalidShape):
+            fit_rfcpca_n(dataset, 0, lam=0.5)
+
 
 class TestLambdaElbow:
     def test_default_grid_is_twenty_halvings(self):
@@ -284,17 +292,18 @@ class TestLambdaElbow:
         # the same baseline must trace the same curve (on this dataset the
         # curve and lambda_star change when the burn-in is skipped)
         dataset, _ = planted_with_outliers(51)
-        elbow = select_lambda_elbow(dataset, 2, m=2.0, seed=6)
+        prep = _Prepared(dataset, 2)
+        elbow = select_lambda_elbow(prep, 2, m=2.0, seed=6)
         base = None
         for r in range(3):
-            cand = fit_fcpca(dataset, 2, m=2.0, seed=derive_seed(6, _ELBOW_STREAM, 999, r))
+            cand = fit_fcpca(prep, 2, m=2.0, seed=derive_seed(6, _ELBOW_STREAM, 999, r))
             if base is None or cand.objective_trace[-1] < base.objective_trace[-1]:
                 base = cand
-        init_u = np.hstack([base.memberships.u, np.zeros((dataset.n_series, 1))])
         fractions = []
         for k, lam in enumerate(DEFAULT_LAMBDA_GRID):
-            fit = fit_rfcpca_n(dataset, 2, m=2.0, lam=lam,
-                               seed=derive_seed(6, _ELBOW_STREAM, k), init_u=init_u)
+            own = _burn_in(prep, base.memberships.u, 2, 2.0, 0.95, DEFAULT_BURN_IN)
+            fit = fit_rfcpca_n(prep, 2, m=2.0, lam=lam,
+                               seed=derive_seed(6, _ELBOW_STREAM, k), _start_state=(own, None))
             fractions.append(len(fit.flagged) / dataset.n_series)
         assert elbow.curve == list(zip(DEFAULT_LAMBDA_GRID, fractions))
         jumps = np.diff(fractions)
@@ -304,19 +313,15 @@ class TestLambdaElbow:
     def test_shared_first_subspaces_leave_fit_unchanged(self):
         # the sweep computes the first subspace step of its shared start once;
         # a grid fit given it must match one that computes it itself
-        from rfcpca.core import _prepare, _subspaces_from_weights
-        from rfcpca.robust import _burn_in
-
         dataset, _ = planted_with_outliers(52)
-        prep = _prepare(dataset, 2)
+        prep = _Prepared(dataset, 2)
         base = fit_fcpca(prep, 2, m=2.0, seed=3)
-        shared_init = _burn_in(prep, base.memberships.u, 2, 2.0, 0.95, 100)
-        start = _burn_in(prep, shared_init, 2, 2.0, 0.95, 0)
+        burned = _burn_in(prep, base.memberships.u, 2, 2.0, 0.95, DEFAULT_BURN_IN)
+        start = _burn_in(prep, burned, 2, 2.0, 0.95, 0)
         first = _subspaces_from_weights(prep.blocks, start[:, :2], 2.0, 0.95)
         for lam in (1.0, 0.25, 0.03125):
-            own = fit_rfcpca_n(prep, 2, m=2.0, lam=lam, init_u=shared_init, burn_in=0)
-            shared = fit_rfcpca_n(prep, 2, m=2.0, lam=lam, init_u=shared_init, burn_in=0,
-                                  _first_subspaces=first)
+            own = fit_rfcpca_n(prep, 2, m=2.0, lam=lam, _start_state=(start, None))
+            shared = fit_rfcpca_n(prep, 2, m=2.0, lam=lam, _start_state=(start, first))
             assert np.array_equal(own.memberships.u, shared.memberships.u)
             assert np.array_equal(own.errors, shared.errors)
             assert own.objective_trace == shared.objective_trace

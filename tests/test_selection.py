@@ -83,9 +83,14 @@ class TestCvi:
 
 class TestSearchGrid:
     def test_defaults_match_design(self):
-        grid = SearchGrid(variant="fcpca")
+        grid = SearchGrid(variant="fcpca", s_values=(2, 3, 4, 5, 6))
         assert grid.m_values == (1.1, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.5)
         assert grid.s_values == (2, 3, 4, 5, 6)
+        assert grid.alpha_values == (0.1, 0.2, 0.3, 0.4, 0.5)
+        assert grid.lam == "elbow"
+        # every caller names the variant and its cluster counts
+        with pytest.raises(TypeError):
+            SearchGrid(variant="fcpca")
 
     def test_candidates_include_alpha_for_trimming(self):
         grid = SearchGrid(variant="t", s_values=(2,), m_values=(2.0,),
@@ -95,9 +100,11 @@ class TestSearchGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SearchGrid(variant="bogus")
+            SearchGrid(variant="bogus", s_values=(2,))
         with pytest.raises(ValueError):
-            SearchGrid(variant="fcpca", m_values=())
+            SearchGrid(variant="fcpca", s_values=(2,), m_values=())
+        with pytest.raises(ValueError):
+            SearchGrid(variant="fcpca", s_values=())
 
 
 class TestGridSearch:

@@ -238,7 +238,7 @@ class TestManifest:
         clean, manifest = generate_clean_dataset(3, 8, 120, seed=32)
         out, man = inject_bursts(clean, manifest, seed=33)
         doc = man.to_json()
-        back = SimManifest.from_json(doc)
+        back = SimManifest(**json.loads(doc))
         assert back.to_json() == doc
         parsed = json.loads(doc)
         assert parsed["schema_version"] == 1

@@ -8,6 +8,7 @@ gives the bytes of a fit of a directory that was never read.
 """
 
 import errno
+import functools
 import shutil
 import tempfile
 from pathlib import Path
@@ -265,7 +266,8 @@ def test_a_read_only_directory_runs_every_fit_and_writes_nothing(
     # the parse needs no temporary directory: any use of one fails here
     (tmp_path / "file").write_text("not a directory")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "file" / "tmp"))
-    monkeypatch.setattr(cli_mod, "DEFAULT_M_GRID", (1.4, 2.0))
+    monkeypatch.setattr(cli_mod, "SearchGrid",
+                        functools.partial(cli_mod.SearchGrid, m_values=(1.4, 2.0)))
     runs = [("--variant", "fcpca"), ("--variant", "e"),
             ("--variant", "n", "--lambda", "0.05"), ("--variant", "t", "--alpha", "0.2"),
             ("--variant", "n", "--lambda", "auto"), ("--variant", "fcpca", "--auto"),
@@ -350,8 +352,8 @@ def test_no_summaries_are_kept_for_trials_edited_while_loading(data_dir, monkeyp
 def test_selection_runs_give_the_same_bytes_cold_and_warm(data_dir, tmp_path, monkeypatch,
                                                           count_prepares, options):
     # two-point grids keep the search as quick as a few plain fits
-    monkeypatch.setattr(cli_mod, "DEFAULT_M_GRID", (1.4, 2.0))
-    monkeypatch.setattr(cli_mod, "DEFAULT_ALPHA_GRID", (0.1, 0.3))
+    monkeypatch.setattr(cli_mod, "SearchGrid", functools.partial(
+        cli_mod.SearchGrid, m_values=(1.4, 2.0), alpha_values=(0.1, 0.3)))
     cold = _fit_bytes(data_dir, tmp_path / "cold.json", *options)
     assert count_prepares == [2]
     warm = _fit_bytes(data_dir, tmp_path / "warm.json", *options)

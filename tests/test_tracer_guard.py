@@ -4,10 +4,11 @@
 module that holds them and raises ``MissedBinding`` on any reference it
 could not rebind, such as a function kept in a default argument, a table or
 a ``partial``; every benchmark run would then fail.  This runs the tracer
-over one fit of each variant and a grid search, and over three ``rfcpca fit``
+over one fit of each variant and a grid search, over three ``rfcpca fit``
 runs of one directory, the later two of which map the summaries the first
-kept, the last at fewer lags, in a fresh interpreter as the benchmark does,
-without changing anything under ``perfbench/``.
+kept, the last at fewer lags, and over an ``rfcpca fit`` of each variant, in
+a fresh interpreter as the benchmark does, without changing anything under
+``perfbench/``.
 """
 
 import json
@@ -127,3 +128,56 @@ def test_tracer_binds_a_fit_that_maps_its_kept_summaries(tmp_path):
     for fit in (first, second, fewer_lags):
         assert fit["dataset.dataset_digest.calls"] >= 1
         assert fit["core.fits"] == 1
+
+
+_TRACED_CLI_VARIANTS = """
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+
+import rfcpca.cli  # loads every module of the package
+from rfcpca import dataset, simulate
+
+clean, manifest = simulate.generate_clean_dataset(4, 4, 200, seed=1)
+data, _ = simulate.inject_bursts(clean, manifest, rho=0.25, seed=2)
+dataset.write_csv_dir(data, sys.argv[2] + "/data")
+tracer = tracing.Tracer()
+tracer.install()
+per_fit = {}
+for name, options in [("fcpca", []), ("e", []), ("n", ["--lambda", "0.5"]),
+                      ("t", ["--alpha", "0.25"]), ("n_auto", ["--lambda", "auto"])]:
+    before = dict(tracer.stats)
+    argv = ["fit", "--data", sys.argv[2] + "/data", "--variant", name.split("_")[0],
+            *options, "--seed", "1", "--out", sys.argv[2] + f"/fit_{name}.json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = rfcpca.cli.main(argv)
+    per_fit[name] = {"code": code, **{key: tracer.stats.get(key, 0.0) - before.get(key, 0.0)
+                                      for key in ("selection._fit_candidate.calls",
+                                                  "robust.select_lambda_elbow.calls")}}
+tracer.uninstall()
+print(json.dumps({"problems": tracer.check_identities(), "per_fit": per_fit}))
+"""
+
+
+def test_tracer_binds_the_cli_fit_of_every_variant(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(rfcpca.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _TRACED_CLI_VARIANTS,
+                           str(ROOT / "perfbench" / "tracing.py"), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "MissedBinding" not in proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["problems"] == []
+    # every CLI fit goes through the one variant dispatch once; only the
+    # noise variant without a fixed lambda sweeps the elbow first
+    for name, fit in doc["per_fit"].items():
+        assert fit["code"] == 0, name
+        assert fit["selection._fit_candidate.calls"] == 1, name
+        assert fit["robust.select_lambda_elbow.calls"] == (name == "n_auto"), name
