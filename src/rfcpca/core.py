@@ -34,7 +34,13 @@ from .covariance import (
     common_axes,
     weighted_common_covariance,
 )
-from .dataset import MtsDataset, _keep_summaries, _kept_summaries, load_csv_dir
+from .dataset import (
+    MtsDataset,
+    _keep_summaries,
+    _kept_summaries,
+    _TrialStream,
+    dataset_digest,
+)
 from .exceptions import (
     DegenerateWeights,
     EmptyClusterError,
@@ -179,18 +185,37 @@ def _trim_mask(loss: np.ndarray, n_keep: int) -> np.ndarray:
 class _Prepared:
     """Per-series second-order summaries shared by every fitting iteration."""
 
-    def __init__(self, dataset: MtsDataset, max_lag: int):
+    def __init__(self, dataset, max_lag: int):
+        """Summarise the series of ``dataset``, an ``MtsDataset`` or the
+        ``dataset._TrialStream`` of a trial directory, at lags 1..``max_lag``.
+
+        The series are read in one pass, each summarised into its row as it
+        comes and then dropped, so a stream is held one parsed trial at a
+        time.  Its errors win over a lag the series cannot take: every
+        series is drawn before ``LagTooSmall`` or the first ``LagTooLarge``
+        is raised.
+        """
+        error = None
         if max_lag < 1:
-            raise LagTooSmall(f"max lag must be at least 1, got {max_lag}")
-        for i, t in enumerate(dataset.lengths):
-            if t <= max_lag:
-                raise LagTooLarge(f"series {i} has length {t} <= max lag {max_lag}")
-        n, d = dataset.n_series, 2 * dataset.n_channels
-        blocks = np.empty((max_lag, n, d, d))
-        grams = np.empty((max_lag, n, d, d))
-        energies = np.empty((n, max_lag))
-        for i, x in enumerate(dataset.series):
-            _lag_summaries(x, blocks[:, i], grams[:, i], energies[i])
+            error = LagTooSmall(f"max lag must be at least 1, got {max_lag}")
+        n = dataset.n_series
+        blocks = grams = energies = None
+        i = 0
+        for x in dataset.series:
+            t = x.shape[0]
+            if error is None and t <= max_lag:
+                error = LagTooLarge(f"series {i} has length {t} <= max lag {max_lag}")
+            if error is None:
+                if blocks is None:
+                    d = 2 * x.shape[1]
+                    blocks = np.empty((max_lag, n, d, d))
+                    grams = np.empty((max_lag, n, d, d))
+                    energies = np.empty((n, max_lag))
+                _lag_summaries(x, blocks[:, i], grams[:, i], energies[i])
+            i += 1
+            del x  # dropped before a stream parses the next series
+        if error is not None:
+            raise error
         self._hold(blocks, grams, energies)
 
     @classmethod
@@ -238,18 +263,19 @@ def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]
 
     Summaries that ``_summaries_tag``'s code made from those bytes for at
     least ``max_lag`` lags are mapped from the trials' sidecar (see
-    ``dataset._kept_summaries``), and no trial is read.  Otherwise the trials
-    are parsed and summarised, and the summaries are kept when the trials
-    still hash to ``digest``.  Raises what ``load_csv_dir`` raises for trials
-    that do not load and what ``_Prepared`` raises for lags the series cannot
-    take.
+    ``dataset._kept_summaries``), and no trial is read.  Otherwise each trial
+    is summarised as it is parsed (see ``dataset._TrialStream``), and the
+    summaries are kept when the trials still hash to ``digest`` after the
+    parse.  Raises, in this order of precedence, what ``load_csv_dir`` raises
+    for trials that do not load and what ``_Prepared`` raises for lags the
+    series cannot take.
     """
     tag = _summaries_tag()
     kept = _kept_summaries(data_dir, digest, tag, max_lag)
     if kept is not None:
         return _Prepared._from_arrays(*kept), digest
-    dataset, loaded = load_csv_dir(data_dir)
-    prep = _Prepared(dataset, max_lag)
+    prep = _Prepared(_TrialStream(data_dir), max_lag)
+    loaded = dataset_digest(data_dir)
     if loaded == digest:
         _keep_summaries(data_dir, digest, tag, prep.blocks.transpose(1, 0, 2, 3),
                         prep.grams.transpose(1, 0, 2, 3), prep.energies)

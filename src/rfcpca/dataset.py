@@ -31,6 +31,9 @@ _TMP_PREFIX = ".tmp-"
 # the pool, and of 14.8 MiB 0.29 s and 0.24 s (medians of 11).
 _PARALLEL_MIN_BYTES = 8 << 20
 
+# dataset_digest reads each trial file through one buffer of this size
+_DIGEST_BUFFER_BYTES = 1 << 20
+
 # how long a forked pool's start waits for threads Python has joined to
 # leave the operating system's thread count (see _runs_one_thread)
 _JOINED_THREADS_WAIT_S = 0.1
@@ -55,13 +58,10 @@ class MtsDataset:
         self.series = [np.asarray(x, dtype=float) for x in self.series]
         if not self.series:
             raise ValueError("dataset needs at least one series")
-        first = self.series[0].shape
-        p = first[1] if len(first) == 2 else "p"
         for i, x in enumerate(self.series):
-            if x.ndim != 2 or x.shape[1] != p:
-                raise DimensionMismatch(f"series {i} has shape {x.shape}, expected (T, {p})")
-            if not np.isfinite(x).all():
-                raise NonFiniteInput(f"series {i} contains non-finite entries")
+            error = _series_error(i, x, self.series[0].shape)
+            if error is not None:
+                raise error
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
             if len(self.labels) != len(self.series):
@@ -94,6 +94,18 @@ class MtsDataset:
         if self.contaminated is None:
             return np.array([], dtype=int)
         return np.flatnonzero(self.contaminated)
+
+
+def _series_error(i: int, x: np.ndarray, first: tuple) -> Exception | None:
+    """The error series ``i`` of a dataset whose first series has the shape
+    ``first`` raises, or None: it must be T x p, with the p of the first
+    series, and finite."""
+    p = first[1] if len(first) == 2 else "p"
+    if x.ndim != 2 or x.shape[1] != p:
+        return DimensionMismatch(f"series {i} has shape {x.shape}, expected (T, {p})")
+    if not np.isfinite(x).all():
+        return NonFiniteInput(f"series {i} contains non-finite entries")
+    return None
 
 
 def channel_names(p: int) -> list[str]:
@@ -254,7 +266,17 @@ def _trial_paths(data_dir: Path) -> list[Path]:
 
 
 def _load_trial(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """The T x p array of the trial file at ``path``; a file without data
+    rows raises ValueError naming it."""
+    import warnings
+
+    with warnings.catch_warnings():
+        # the error below says it, once, and names the file
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        x = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if x.size == 0:
+        raise ValueError(f"{path} holds no data rows")
+    return x
 
 
 def _save_trial(path, out) -> None:
@@ -262,17 +284,22 @@ def _save_trial(path, out) -> None:
     np.save(out, _load_trial(path))
 
 
-def _parse_dir(data_dir: Path, paths: list[Path]) -> list[np.ndarray]:
-    """The arrays ``_load_trial`` parses from ``paths``, in their order.
+def _parse_dir(data_dir: Path, paths: list[Path]):
+    """The arrays ``_load_trial`` parses from ``paths``, yielded one at a time
+    in their order; the error of a trial that does not parse is raised where
+    its array would come.
 
     Large directories are parsed on a process pool, one trial per task; the
-    arrays, their order and the error a bad trial raises are the same as from
-    a serial parse.  The workers write their arrays into a scratch directory
-    of the sidecar, which this process maps and then removes: arrays sent
-    back through the pool's pipe raised the peak memory of a first fit of
-    20 trials of 4000 x 64 on 2 cores from 88 MB to 93-98 MB.  Where no
-    scratch directory can be made, as in a read-only directory, the trials
-    are parsed in this process.
+    arrays, their order and the errors are the same as from a serial parse.
+    The workers write their arrays into a scratch directory of the sidecar,
+    which this process maps one file at a time, as its worker finishes, and
+    removes once the stream ends, however it ends.  Arrays sent back through
+    the pool's pipe would instead queue up in this process as the workers
+    finish (when every parsed trial was held, that raised the peak memory of
+    a first fit of 20 trials of 4000 x 64 on 2 cores from 88 MB to 93-98 MB).
+    Where no scratch directory can be made, as in a read-only directory, the
+    trials are parsed in this process.  This generator holds no array once
+    the next is asked for.
     """
     workers = _parse_workers(paths)
     tmp = None
@@ -282,18 +309,60 @@ def _parse_dir(data_dir: Path, paths: list[Path]) -> list[np.ndarray]:
         except OSError:
             pass
     if tmp is None:
-        return [_load_trial(path) for path in paths]
+        for path in paths:
+            yield _load_trial(path)
+        return
     try:
         files = [tmp / f"{i:05d}.npy" for i in range(len(paths))]
         # Python 3.12+ warns when a process with other threads forks; a
         # worker here only parses text and calls no BLAS routine, the
         # library whose threads those usually are
         with _process_pool(workers) as pool:
-            list(pool.map(_save_trial, paths, files))
-        # a mapping stays valid once its file is removed
-        return [_map_array(file) for file in files]
+            done = pool.map(_save_trial, paths, files)
+            for file in files:
+                next(done)  # waits for this trial's worker; raises its error
+                # a mapping stays valid once its file is removed
+                yield _map_array(file)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+class _TrialStream:
+    """The trials of a directory as ``core._Prepared`` reads a dataset:
+    ``n_series``, and ``series``, one pass over the arrays ``_parse_dir``
+    parses, each checked as ``MtsDataset`` checks its series.
+
+    A trial that fails those checks ends the arrays handed out; the rest are
+    still parsed, so a trial that does not parse raises its error wherever it
+    lies, and then the failed check raises its own.  Those are the errors,
+    in the same order, of ``MtsDataset(series=<every trial, parsed>)``.
+    Nothing is parsed before ``series`` is iterated.  Raises
+    FileNotFoundError where there are no trials.
+    """
+
+    def __init__(self, data_dir):
+        data_dir = Path(data_dir)
+        paths = _listed_trials(data_dir)
+        self.n_series = len(paths)
+        self.series = _checked(_parse_dir(data_dir, paths))
+
+
+def _checked(arrays):
+    """The arrays of ``arrays`` up to the first that fails ``_series_error``;
+    the rest are drawn, then its error is raised."""
+    error = first = None
+    i = 0
+    for x in arrays:
+        if first is None:
+            first = x.shape
+        if error is None:
+            error = _series_error(i, x, first)
+            if error is None:
+                yield x
+        i += 1
+        del x  # hold no array while the next is parsed
+    if error is not None:
+        raise error
 
 
 def load_csv_dir(data_dir) -> tuple[MtsDataset, str]:
@@ -301,11 +370,11 @@ def load_csv_dir(data_dir) -> tuple[MtsDataset, str]:
     return the dataset with the ``dataset_digest`` of its trials, taken after
     the parse.
 
-    The arrays are those ``_load_trial`` parses, and ``MtsDataset`` validates
+    The arrays are those ``_parse_dir`` yields, and ``MtsDataset`` validates
     them; nothing is kept.  Raises FileNotFoundError where there are no trials.
     """
     data_dir = Path(data_dir)
-    dataset = MtsDataset(series=_parse_dir(data_dir, _listed_trials(data_dir)))
+    dataset = MtsDataset(series=list(_parse_dir(data_dir, _listed_trials(data_dir))))
     return dataset, dataset_digest(data_dir)
 
 
@@ -454,7 +523,13 @@ def dataset_digest(data_dir) -> str:
     the sidecar of kept summaries.
     """
     digest = hashlib.sha256()
+    # each file is read through one buffer, not whole, and not mapped: a
+    # mapped file that shrinks while it is read ends the process with SIGBUS
+    buffer = bytearray(_DIGEST_BUFFER_BYTES)
+    view = memoryview(buffer)
     for path in _trial_paths(Path(data_dir)):
         digest.update(path.name.encode())
-        digest.update(path.read_bytes())
+        with path.open("rb", buffering=0) as fh:
+            while n := fh.readinto(buffer):
+                digest.update(view[:n])
     return digest.hexdigest()

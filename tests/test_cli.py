@@ -22,11 +22,24 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def run_process(*argv):
-    """Run the CLI in a fresh interpreter, as a user would."""
+# the CLI with every trial directory parsed on a pool of two workers
+_CLI_ON_POOL = ("import sys, rfcpca.dataset as d; d._PARALLEL_MIN_BYTES = 0; "
+                "d._usable_cpus = lambda: 2; from rfcpca.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+
+
+def run_process(*argv, pool=False):
+    """Run the CLI in a fresh interpreter, as a user would; with ``pool``,
+    every trial directory is parsed on a process pool."""
     env = dict(os.environ, PYTHONPATH=str(Path(rfcpca.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "rfcpca.cli", *map(str, argv)],
+    cli = ["-c", _CLI_ON_POOL] if pool else ["-m", "rfcpca.cli"]
+    return subprocess.run([sys.executable, *cli, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def parse_on_pool(monkeypatch):
+    monkeypatch.setattr(dataset_mod, "_PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
 
 
 def assert_clean_exit(proc, code):
@@ -260,8 +273,7 @@ class TestSidecar:
     @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
     def test_miss_then_hits(self, simulated, tmp_path, reference, monkeypatch, pool):
         if pool:
-            monkeypatch.setattr(dataset_mod, "_PARALLEL_MIN_BYTES", 0)
-            monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
+            parse_on_pool(monkeypatch)
         for k in range(3):
             assert self.fit_bytes(simulated, tmp_path / f"fit{k}.json") == reference
         assert summaries_entry(simulated).is_dir()
@@ -323,8 +335,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("cell", ["nan", "abc"])
     def test_bad_trial_parsed_on_pool_exits_2(self, simulated, tmp_path, monkeypatch,
                                               capsys, cell):
-        monkeypatch.setattr(dataset_mod, "_PARALLEL_MIN_BYTES", 0)
-        monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
+        parse_on_pool(monkeypatch)
         trial = simulated / "trial_003.csv"
         lines = trial.read_text().splitlines()
         lines[5] = cell + lines[5][lines[5].index(","):]
@@ -338,6 +349,50 @@ class TestExitCodes:
         assert not (tmp_path / "f.json").exists()
         # trials that do not load leave no entry behind
         assert list((simulated / dataset_mod.SIDECAR_DIR).iterdir()) == []
+
+    @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
+    @pytest.mark.parametrize("empty", [0, 3])
+    def test_a_header_only_trial_exits_2_naming_it(self, simulated, tmp_path, pool, empty):
+        trial = simulated / f"trial_{empty:03d}.csv"
+        trial.write_text(trial.read_text().splitlines()[0] + "\n")
+        proc = run_process("fit", "--data", simulated, "--variant", "fcpca",
+                           "--out", tmp_path / "f.json", pool=pool)
+        assert_clean_exit(proc, 2)
+        assert proc.stderr == (f"error: cannot load {simulated}: "
+                               f"ValueError: {trial} holds no data rows\n")
+
+    # faults by trial: a number of data rows to keep, or a cell that
+    # replaces the first cell of the fifth data row
+    @pytest.mark.parametrize("faults, code, message", [
+        ({1: "nan", 4: "abc"}, 2, "error: cannot load {data}: ValueError: could not convert "
+                                  "string 'abc' to float64 at row 4, column 1."),
+        ({1: 2, 3: "nan"}, 2, "error: cannot load {data}: NonFiniteInput: series 3 contains "
+                              "non-finite entries"),
+        ({0: 2, 2: "inf", 4: "abc"}, 2, "error: cannot load {data}: ValueError: could not "
+                                        "convert string 'abc' to float64 at row 4, column 1."),
+        ({1: 2, 4: 2}, 4, "fit error: LagTooLarge: series 1 has length 2 <= max lag 2"),
+    ], ids=["nan_then_unparsable", "short_then_nan", "short_inf_unparsable", "two_short"])
+    @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
+    def test_the_first_fault_of_the_first_kind_wins(self, simulated, tmp_path, monkeypatch,
+                                                    capsys, pool, faults, code, message):
+        # a trial that does not parse, then one of the wrong shape or not
+        # finite, then one too short for the lags, each at its lowest index
+        if pool:
+            parse_on_pool(monkeypatch)
+        for i, fault in faults.items():
+            trial = simulated / f"trial_{i:03d}.csv"
+            lines = trial.read_text().splitlines()
+            if isinstance(fault, int):
+                lines = lines[:1 + fault]
+            else:
+                lines[5] = fault + lines[5][lines[5].index(","):]
+            trial.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("fit", "--data", simulated, "--out", tmp_path / "f.json") == code
+        assert capsys.readouterr().err == message.format(data=simulated) + "\n"
+        # no entry kept, no scratch directory left
+        sidecar = simulated / dataset_mod.SIDECAR_DIR
+        assert not sidecar.exists() or list(sidecar.iterdir()) == []
 
     @pytest.mark.parametrize("options", [
         ["--v", "1.5"],

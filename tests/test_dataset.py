@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import multiprocessing
 import os
@@ -9,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,10 +253,8 @@ def count_parses(monkeypatch):
 @pytest.mark.parametrize("texts", [
     ["ch01,ch02,ch03\n1,2,3\n", "ch01,ch02,ch03\n4,5,6\n"],
     ["ch01\n1\n2.5\n-3e-7\n"],
-    ["ch01,ch02\n"],
     ["ch01,ch02\n0.1,0.2\n0.3,0.4\n1e300,-1e-300\n"] * 3,
-], ids=["one_row", "one_column", "header_only", "three_trials"])
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+], ids=["one_row", "one_column", "three_trials"])
 def test_loaded_arrays_equal_the_parser(tmp_path, count_parses, texts):
     _write_trials(tmp_path, texts)
     expected = [dataset_mod._load_trial(path) for path in dataset_mod._trial_paths(tmp_path)]
@@ -269,6 +269,34 @@ def test_loaded_arrays_equal_the_parser(tmp_path, count_parses, texts):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
     assert not (tmp_path / dataset_mod.SIDECAR_DIR).exists()
+
+
+@pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
+def test_a_header_only_trial_is_a_load_error_naming_it(tmp_path, monkeypatch, pool):
+    if pool:
+        monkeypatch.setattr(dataset_mod, "_PARALLEL_MIN_BYTES", 0)
+        monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
+    _write_trials(tmp_path, ["ch01,ch02\n1,2\n3,4\n", "ch01,ch02\n", "ch01,ch02\n\n"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"trial_001\.csv holds no data rows$"):
+            read_csv_dir(tmp_path)
+        # blank lines are no data rows either
+        with pytest.raises(ValueError, match=r"trial_002\.csv holds no data rows$"):
+            dataset_mod._load_trial(tmp_path / "trial_002.csv")
+
+
+def test_digest_hashes_each_name_and_its_bytes_in_order(tmp_path):
+    # an empty trial, and trials as large as the read buffer and larger
+    size = dataset_mod._DIGEST_BUFFER_BYTES
+    rng = make_rng(13)
+    contents = [b"", rng.bytes(size), rng.bytes(2 * size + 17), b"ch01\n1\n"]
+    for i, content in enumerate(contents):
+        (tmp_path / f"trial_{i:03d}.csv").write_bytes(content)
+    expected = hashlib.sha256()
+    for i, content in enumerate(contents):
+        expected.update(f"trial_{i:03d}.csv".encode() + content)
+    assert dataset_digest(tmp_path) == expected.hexdigest()
 
 
 def test_pooled_parse_maps_the_files_its_workers_wrote(tmp_path, parse_on_pool, count_parses):

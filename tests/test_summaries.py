@@ -11,6 +11,7 @@ import errno
 import functools
 import shutil
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,60 @@ def test_a_hit_maps_the_arrays_a_fresh_prepare_computes(data_dir, count_prepares
     for key in dataset_mod._SUMMARY_ARRAYS:
         array = getattr(hit, key)
         assert not array.flags.writeable and _mapped(array)
+
+
+@pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
+def test_a_cold_load_holds_one_parsed_trial_at_a_time(data_dir, monkeypatch, pool):
+    if pool:
+        monkeypatch.setattr(dataset_mod, "_PARALLEL_MIN_BYTES", 0)
+        monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
+    fresh = core._Prepared(read_csv_dir(data_dir), 2)
+    # every trial array handed out in this process: parsed here, or mapped
+    # from the file a pool worker wrote
+    alive, most, handed = [0], [0], []
+
+    def dropped():
+        alive[0] -= 1
+
+    def tracked(make):
+        def wrapper(path):
+            x = make(path)
+            handed.append(Path(path).name)
+            alive[0] += 1
+            most[0] = max(most[0], alive[0])
+            weakref.finalize(x, dropped)
+            return x
+        return wrapper
+
+    monkeypatch.setattr(dataset_mod, "_load_trial", tracked(dataset_mod._load_trial))
+    monkeypatch.setattr(dataset_mod, "_map_array", tracked(dataset_mod._map_array))
+    prep = _load(data_dir)
+    assert len(handed) == fresh.n_series
+    assert handed[0] == ("00000.npy" if pool else "trial_000.csv")
+    assert most == [1] and alive == [0]
+    for key in dataset_mod._SUMMARY_ARRAYS:
+        assert getattr(prep, key).tobytes() == getattr(fresh, key).tobytes()
+
+
+def test_a_cold_load_stopped_midway_leaves_no_scratch(data_dir, monkeypatch):
+    monkeypatch.setattr(dataset_mod, "_PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
+    summarise = core._lag_summaries
+    done = []
+
+    class Stop(Exception):
+        pass
+
+    def stopping(*args):
+        # the second trial's summaries fail while the pool is still parsing
+        if done:
+            raise Stop
+        done.append(summarise(*args))
+
+    monkeypatch.setattr(core, "_lag_summaries", stopping)
+    with pytest.raises(Stop):
+        _load(data_dir)
+    assert _kept(data_dir) == []
 
 
 @pytest.mark.parametrize("key", dataset_mod._SUMMARY_ARRAYS)
