@@ -470,3 +470,15 @@ class TestReproduce:
         assert len(summary) == 1 + 4  # header + one row per variant
         meta = json.loads((out / "table1_meta.json").read_text())
         assert meta["provenance"]["tool"] == "rfcpca"
+
+
+def test_importing_the_cli_loads_no_pool_machinery_and_no_signal_processing():
+    # each is loaded on first use; at import they would cost every command,
+    # `rfcpca --help` included, their import time
+    lazy = ("concurrent.futures", "multiprocessing", "scipy.signal")
+    env = dict(os.environ, PYTHONPATH=str(Path(rfcpca.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", "import sys, rfcpca.cli; "
+                           f"print([m for m in {lazy!r} if m in sys.modules])"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

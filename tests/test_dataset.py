@@ -295,8 +295,57 @@ def test_digest_hashes_each_name_and_its_bytes_in_order(tmp_path):
         (tmp_path / f"trial_{i:03d}.csv").write_bytes(content)
     expected = hashlib.sha256()
     for i, content in enumerate(contents):
-        expected.update(f"trial_{i:03d}.csv".encode() + content)
-    assert dataset_digest(tmp_path) == expected.hexdigest()
+        expected.update(f"trial_{i:03d}.csv".encode() + hashlib.sha256(content).digest())
+    digest = dataset_digest(tmp_path)
+    assert digest == expected.hexdigest()
+    # a renamed trial, and two trials that swap their bytes, hash otherwise
+    (tmp_path / "trial_003.csv").rename(tmp_path / "trial_004.csv")
+    renamed = dataset_digest(tmp_path)
+    (tmp_path / "trial_004.csv").rename(tmp_path / "trial_003.csv")
+    assert dataset_digest(tmp_path) == digest != renamed
+    (tmp_path / "trial_001.csv").write_bytes(contents[2])
+    (tmp_path / "trial_002.csv").write_bytes(contents[1])
+    assert dataset_digest(tmp_path) not in (digest, renamed)
+
+
+def test_digest_threads_hash_the_same_and_are_gone_on_return(tmp_path, monkeypatch):
+    rng = make_rng(14)
+    for i in range(4):
+        (tmp_path / f"trial_{i:03d}.csv").write_bytes(rng.bytes(3 * i * 100_000 + 5))
+    started = []
+
+    class RecordingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", RecordingThread)
+    before = threading.active_count()
+    digests = []
+    # this thread hashes too: one usable CPU starts no thread, and there are
+    # never more threads than files
+    for cpus, threads in ((1, 0), (2, 1), (8, 3)):
+        monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: cpus)
+        started.clear()
+        digests.append(dataset_digest(tmp_path))
+        assert len(started) == threads
+        assert not any(thread.is_alive() for thread in started)
+        assert threading.active_count() == before
+    assert digests[0] == digests[1] == digests[2]
+
+
+def test_digest_raises_the_error_of_the_first_unreadable_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
+    for i in range(6):
+        (tmp_path / f"trial_{i:03d}.csv").write_bytes(b"ch01\n1\n" * 100_000)
+    # a directory named like a trial cannot be read as one
+    for i in (2, 4):
+        (tmp_path / f"trial_{i:03d}.csv").unlink()
+        (tmp_path / f"trial_{i:03d}.csv").mkdir()
+    before = threading.active_count()
+    with pytest.raises(IsADirectoryError, match=r"trial_002\.csv"):
+        dataset_digest(tmp_path)
+    assert threading.active_count() == before
 
 
 def test_pooled_parse_maps_the_files_its_workers_wrote(tmp_path, parse_on_pool, count_parses):
@@ -313,6 +362,39 @@ def test_pooled_parse_maps_the_files_its_workers_wrote(tmp_path, parse_on_pool, 
         assert not got.flags.writeable
     # which are gone with the parse
     assert list((tmp_path / dataset_mod.SIDECAR_DIR).iterdir()) == []
+
+
+@pytest.mark.parametrize("how", ["parse_error", "dropped"])
+def test_a_pooled_parse_starts_no_trial_once_its_stream_ends(tmp_path, parse_on_pool,
+                                                             monkeypatch, how):
+    n = 16
+    data_dir = tmp_path / "data"
+    _write_trials(data_dir, ["ch01,ch02\n1,2\n3,4\n"] * n)
+    if how == "parse_error":
+        (data_dir / "trial_000.csv").write_text("ch01,ch02\nnot,numbers\n")
+    log = tmp_path / "parsed"
+    load = dataset_mod._load_trial
+
+    def logging_load(path):
+        # the forked workers inherit this spy, which the workers' _save_trial
+        # calls; each parse lasts 50 ms, so they cannot run through every
+        # trial before the stream ends
+        with open(log, "a") as fh:
+            fh.write(f"{Path(path).name}\n")
+        time.sleep(0.05)
+        return load(path)
+
+    monkeypatch.setattr(dataset_mod, "_load_trial", logging_load)
+    stream = dataset_mod._parse_dir(data_dir, dataset_mod._trial_paths(data_dir))
+    if how == "parse_error":
+        with pytest.raises(ValueError, match="could not convert"):
+            next(stream)
+    else:
+        next(stream)
+        stream.close()
+    assert parse_on_pool == [2]
+    assert 0 < len(log.read_text().split()) < n
+    assert list((data_dir / dataset_mod.SIDECAR_DIR).iterdir()) == []
 
 
 def test_kept_summaries_are_readable_by_whoever_may_read_the_directory(tmp_path):

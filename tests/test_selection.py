@@ -13,7 +13,7 @@ import rfcpca.selection as selection_mod
 from conftest import planted_dataset, planted_with_outliers
 from rfcpca.core import _Prepared, fit_fcpca
 from rfcpca.covariance import ClusterSubspaces
-from rfcpca.dataset import _BLAS_THREAD_VARS, MtsDataset
+from rfcpca.dataset import _BLAS_THREAD_VARS, MtsDataset, dataset_digest, write_csv_dir
 from rfcpca.exceptions import (
     AllCandidatesFailed,
     DegenerateSeparation,
@@ -242,6 +242,15 @@ class TestGridPool:
         second = grid_search(dataset, grid)[1]
         assert grid_pool == [2, 2]
         assert first.to_json() == second.to_json()
+
+    def test_a_search_right_after_a_digest_uses_the_pool(self, grid_pool, tmp_path):
+        # the digest's threads are joined on return, and a joined thread
+        # leaves the operating system's count within the pool's wait
+        dataset, _ = planted_dataset(31)
+        write_csv_dir(dataset, tmp_path)
+        dataset_digest(tmp_path)
+        grid_search(dataset, SearchGrid(variant="fcpca", s_values=(2,), m_values=(1.4, 2.0)))
+        assert grid_pool == [2]
 
     def test_runs_in_process_without_cpus_to_spare(self, grid_pool, monkeypatch):
         dataset, _ = planted_dataset(31)
