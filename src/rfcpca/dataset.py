@@ -322,9 +322,16 @@ def _parse_dir(data_dir: Path, paths: list[Path]):
         # library whose threads those usually are
         pool = _process_pool(workers)
         try:
-            done = pool.map(_save_trial, paths, files)
-            for file in files:
-                next(done)  # waits for this trial's worker; raises its error
+            # at most workers + 1 trials are handed out ahead of the stream:
+            # the pool queues whatever it is given to its workers, and a task
+            # a worker has taken cannot be cancelled
+            ahead = workers + 1
+            tasks = [pool.submit(_save_trial, path, file)
+                     for path, file in zip(paths[:ahead], files)]
+            for i, file in enumerate(files):
+                tasks[i].result()  # waits for this trial's worker; raises its error
+                if i + ahead < len(files):
+                    tasks.append(pool.submit(_save_trial, paths[i + ahead], files[i + ahead]))
                 # a mapping stays valid once its file is removed
                 yield _map_array(file)
         finally:

@@ -397,6 +397,39 @@ def test_a_pooled_parse_starts_no_trial_once_its_stream_ends(tmp_path, parse_on_
     assert list((data_dir / dataset_mod.SIDECAR_DIR).iterdir()) == []
 
 
+@pytest.mark.parametrize("how, most", [("parse_error", 3), ("dropped", 4)])
+def test_a_pooled_parse_hands_out_at_most_one_trial_more_than_its_workers(
+        tmp_path, parse_on_pool, monkeypatch, how, most):
+    # two workers: a failing first trial waits for at most the two trials
+    # handed out beside it; a stream dropped after its first array, for the
+    # one handed out as that array was yielded as well
+    n = 20
+    data_dir = tmp_path / "data"
+    _write_trials(data_dir, ["ch01,ch02\n1,2\n3,4\n"] * n)
+    if how == "parse_error":
+        (data_dir / "trial_000.csv").write_text("ch01,ch02\nnot,numbers\n")
+    log = tmp_path / "parsed"
+    load = dataset_mod._load_trial
+
+    def logging_load(path):
+        with open(log, "a") as fh:
+            fh.write(f"{Path(path).name}\n")
+        time.sleep(0.05)
+        return load(path)
+
+    monkeypatch.setattr(dataset_mod, "_load_trial", logging_load)
+    stream = dataset_mod._parse_dir(data_dir, dataset_mod._trial_paths(data_dir))
+    if how == "parse_error":
+        with pytest.raises(ValueError, match="could not convert"):
+            next(stream)
+    else:
+        assert next(stream).shape == (2, 2)
+        stream.close()
+    assert parse_on_pool == [2]
+    assert 0 < len(log.read_text().split()) <= most
+    assert list((data_dir / dataset_mod.SIDECAR_DIR).iterdir()) == []
+
+
 def test_kept_summaries_are_readable_by_whoever_may_read_the_directory(tmp_path):
     rng = make_rng(6)
     write_csv_dir(MtsDataset(series=[rng.standard_normal((t, 3)) for t in (9, 14, 11)]),

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from scipy import signal
 
+import rfcpca.simulate as simulate_mod
 from rfcpca.exceptions import BlinkTooLong, BurstTooLong, InvalidBand
+from rfcpca.experiments import make_benchmark_dataset
 from rfcpca.rng import make_rng
 from rfcpca.simulate import (
+    DEFAULT_BANDS,
     SimManifest,
     ar2_coefficients,
     generate_clean_dataset,
@@ -64,6 +67,83 @@ class TestLatents:
         a = simulate_latents(256, seed=3)
         b = simulate_latents(256, seed=3)
         assert np.array_equal(a, b)
+
+
+def _scipy_design(peak_hz, fs):
+    lo, hi = simulate_mod._band_edges(peak_hz, fs)
+    sos = signal.butter(simulate_mod._FILTER_ORDER, [lo, hi], btype="bandpass", fs=fs,
+                        output="sos")
+    return sos, signal.sosfilt_zi(sos)
+
+
+def _design_sweep():
+    """(peak, fs) pairs: the default bands at 100 Hz, then log-uniform peaks
+    at 100, 128 and 250 Hz, which reach both clamps of the band edges."""
+    rng = make_rng(70)
+    cases = [(band.peak_hz, 100.0) for band in DEFAULT_BANDS]
+    for fs in (100.0, 128.0, 250.0):
+        cases += [(float(peak), fs) for peak in np.exp(rng.uniform(np.log(0.4),
+                                                                   np.log(0.48 * fs), 40))]
+    return cases
+
+
+class TestFiltersMatchScipy:
+    """The simulator's filters against scipy.signal, which they replace.
+
+    Every comparison is bitwise (``np.array_equal``, no tolerance): the
+    filters repeat scipy's operations in scipy's order.  That holds on x86-64
+    builds, whose compiled filters do not fuse multiply-adds; a build that
+    fuses them rounds differently.
+    """
+
+    def test_band_pass_design_and_initial_conditions(self):
+        cases = _design_sweep()
+        clamped = [simulate_mod._band_edges(peak, fs) for peak, fs in cases]
+        assert any(lo == 0.5 for lo, _ in clamped)
+        assert any(hi == 0.95 * fs / 2 for (_, hi), (_, fs) in zip(clamped, cases))
+        for peak, fs in cases:
+            sos, zi = simulate_mod._bandpass_sos(peak, fs)
+            want_sos, want_zi = _scipy_design(peak, fs)
+            assert np.array_equal(sos, want_sos), (peak, fs)
+            assert np.array_equal(zi, want_zi), (peak, fs)
+
+    def test_design_is_read_only(self):
+        for array in simulate_mod._bandpass_sos(10.0, 100.0):
+            assert not array.flags.writeable
+
+    def test_ar2_recursion(self):
+        rng = make_rng(71)
+        for _ in range(20):
+            phi1, phi2 = ar2_coefficients(float(rng.uniform(0.5, 49.0)),
+                                          float(rng.uniform(1e-3, 0.5)), 100.0)
+            eps = rng.standard_normal(600)
+            assert np.array_equal(simulate_mod._ar2(phi1, phi2, eps),
+                                  signal.lfilter([1.0], [1.0, -phi1, -phi2], eps))
+
+    @pytest.mark.parametrize("t", [64, 65, 400, 4500])
+    def test_zero_phase_filter(self, t):
+        rng = make_rng(72)
+        for band in DEFAULT_BANDS:
+            sos, zi = simulate_mod._bandpass_sos(band.peak_hz, 100.0)
+            x = rng.standard_normal(t)
+            assert np.array_equal(simulate_mod._filtfilt(sos, zi, x),
+                                  signal.sosfiltfilt(sos.copy(), x))
+
+    @pytest.mark.parametrize("kind", ["burst", "eyeblink", "none"])
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    def test_benchmark_datasets_are_byte_identical(self, monkeypatch, kind, seed):
+        data, manifest = make_benchmark_dataset(kind, 8, (100, 400), seed)
+        monkeypatch.setattr(simulate_mod, "_bandpass_sos", _scipy_design)
+        monkeypatch.setattr(simulate_mod, "_ar2", lambda phi1, phi2, eps: signal.lfilter(
+            [1.0], [1.0, -phi1, -phi2], eps))
+        monkeypatch.setattr(simulate_mod, "_filtfilt",
+                            lambda sos, zi, x: signal.sosfiltfilt(sos, x))
+        want, want_manifest = make_benchmark_dataset(kind, 8, (100, 400), seed)
+        monkeypatch.undo()
+        assert manifest.to_json() == want_manifest.to_json()
+        assert [x.tobytes() for x in data.series] == [x.tobytes() for x in want.series]
+        rebuilt = replay_contamination(regenerate_clean(manifest), manifest)
+        assert [x.tobytes() for x in rebuilt.series] == [x.tobytes() for x in data.series]
 
 
 class TestMixingMatrix:
