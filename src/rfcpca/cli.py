@@ -309,6 +309,9 @@ def _check_fit_options(args) -> float | None:
 def cmd_fit(args) -> int:
     lam = _check_fit_options(args)
     data_hash = _read_digest(args.data)
+    # an output path that cannot be written fails before the fit, not after
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     config = {
         "variant": args.variant, "s": args.clusters, "m": args.m, "v": args.v,
         "alpha": args.alpha, "lambda": args.lam, "auto": args.auto,
@@ -333,8 +336,6 @@ def cmd_fit(args) -> int:
     except RFCPCAError as exc:
         doc = {"error": type(exc).__name__, "message": str(exc),
                "provenance": _provenance(config, data_hash, args.seed)}
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(doc, indent=2))
         _report(f"fit error: {type(exc).__name__}: {exc}")
         return EXIT_FIT
@@ -350,8 +351,6 @@ def cmd_fit(args) -> int:
         extra["elbow_curve"] = elbow.curve
         extra["elbow_no_elbow"] = elbow.no_elbow
     doc = _fit_to_json(fit, extra)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, indent=2))
     np.savetxt(out.with_suffix(".memberships.csv"), fit.memberships.u, delimiter=",",
                header=",".join(f"cluster_{s}" for s in range(fit.memberships.n_clusters)),
@@ -475,6 +474,8 @@ def cmd_reproduce(args) -> int:
     p_values = (32, 64, 128) if args.full else (32, 64)
     replications = args.replications or (50 if args.full else 10)
     out_dir = Path(args.out)
+    # made before the replications run, so an unusable path fails at once
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def progress(p, rep_seed, rows):
         done = [f"{row['variant']}={row['out_recall']}" for row in rows]
@@ -482,7 +483,6 @@ def cmd_reproduce(args) -> int:
 
     rows, summary = run_benchmark(kind, p_values, t_spec, replications,
                                   seed=args.seed, progress=progress)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_rows_csv(rows, out_dir / f"{args.experiment}_replications.csv")
     write_rows_csv(summary, out_dir / f"{args.experiment}_summary.csv")
     meta = {

@@ -38,6 +38,7 @@ from .dataset import (
     MtsDataset,
     _keep_summaries,
     _kept_summaries,
+    _series_error,
     _TrialStream,
     dataset_digest,
 )
@@ -189,33 +190,42 @@ class _Prepared:
         """Summarise the series of ``dataset``, an ``MtsDataset`` or the
         ``dataset._TrialStream`` of a trial directory, at lags 1..``max_lag``.
 
-        The series are read in one pass, each summarised into its row as it
-        comes and then dropped, so a stream is held one parsed trial at a
-        time.  Its errors win over a lag the series cannot take: every
-        series is drawn before ``LagTooSmall`` or the first ``LagTooLarge``
-        is raised.
+        The series are read in one pass, each checked as ``MtsDataset``
+        checks its series, summarised into its row as it comes and then
+        dropped, so a stream is held one parsed trial at a time.  Every
+        series is drawn before an error is raised, each kind at its lowest
+        index: an error the stream raises while parsing wins, then a series
+        of the wrong shape or not finite, then ``LagTooSmall`` or a
+        ``LagTooLarge``.
         """
-        error = None
+        lag_error = series_error = first = None
         if max_lag < 1:
-            error = LagTooSmall(f"max lag must be at least 1, got {max_lag}")
+            lag_error = LagTooSmall(f"max lag must be at least 1, got {max_lag}")
         n = dataset.n_series
         blocks = grams = energies = None
         i = 0
         for x in dataset.series:
-            t = x.shape[0]
-            if error is None and t <= max_lag:
-                error = LagTooLarge(f"series {i} has length {t} <= max lag {max_lag}")
-            if error is None:
-                if blocks is None:
-                    d = 2 * x.shape[1]
-                    blocks = np.empty((max_lag, n, d, d))
-                    grams = np.empty((max_lag, n, d, d))
-                    energies = np.empty((n, max_lag))
-                _lag_summaries(x, blocks[:, i], grams[:, i], energies[i])
+            if first is None:
+                first = x.shape
+            if series_error is None:
+                series_error = _series_error(i, x, first)
+            if series_error is None and lag_error is None:
+                t = x.shape[0]
+                if t <= max_lag:
+                    lag_error = LagTooLarge(f"series {i} has length {t} <= max lag {max_lag}")
+                else:
+                    if blocks is None:
+                        d = 2 * x.shape[1]
+                        blocks = np.empty((max_lag, n, d, d))
+                        grams = np.empty((max_lag, n, d, d))
+                        energies = np.empty((n, max_lag))
+                    _lag_summaries(x, blocks[:, i], grams[:, i], energies[i])
             i += 1
             del x  # dropped before a stream parses the next series
-        if error is not None:
-            raise error
+        if series_error is not None:
+            raise series_error
+        if lag_error is not None:
+            raise lag_error
         self._hold(blocks, grams, energies)
 
     @classmethod
@@ -264,11 +274,12 @@ def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]
     Summaries that ``_summaries_tag``'s code made from those bytes for at
     least ``max_lag`` lags are mapped from the trials' sidecar (see
     ``dataset._kept_summaries``), and no trial is read.  Otherwise each trial
-    is summarised as it is parsed (see ``dataset._TrialStream``), and the
-    summaries are kept when the trials still hash to ``digest`` after the
-    parse.  Raises, in this order of precedence, what ``load_csv_dir`` raises
-    for trials that do not load and what ``_Prepared`` raises for lags the
-    series cannot take.
+    is checked and summarised as it is parsed (``_Prepared`` over a
+    ``dataset._TrialStream``), and the summaries are kept when the trials
+    still hash to ``digest`` after the parse.  Raises what ``_Prepared``
+    raises: the error of a trial that does not parse, then that of a series
+    ``MtsDataset`` rejects, then that of a lag the series cannot take; the
+    same errors as ``dataset.read_csv_dir`` followed by ``_Prepared``.
     """
     tag = _summaries_tag()
     kept = _kept_summaries(data_dir, digest, tag, max_lag)

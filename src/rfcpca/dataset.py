@@ -27,7 +27,7 @@ _TMP_PREFIX = ".tmp-"
 
 # trial directories at least this large are parsed on a process pool.
 # Below it, starting the pool costs about what the split saves: on 2 cores,
-# load_csv_dir of 20 trials of 7.4 MiB took 0.21 s serially and 0.20 s on
+# read_csv_dir of 20 trials of 7.4 MiB took 0.21 s serially and 0.20 s on
 # the pool, and of 14.8 MiB 0.29 s and 0.24 s (medians of 11).
 _PARALLEL_MIN_BYTES = 8 << 20
 
@@ -345,13 +345,8 @@ def _parse_dir(data_dir: Path, paths: list[Path]):
 class _TrialStream:
     """The trials of a directory as ``core._Prepared`` reads a dataset:
     ``n_series``, and ``series``, one pass over the arrays ``_parse_dir``
-    parses, each checked as ``MtsDataset`` checks its series.
-
-    A trial that fails those checks ends the arrays handed out; the rest are
-    still parsed, so a trial that does not parse raises its error wherever it
-    lies, and then the failed check raises its own.  Those are the errors,
-    in the same order, of ``MtsDataset(series=<every trial, parsed>)``.
-    Nothing is parsed before ``series`` is iterated.  Raises
+    parses.  ``_Prepared`` checks each array as ``MtsDataset`` checks its
+    series.  Nothing is parsed before ``series`` is iterated.  Raises
     FileNotFoundError where there are no trials.
     """
 
@@ -359,38 +354,7 @@ class _TrialStream:
         data_dir = Path(data_dir)
         paths = _listed_trials(data_dir)
         self.n_series = len(paths)
-        self.series = _checked(_parse_dir(data_dir, paths))
-
-
-def _checked(arrays):
-    """The arrays of ``arrays`` up to the first that fails ``_series_error``;
-    the rest are drawn, then its error is raised."""
-    error = first = None
-    i = 0
-    for x in arrays:
-        if first is None:
-            first = x.shape
-        if error is None:
-            error = _series_error(i, x, first)
-            if error is None:
-                yield x
-        i += 1
-        del x  # hold no array while the next is parsed
-    if error is not None:
-        raise error
-
-
-def load_csv_dir(data_dir) -> tuple[MtsDataset, str]:
-    """Load every trial_*.csv in a directory, in sorted filename order, and
-    return the dataset with the ``dataset_digest`` of its trials, taken after
-    the parse.
-
-    The arrays are those ``_parse_dir`` yields, and ``MtsDataset`` validates
-    them; nothing is kept.  Raises FileNotFoundError where there are no trials.
-    """
-    data_dir = Path(data_dir)
-    dataset = MtsDataset(series=list(_parse_dir(data_dir, _listed_trials(data_dir))))
-    return dataset, dataset_digest(data_dir)
+        self.series = _parse_dir(data_dir, paths)
 
 
 def _listed_trials(data_dir: Path) -> list[Path]:
@@ -402,8 +366,11 @@ def _listed_trials(data_dir: Path) -> list[Path]:
 
 
 def read_csv_dir(data_dir) -> MtsDataset:
-    """The dataset of ``load_csv_dir``, without its digest."""
-    return load_csv_dir(data_dir)[0]
+    """The dataset of every trial_*.csv in a directory, in sorted filename
+    order: the arrays ``_parse_dir`` yields, which ``MtsDataset`` validates.
+    Raises FileNotFoundError where there are no trials."""
+    data_dir = Path(data_dir)
+    return MtsDataset(series=list(_parse_dir(data_dir, _listed_trials(data_dir))))
 
 
 def _map_array(path: Path) -> np.ndarray:

@@ -81,17 +81,20 @@ def _check_labelings(a, b):
     return a, b
 
 
+def _pair_counts(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int, int]:
+    """Object pairs, as ints: together in both labelings, together in ``a``,
+    together in ``b``, and all pairs."""
+    table = _contingency(a, b)
+    return (int(_comb2(table).sum()), int(_comb2(table.sum(axis=1)).sum()),
+            int(_comb2(table.sum(axis=0)).sum()), int(_comb2(a.size)))
+
+
 def rand_index(labels_a, labels_b) -> float:
     """Fraction of object pairs on which the two labelings agree."""
     a, b = _check_labelings(labels_a, labels_b)
-    n = a.size
-    if n < 2:
+    if a.size < 2:
         return 1.0
-    table = _contingency(a, b)
-    same_same = int(_comb2(table).sum())
-    same_a = int(_comb2(table.sum(axis=1)).sum())
-    same_b = int(_comb2(table.sum(axis=0)).sum())
-    total = int(_comb2(n))
+    same_same, same_a, same_b, total = _pair_counts(a, b)
     diff_diff = total - same_a - same_b + same_same
     return (same_same + diff_diff) / total
 
@@ -99,14 +102,9 @@ def rand_index(labels_a, labels_b) -> float:
 def adjusted_rand_index(labels_a, labels_b) -> float:
     """Chance-corrected pair agreement; 1 for identical partitions, ~0 at random."""
     a, b = _check_labelings(labels_a, labels_b)
-    n = a.size
-    if n < 2:
+    if a.size < 2:
         return 1.0
-    table = _contingency(a, b)
-    same_same = float(_comb2(table).sum())
-    same_a = float(_comb2(table.sum(axis=1)).sum())
-    same_b = float(_comb2(table.sum(axis=0)).sum())
-    total = float(_comb2(n))
+    same_same, same_a, same_b, total = map(float, _pair_counts(a, b))
     expected = same_a * same_b / total
     max_index = 0.5 * (same_a + same_b)
     if max_index == expected:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rfcpca
+import rfcpca.core as core
 import rfcpca.dataset as dataset_mod
 from conftest import SIDECAR_SPOILS, spoil_entry, summaries_entry
 from rfcpca.cli import main
@@ -40,6 +41,32 @@ def run_process(*argv, pool=False):
 def parse_on_pool(monkeypatch):
     monkeypatch.setattr(dataset_mod, "_PARALLEL_MIN_BYTES", 0)
     monkeypatch.setattr(dataset_mod, "_usable_cpus", lambda: 2)
+
+
+# faults by trial: a number of data rows to keep, or a cell that replaces
+# the first cell of the fifth data row; with the exit code and the message
+# of a fit of those trials
+_FIRST_FAULTS = [
+    ({1: "nan", 4: "abc"}, 2, "error: cannot load {data}: ValueError: could not convert "
+                              "string 'abc' to float64 at row 4, column 1."),
+    ({1: 2, 3: "nan"}, 2, "error: cannot load {data}: NonFiniteInput: series 3 contains "
+                          "non-finite entries"),
+    ({0: 2, 2: "inf", 4: "abc"}, 2, "error: cannot load {data}: ValueError: could not "
+                                    "convert string 'abc' to float64 at row 4, column 1."),
+    ({1: 2, 4: 2}, 4, "fit error: LagTooLarge: series 1 has length 2 <= max lag 2"),
+]
+_FIRST_FAULT_IDS = ["nan_then_unparsable", "short_then_nan", "short_inf_unparsable", "two_short"]
+
+
+def write_faults(data_dir, faults):
+    for i, fault in faults.items():
+        trial = data_dir / f"trial_{i:03d}.csv"
+        lines = trial.read_text().splitlines()
+        if isinstance(fault, int):
+            lines = lines[:1 + fault]
+        else:
+            lines[5] = fault + lines[5][lines[5].index(","):]
+        trial.write_text("\n".join(lines) + "\n")
 
 
 def assert_clean_exit(proc, code):
@@ -361,17 +388,7 @@ class TestExitCodes:
         assert proc.stderr == (f"error: cannot load {simulated}: "
                                f"ValueError: {trial} holds no data rows\n")
 
-    # faults by trial: a number of data rows to keep, or a cell that
-    # replaces the first cell of the fifth data row
-    @pytest.mark.parametrize("faults, code, message", [
-        ({1: "nan", 4: "abc"}, 2, "error: cannot load {data}: ValueError: could not convert "
-                                  "string 'abc' to float64 at row 4, column 1."),
-        ({1: 2, 3: "nan"}, 2, "error: cannot load {data}: NonFiniteInput: series 3 contains "
-                              "non-finite entries"),
-        ({0: 2, 2: "inf", 4: "abc"}, 2, "error: cannot load {data}: ValueError: could not "
-                                        "convert string 'abc' to float64 at row 4, column 1."),
-        ({1: 2, 4: 2}, 4, "fit error: LagTooLarge: series 1 has length 2 <= max lag 2"),
-    ], ids=["nan_then_unparsable", "short_then_nan", "short_inf_unparsable", "two_short"])
+    @pytest.mark.parametrize("faults, code, message", _FIRST_FAULTS, ids=_FIRST_FAULT_IDS)
     @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
     def test_the_first_fault_of_the_first_kind_wins(self, simulated, tmp_path, monkeypatch,
                                                     capsys, pool, faults, code, message):
@@ -379,20 +396,29 @@ class TestExitCodes:
         # finite, then one too short for the lags, each at its lowest index
         if pool:
             parse_on_pool(monkeypatch)
-        for i, fault in faults.items():
-            trial = simulated / f"trial_{i:03d}.csv"
-            lines = trial.read_text().splitlines()
-            if isinstance(fault, int):
-                lines = lines[:1 + fault]
-            else:
-                lines[5] = fault + lines[5][lines[5].index(","):]
-            trial.write_text("\n".join(lines) + "\n")
+        write_faults(simulated, faults)
         capsys.readouterr()
         assert run("fit", "--data", simulated, "--out", tmp_path / "f.json") == code
         assert capsys.readouterr().err == message.format(data=simulated) + "\n"
         # no entry kept, no scratch directory left
         sidecar = simulated / dataset_mod.SIDECAR_DIR
         assert not sidecar.exists() or list(sidecar.iterdir()) == []
+
+    @pytest.mark.parametrize("faults, code, message", _FIRST_FAULTS, ids=_FIRST_FAULT_IDS)
+    @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
+    def test_the_library_reader_raises_what_the_fit_stream_raises(
+            self, simulated, monkeypatch, pool, faults, code, message):
+        if pool:
+            parse_on_pool(monkeypatch)
+        write_faults(simulated, faults)
+        raised = []
+        for load in (lambda: core._Prepared(read_csv_dir(simulated), 2),
+                     lambda: core._load_prepared(simulated, dataset_digest(simulated), 2)):
+            with pytest.raises(Exception) as exc:
+                load()
+            raised.append((type(exc.value), str(exc.value)))
+        assert raised[0] == raised[1]
+        assert message.endswith(f"{raised[0][0].__name__}: {raised[0][1]}")
 
     @pytest.mark.parametrize("options", [
         ["--v", "1.5"],
@@ -447,6 +473,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
+    def test_fit_output_under_a_regular_file_exits_3_before_loading(self, simulated,
+                                                                    tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        capsys.readouterr()
+        assert run("fit", "--data", simulated, "--auto", "--out", blocker / "f.json") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        # no trial was summarised, so no entry was kept
+        assert not (simulated / dataset_mod.SIDECAR_DIR).exists()
+
 
 class TestReproduce:
     def test_unknown_experiment_exits_2(self, tmp_path):
@@ -470,6 +507,19 @@ class TestReproduce:
         assert len(summary) == 1 + 4  # header + one row per variant
         meta = json.loads((out / "table1_meta.json").read_text())
         assert meta["provenance"]["tool"] == "rfcpca"
+
+    def test_output_under_a_regular_file_exits_3_before_any_replication(
+            self, tmp_path, monkeypatch, capsys):
+        import rfcpca.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_benchmark", lambda *a, **k: calls.append(a))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        assert run("reproduce", "table1", "-R", "1", "--out", blocker / "rep") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert calls == []
 
 
 def test_importing_the_cli_loads_no_pool_machinery_and_no_signal_processing():

@@ -113,7 +113,7 @@ def test_a_read_only_directory_too_large_for_one_process_parses_in_it(
     before = sorted(p.name for p in tmp_path.iterdir())
     read_only(tmp_path)
     count_parses.clear()
-    dataset, _ = dataset_mod.load_csv_dir(tmp_path)
+    dataset = read_csv_dir(tmp_path)
     # the pool's workers would have nowhere to write their arrays
     assert parse_on_pool == [] and len(count_parses) == 3
     for got, want in zip(dataset.series, expected):
@@ -260,7 +260,7 @@ def test_loaded_arrays_equal_the_parser(tmp_path, count_parses, texts):
     expected = [dataset_mod._load_trial(path) for path in dataset_mod._trial_paths(tmp_path)]
     for _ in range(2):
         count_parses.clear()
-        dataset, digest = dataset_mod.load_csv_dir(tmp_path)
+        dataset, digest = read_csv_dir(tmp_path), dataset_digest(tmp_path)
         # every load parses: only summaries are kept, and only by a fit
         assert len(count_parses) == len(texts)
         assert digest == dataset_digest(tmp_path)
@@ -354,7 +354,7 @@ def test_pooled_parse_maps_the_files_its_workers_wrote(tmp_path, parse_on_pool, 
                   tmp_path)
     expected = [dataset_mod._load_trial(path) for path in dataset_mod._trial_paths(tmp_path)]
     count_parses.clear()
-    dataset, _ = dataset_mod.load_csv_dir(tmp_path)
+    dataset = read_csv_dir(tmp_path)
     # the workers parsed every trial; this process only mapped their files
     assert parse_on_pool == [2] and count_parses == []
     for got, want in zip(dataset.series, expected):

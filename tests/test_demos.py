@@ -3,6 +3,8 @@
 The demos exercise the public API end to end, so an export or signature
 that they rely on cannot disappear unnoticed; and every export must be
 used by the package itself or by a demo, so the surface cannot regrow.
+Nor can a dead definition: every top-level name of the package must be
+read by the package, a demo or the benchmark's tracer.
 """
 
 import ast
@@ -65,3 +67,37 @@ def test_every_export_is_used_by_the_package_or_a_demo():
     assert [name for name in rfcpca.__all__ if name not in used] == []
     assert not [name for name in rfcpca.__all__
                 if isinstance(getattr(rfcpca, name), types.ModuleType)]
+
+
+def _loaded_names(path):
+    """Names a source file reads, as variables or as attributes."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def _defined_names(path):
+    """Top-level functions, classes and assigned names of a source file."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_every_top_level_definition_is_read():
+    # the benchmark's tracer binds some functions by name from outside the
+    # package; its TARGETS are (module, "name" or "Class.method", layer)
+    root = Path(__file__).parents[1]
+    tracing = ast.parse((root / "perfbench" / "tracing.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tracing.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    traced = {attribute.split(".")[0] for _, attribute, _ in targets}
+    package = sorted(Path(rfcpca.__file__).parent.glob("*.py"))
+    loaded = set().union(*(_loaded_names(f) for f in package + DEMOS))
+    dead = [f"{f.name}:{name}" for f in package for name in _defined_names(f)
+            if name not in loaded | traced | {"__all__", "__version__"}]
+    assert dead == []
