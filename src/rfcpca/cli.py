@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .dataset import TRIAL_PATTERN, _listed_trials, _trial_paths, dataset_digest
 from .evaluation import EvalReport, evaluate_fit, harden, regular_memberships
 from .exceptions import LagTooLarge, LagTooSmall, RFCPCAError
 from .experiments import BENCHMARK_V, run_benchmark, write_rows_csv
-from .core import FitResult, MembershipMatrix, _load_prepared
+from .core import FitResult, MembershipMatrix, _load_prepared, _sole_prepared
 from .covariance import ClusterSubspaces
 from .robust import select_lambda_elbow
 from .selection import VARIANTS, SearchGrid, _fit_candidate, cvi, grid_search
@@ -151,14 +152,35 @@ def _check_ground_truth(manifest: SimManifest, path, n: int) -> None:
                           "indices of the contaminated trials")
 
 
-def _read_digest(data_dir) -> str:
-    """The ``dataset_digest`` of a trial directory; a directory without
-    trials is a usage error."""
+def _start_digest(data_dir):
+    """Start hashing a trial directory (``dataset_digest``) on a thread.
+
+    Returns a function that waits for the thread to end, then returns the
+    digest or raises the error of the hash.  A directory without trials is a
+    usage error, raised before any thread starts.
+    """
     try:
         _listed_trials(Path(data_dir))
     except FileNotFoundError as exc:
         raise ConfigError(str(exc)) from exc
-    return dataset_digest(data_dir)
+    hashed = []
+
+    def run():
+        try:
+            hashed.append(dataset_digest(data_dir))
+        except BaseException as exc:  # raised again by the waiting thread
+            hashed.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def wait() -> str:
+        thread.join()
+        if isinstance(hashed[0], BaseException):
+            raise hashed[0]
+        return hashed[0]
+
+    return wait
 
 
 def _read_prepared(data_dir, digest: str, max_lag: int):
@@ -306,21 +328,12 @@ def _check_fit_options(args) -> float | None:
     return lam
 
 
-def cmd_fit(args) -> int:
-    lam = _check_fit_options(args)
-    data_hash = _read_digest(args.data)
-    # an output path that cannot be written fails before the fit, not after
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    config = {
-        "variant": args.variant, "s": args.clusters, "m": args.m, "v": args.v,
-        "alpha": args.alpha, "lambda": args.lam, "auto": args.auto,
-        "max_lag": args.max_lag, "seed": args.seed,
-    }
-    report = None
-    elbow = None
+def _fit_prepared(prep, args, lam):
+    """The fit of the summaries ``prep`` that the options ``args`` ask for,
+    as ``(fit, selection report, λ elbow)``, the last two None where they
+    did not run; or the fit error it raised."""
+    report = elbow = None
     try:
-        prep, data_hash = _read_prepared(args.data, data_hash, args.max_lag)
         if args.auto:
             grid = SearchGrid(variant=args.variant, s_values=(args.clusters,),
                               lam="elbow" if lam is None else lam)
@@ -334,11 +347,57 @@ def cmd_fit(args) -> int:
                     "alpha": 0.2 if args.alpha is None else args.alpha}
             fit = _fit_candidate(prep, args.variant, cand, args.seed, lam, args.v)
     except RFCPCAError as exc:
-        doc = {"error": type(exc).__name__, "message": str(exc),
+        return exc
+    return fit, report, elbow
+
+
+def cmd_fit(args) -> int:
+    """Fit the trials of ``--data``; write the fit document ``--out`` and its
+    ``.memberships.csv``, or on a fit error a document of the error.
+
+    A thread hashes the trials.  Meanwhile a fit without ``--auto`` fits the
+    summaries of the sidecar's one entry (``core._sole_prepared``) and keeps
+    that fit only when the trials hash to the entry's digest, so a repeat fit
+    does not wait for the hash.  Otherwise the summaries are loaded by the
+    digest once the thread has ended, as for a first fit
+    (``core._load_prepared``): the parse pool and the grid pool of ``--auto``
+    fork, which is safe only from a process that runs one thread (see
+    ``dataset._fork_pool_workers``).  Nothing is written before the digest
+    is known, and an error of the hash wins over any other.
+    """
+    lam = _check_fit_options(args)
+    config = {
+        "variant": args.variant, "s": args.clusters, "m": args.m, "v": args.v,
+        "alpha": args.alpha, "lambda": args.lam, "auto": args.auto,
+        "max_lag": args.max_lag, "seed": args.seed,
+    }
+    out = Path(args.out)
+    digest = _start_digest(args.data)
+    guess = outcome = None  # guess: the digest of the entry fitted
+    try:
+        # an output path that cannot be written fails before the fit, not after
+        out.parent.mkdir(parents=True, exist_ok=True)
+        sole = None if args.auto else _sole_prepared(args.data, args.max_lag)
+        if sole is not None:
+            guess, prep = sole
+            outcome = _fit_prepared(prep, args, lam)
+    finally:
+        # raised here, an error of the hash replaces any raised above
+        data_hash = digest()
+    if guess != data_hash:
+        try:
+            prep, data_hash = _read_prepared(args.data, data_hash, args.max_lag)
+        except RFCPCAError as exc:  # a lag the series cannot take
+            outcome = exc
+        else:
+            outcome = _fit_prepared(prep, args, lam)
+    if isinstance(outcome, RFCPCAError):
+        doc = {"error": type(outcome).__name__, "message": str(outcome),
                "provenance": _provenance(config, data_hash, args.seed)}
         out.write_text(json.dumps(doc, indent=2))
-        _report(f"fit error: {type(exc).__name__}: {exc}")
+        _report(f"fit error: {type(outcome).__name__}: {outcome}")
         return EXIT_FIT
+    fit, report, elbow = outcome
 
     extra = {"provenance": _provenance(config, data_hash, args.seed)}
     try:
@@ -429,12 +488,16 @@ def cmd_analyze(args) -> int:
     extra_axes = []
     extra_names = []
     if fit.variant == "n" and args.data:
-        data_hash = _read_digest(args.data)
+        data_hash = _start_digest(args.data)()
         if data_hash != fit_doc["provenance"]["dataset_sha256"]:
             _report("error: fit and --data reference different datasets")
             return EXIT_HASH
-        prep, _ = _read_prepared(args.data, data_hash, subs.n_lags)
-        noise = noise_subspace(prep, fit, max_lag=subs.n_lags)
+        try:
+            prep, _ = _read_prepared(args.data, data_hash, subs.n_lags)
+            noise = noise_subspace(prep, fit, max_lag=subs.n_lags)
+        except RFCPCAError as exc:  # a lag the series cannot take, or no noise weight
+            _report(f"fit error: {type(exc).__name__}: {exc}")
+            return EXIT_FIT
         extra_axes = [noise.axes[0]]
         extra_names = ["noise"]
     names = [f"cluster_{s}" for s in range(subs.n_clusters)] + extra_names

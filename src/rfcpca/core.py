@@ -15,6 +15,7 @@ losses) and a stall rule.
 Every fit reads a dataset only through its per-lag summaries,
 :class:`_Prepared`.  :func:`_load_prepared` gives those of a trial directory:
 the ones ``dataset.py`` keeps beside the trials, or new ones it then keeps.
+:func:`_sole_prepared` gives the kept ones before the trials are hashed.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .dataset import (
     _keep_summaries,
     _kept_summaries,
     _series_error,
+    _sole_digest,
     _TrialStream,
     dataset_digest,
 )
@@ -280,6 +282,10 @@ def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]
     raises: the error of a trial that does not parse, then that of a series
     ``MtsDataset`` rejects, then that of a lag the series cannot take; the
     same errors as ``dataset.read_csv_dir`` followed by ``_Prepared``.
+
+    ``rfcpca fit`` calls this once the trials are hashed, unless it fitted
+    the sidecar's one entry (``_sole_prepared``) while they were hashed and
+    they hash to that entry's digest.
     """
     tag = _summaries_tag()
     kept = _kept_summaries(data_dir, digest, tag, max_lag)
@@ -291,6 +297,21 @@ def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]
         _keep_summaries(data_dir, digest, tag, prep.blocks.transpose(1, 0, 2, 3),
                         prep.grams.transpose(1, 0, 2, 3), prep.energies)
     return prep, loaded
+
+
+def _sole_prepared(data_dir, max_lag: int) -> tuple[str, _Prepared] | None:
+    """The digest that names the one entry of the sidecar of ``data_dir`` and
+    the summaries at ``max_lag`` it keeps, when ``_summaries_tag``'s code
+    made them and ``dataset._kept_summaries`` takes them; None otherwise.
+
+    No trial is read or hashed, so they are the summaries of the trials only
+    when the trials hash to that digest, which the caller checks before it
+    uses anything made from them.
+    """
+    tag = _summaries_tag()
+    digest = _sole_digest(data_dir, tag)
+    kept = None if digest is None else _kept_summaries(data_dir, digest, tag, max_lag)
+    return None if kept is None else (digest, _Prepared._from_arrays(*kept))
 
 
 def _errors_from_grams(prep: _Prepared, subspaces: ClusterSubspaces) -> np.ndarray:

@@ -391,6 +391,23 @@ def _summaries_entry(data_dir, digest: str, tag: str) -> Path:
     return Path(data_dir) / SIDECAR_DIR / f"{digest}-{tag}"
 
 
+def _sole_digest(data_dir, tag: str) -> str | None:
+    """The digest that names the one entry of the sidecar of ``data_dir``
+    when the code ``tag`` names made it; None when the sidecar holds no such
+    name or other names too (scratch directories aside).  Nothing is hashed:
+    whether the trials still hash to it is for the caller to check.
+    """
+    try:
+        names = [name for name in os.listdir(Path(data_dir) / SIDECAR_DIR)
+                 if not name.startswith(_TMP_PREFIX)]
+    except OSError:
+        return None
+    if len(names) != 1:
+        return None
+    digest = names[0][:-len(tag) - 1]
+    return digest if _summaries_entry(data_dir, digest, tag).name == names[0] else None
+
+
 def _kept_summaries(data_dir, digest: str, tag: str, max_lag: int) -> tuple | None:
     """The first ``max_lag`` lags of the summaries kept for the trials of
     ``data_dir`` that hash to ``digest``, made by the code ``tag`` names, as

@@ -4,12 +4,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rfcpca
+import rfcpca.cli as cli_mod
 import rfcpca.core as core
 import rfcpca.dataset as dataset_mod
 from conftest import SIDECAR_SPOILS, spoil_entry, summaries_entry
@@ -250,6 +252,32 @@ class TestAnalyze:
         text = (tmp_path / "noise_diag_contributions.csv").read_text()
         assert "noise" in text
 
+    @pytest.mark.parametrize("fault", ["no_noise_weight", "lag_too_large"])
+    def test_a_noise_subspace_that_cannot_be_made_exits_4(self, tmp_path, fault):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": "burst", "n_per_group": 4, "channels": 4,
+                                      "length": 300, "seed": 3}))
+        data = tmp_path / "data"
+        assert run("simulate", "--config", config, "--out", data) == 0
+        fit_path = tmp_path / "fit_n.json"
+        # a noise multiplier this large leaves the noise column no weight
+        lam = "1000000" if fault == "no_noise_weight" else "0.05"
+        assert run("fit", "--data", data, "--variant", "n", "--lambda", lam, "-m", "1.2",
+                   "--out", fit_path) == 0
+        if fault == "lag_too_large":
+            # axes for as many lags as the series have samples
+            doc = json.loads(fit_path.read_text())
+            doc["axes"] = [per_lag * 150 for per_lag in doc["axes"]]
+            fit_path.write_text(json.dumps(doc))
+        proc = run_process("analyze", "--fit", fit_path, "--data", data,
+                           "--out-prefix", tmp_path / "diag")
+        assert_clean_exit(proc, 4)
+        assert proc.stderr == {
+            "no_noise_weight": "fit error: EmptyClusterError: cluster 0 has no effective "
+                               "members\n",
+            "lag_too_large": "fit error: LagTooLarge: series 0 has length 300 <= max lag 300\n",
+        }[fault]
+
 
 class TestSimulateIntoUsedDirectory:
     @staticmethod
@@ -332,6 +360,72 @@ class TestSidecar:
                 == self.fit_bytes(tmp_path / "pristine", tmp_path / "pristine.json"))
         doc = json.loads((tmp_path / "after.json").read_text())
         assert doc["provenance"]["dataset_sha256"] == dataset_digest(simulated)
+
+    def test_an_entry_named_for_other_trials_is_not_published(self, simulated, tmp_path,
+                                                             reference, monkeypatch):
+        # a repeat fit fits the sidecar's one entry while the trials are
+        # hashed; when they hash to another digest, that fit is dropped
+        assert self.fit_bytes(simulated, tmp_path / "first.json") == reference
+        entry = summaries_entry(simulated)
+        wrong = entry.with_name("0" * 64 + entry.name[64:])
+        entry.rename(wrong)
+        fits = []
+        fit_candidate = cli_mod._fit_candidate
+        monkeypatch.setattr(cli_mod, "_fit_candidate",
+                            lambda *a: fits.append(a[0]) or fit_candidate(*a))
+        assert self.fit_bytes(simulated, tmp_path / "renamed.json") == reference
+        assert len(fits) == 2
+        doc = json.loads((tmp_path / "renamed.json").read_text())
+        assert doc["provenance"]["dataset_sha256"] == dataset_digest(simulated)
+        assert not wrong.exists() and entry.is_dir()
+
+
+class TestHashThread:
+    """A fit hashes its trials on a thread, which has ended when the fit
+    returns; an error of the hash wins over any other."""
+
+    @pytest.fixture
+    def warm(self, simulated, tmp_path):
+        assert run("fit", "--data", simulated, "--out", tmp_path / "first.json") == 0
+        (tmp_path / "blocker").write_text("")
+        return simulated
+
+    @pytest.mark.parametrize("code, case", [
+        (0, "fits"), (2, "unparsable_trial"), (3, "out_blocked"), (4, "fit_error"),
+    ])
+    def test_no_thread_outlives_the_fit(self, warm, tmp_path, code, case):
+        if case == "unparsable_trial":
+            write_faults(warm, {1: "abc"})
+        out = tmp_path / ("blocker" if case == "out_blocked" else "fits") / "f.json"
+        options = ["-S", "50"] if case == "fit_error" else []
+        before = threading.active_count()
+        assert run("fit", "--data", warm, *options, "--out", out) == code
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("out", ["usable", "blocked"])
+    @pytest.mark.parametrize("options", [[], ["-S", "50"]], ids=["fits", "fit_error"])
+    def test_an_unreadable_trial_wins(self, warm, tmp_path, monkeypatch, capsys, out,
+                                      options):
+        trial = warm / "trial_000.csv"
+
+        def unreadable(data_dir):
+            raise PermissionError(13, "Permission denied", str(trial))
+
+        monkeypatch.setattr(cli_mod, "dataset_digest", unreadable)
+        out = tmp_path / ("blocker" if out == "blocked" else "fits") / "f.json"
+        capsys.readouterr()
+        assert run("fit", "--data", warm, *options, "--out", out) == 3
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{trial}'\n"
+        assert not out.exists() and not out.with_suffix(".memberships.csv").exists()
+
+    def test_no_trials_wins(self, tmp_path, capsys):
+        (tmp_path / "blocker").write_text("")
+        (tmp_path / "empty").mkdir()
+        capsys.readouterr()
+        assert run("fit", "--data", tmp_path / "empty", "-S", "50",
+                   "--out", tmp_path / "blocker" / "f.json") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: no trial_*.csv files under {tmp_path / 'empty'}\n"
 
 
 class TestExitCodes:

@@ -11,6 +11,7 @@ import reference as ref
 import rfcpca.dataset as dataset_mod
 import rfcpca.selection as selection_mod
 from conftest import planted_dataset, planted_with_outliers
+from rfcpca.cli import main as cli_main
 from rfcpca.core import _Prepared, fit_fcpca
 from rfcpca.covariance import ClusterSubspaces
 from rfcpca.dataset import _BLAS_THREAD_VARS, MtsDataset, dataset_digest, write_csv_dir
@@ -250,6 +251,16 @@ class TestGridPool:
         write_csv_dir(dataset, tmp_path)
         dataset_digest(tmp_path)
         grid_search(dataset, SearchGrid(variant="fcpca", s_values=(2,), m_values=(1.4, 2.0)))
+        assert grid_pool == [2]
+
+    def test_an_auto_fit_right_after_a_warm_fit_uses_the_pool(self, grid_pool, tmp_path):
+        # a warm fit hashes the trials on a thread while it fits; the thread
+        # has ended when the fit returns, and --auto forks only after its hash
+        dataset, _ = planted_dataset(31)
+        write_csv_dir(dataset, tmp_path / "data")
+        for k, options in enumerate([[], [], ["--auto"]]):
+            assert cli_main(["fit", "--data", str(tmp_path / "data"), "--seed", "3",
+                             "--out", str(tmp_path / f"fit{k}.json"), *options]) == 0
         assert grid_pool == [2]
 
     def test_runs_in_process_without_cpus_to_spare(self, grid_pool, monkeypatch):
