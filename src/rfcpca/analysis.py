@@ -7,7 +7,7 @@ import numpy as np
 from .core import FitResult, _prepare, _subspaces_from_weights
 from .covariance import DEFAULT_MAX_LAG, ClusterSubspaces
 from .dataset import MtsDataset
-from .exceptions import DimensionMismatch, NotOrthonormal
+from .exceptions import DimensionMismatch, EmptyClusterError, NotOrthonormal
 
 
 def _check_orthonormal(b: np.ndarray) -> np.ndarray:
@@ -65,5 +65,8 @@ def noise_subspace(dataset: MtsDataset, fit: FitResult,
         raise ValueError("noise subspace diagnostics need a noise-variant fit")
     prep = _prepare(dataset, max_lag)
     weights = fit.memberships.u[:, -1:]
-    return _subspaces_from_weights(prep.blocks, weights, fit.memberships.m,
-                                   fit.subspaces.variance_fraction)
+    try:
+        return _subspaces_from_weights(prep.blocks, weights, fit.memberships.m,
+                                       fit.subspaces.variance_fraction)
+    except EmptyClusterError as exc:
+        raise EmptyClusterError("the noise cluster has no effective members") from exc

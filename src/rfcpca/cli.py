@@ -27,7 +27,7 @@ from .dataset import TRIAL_PATTERN, _listed_trials, _trial_paths, dataset_digest
 from .evaluation import EvalReport, evaluate_fit, harden, regular_memberships
 from .exceptions import LagTooLarge, LagTooSmall, RFCPCAError
 from .experiments import BENCHMARK_V, run_benchmark, write_rows_csv
-from .core import FitResult, MembershipMatrix, _load_prepared, _sole_prepared
+from .core import FitResult, MembershipMatrix, _kept_prepared, _load_prepared
 from .covariance import ClusterSubspaces
 from .robust import select_lambda_elbow
 from .selection import VARIANTS, SearchGrid, _fit_candidate, cvi, grid_search
@@ -356,14 +356,14 @@ def cmd_fit(args) -> int:
     ``.memberships.csv``, or on a fit error a document of the error.
 
     A thread hashes the trials.  Meanwhile a fit without ``--auto`` fits the
-    summaries of the sidecar's one entry (``core._sole_prepared``) and keeps
+    summaries of the sidecar's one entry (``core._kept_prepared``) and keeps
     that fit only when the trials hash to the entry's digest, so a repeat fit
     does not wait for the hash.  Otherwise the summaries are loaded by the
-    digest once the thread has ended, as for a first fit
-    (``core._load_prepared``): the parse pool and the grid pool of ``--auto``
-    fork, which is safe only from a process that runs one thread (see
-    ``dataset._fork_pool_workers``).  Nothing is written before the digest
-    is known, and an error of the hash wins over any other.
+    digest once the thread has ended (``core._load_prepared``): the parse
+    pool and the grid pool of ``--auto`` fork, which is safe only from a
+    process that runs one thread (see ``dataset._fork_pool_workers``).
+    Nothing is written before the digest is known, and an error of the hash
+    wins over any other.
     """
     lam = _check_fit_options(args)
     config = {
@@ -377,9 +377,9 @@ def cmd_fit(args) -> int:
     try:
         # an output path that cannot be written fails before the fit, not after
         out.parent.mkdir(parents=True, exist_ok=True)
-        sole = None if args.auto else _sole_prepared(args.data, args.max_lag)
-        if sole is not None:
-            guess, prep = sole
+        kept = None if args.auto else _kept_prepared(args.data, args.max_lag)
+        if kept is not None:
+            guess, prep = kept
             outcome = _fit_prepared(prep, args, lam)
     finally:
         # raised here, an error of the hash replaces any raised above

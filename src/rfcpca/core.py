@@ -14,8 +14,8 @@ losses) and a stall rule.
 
 Every fit reads a dataset only through its per-lag summaries,
 :class:`_Prepared`.  :func:`_load_prepared` gives those of a trial directory:
-the ones ``dataset.py`` keeps beside the trials, or new ones it then keeps.
-:func:`_sole_prepared` gives the kept ones before the trials are hashed.
+the sidecar's one entry, named by the trials' digest, or new ones it keeps.
+:func:`_kept_prepared`, the one lookup, gives that entry and its digest.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .dataset import (
     _keep_summaries,
     _kept_summaries,
     _series_error,
-    _sole_digest,
     _TrialStream,
     dataset_digest,
 )
@@ -269,14 +268,23 @@ def _summaries_tag() -> str:
     return digest.hexdigest()[:16]
 
 
+def _kept_prepared(data_dir, max_lag: int) -> tuple[str, _Prepared] | None:
+    """The digest that names the sidecar's one entry and the summaries at
+    ``max_lag`` it keeps, made by ``_summaries_tag``'s code, or None (see
+    ``dataset._kept_summaries``).  No trial is read or hashed: they are the
+    trials' summaries only when the trials hash to that digest.
+    """
+    kept = _kept_summaries(data_dir, _summaries_tag(), max_lag)
+    return None if kept is None else (kept[0], _Prepared._from_arrays(*kept[1:]))
+
+
 def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]:
     """The summaries at ``max_lag`` of the trial directory ``data_dir``, whose
     trials hashed to ``digest``, and the digest of the trials they summarise.
 
-    Summaries that ``_summaries_tag``'s code made from those bytes for at
-    least ``max_lag`` lags are mapped from the trials' sidecar (see
-    ``dataset._kept_summaries``), and no trial is read.  Otherwise each trial
-    is checked and summarised as it is parsed (``_Prepared`` over a
+    The summaries of ``_kept_prepared`` are mapped when ``digest`` names
+    their entry, and no trial is read.  Otherwise each trial is checked and
+    summarised as it is parsed (``_Prepared`` over a
     ``dataset._TrialStream``), and the summaries are kept when the trials
     still hash to ``digest`` after the parse.  Raises what ``_Prepared``
     raises: the error of a trial that does not parse, then that of a series
@@ -284,34 +292,17 @@ def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]
     same errors as ``dataset.read_csv_dir`` followed by ``_Prepared``.
 
     ``rfcpca fit`` calls this once the trials are hashed, unless it fitted
-    the sidecar's one entry (``_sole_prepared``) while they were hashed and
-    they hash to that entry's digest.
+    those summaries while they were hashed and the digests match.
     """
-    tag = _summaries_tag()
-    kept = _kept_summaries(data_dir, digest, tag, max_lag)
-    if kept is not None:
-        return _Prepared._from_arrays(*kept), digest
+    kept = _kept_prepared(data_dir, max_lag)
+    if kept is not None and kept[0] == digest:
+        return kept[1], digest
     prep = _Prepared(_TrialStream(data_dir), max_lag)
     loaded = dataset_digest(data_dir)
     if loaded == digest:
-        _keep_summaries(data_dir, digest, tag, prep.blocks.transpose(1, 0, 2, 3),
+        _keep_summaries(data_dir, digest, _summaries_tag(), prep.blocks.transpose(1, 0, 2, 3),
                         prep.grams.transpose(1, 0, 2, 3), prep.energies)
     return prep, loaded
-
-
-def _sole_prepared(data_dir, max_lag: int) -> tuple[str, _Prepared] | None:
-    """The digest that names the one entry of the sidecar of ``data_dir`` and
-    the summaries at ``max_lag`` it keeps, when ``_summaries_tag``'s code
-    made them and ``dataset._kept_summaries`` takes them; None otherwise.
-
-    No trial is read or hashed, so they are the summaries of the trials only
-    when the trials hash to that digest, which the caller checks before it
-    uses anything made from them.
-    """
-    tag = _summaries_tag()
-    digest = _sole_digest(data_dir, tag)
-    kept = None if digest is None else _kept_summaries(data_dir, digest, tag, max_lag)
-    return None if kept is None else (digest, _Prepared._from_arrays(*kept))
 
 
 def _errors_from_grams(prep: _Prepared, subspaces: ClusterSubspaces) -> np.ndarray:

@@ -391,31 +391,24 @@ def _summaries_entry(data_dir, digest: str, tag: str) -> Path:
     return Path(data_dir) / SIDECAR_DIR / f"{digest}-{tag}"
 
 
-def _sole_digest(data_dir, tag: str) -> str | None:
-    """The digest that names the one entry of the sidecar of ``data_dir``
-    when the code ``tag`` names made it; None when the sidecar holds no such
-    name or other names too (scratch directories aside).  Nothing is hashed:
-    whether the trials still hash to it is for the caller to check.
+def _kept_summaries(data_dir, tag: str, max_lag: int) -> tuple | None:
+    """The digest that names the one entry of the sidecar of ``data_dir``,
+    made by the code ``tag`` names, and the first ``max_lag`` lags of its
+    summaries, as ``(digest, blocks, grams, energies)`` laid out as
+    ``_keep_summaries`` takes them and mapped read-only.  None when the
+    sidecar holds other names too (scratch directories aside), or no whole,
+    finite entry keeps that many lags for as many series as there are
+    trials.  Nothing is hashed: whether the trials hash to the digest is for
+    the caller to check.
     """
+    root = Path(data_dir) / SIDECAR_DIR
     try:
-        names = [name for name in os.listdir(Path(data_dir) / SIDECAR_DIR)
-                 if not name.startswith(_TMP_PREFIX)]
+        names = [name for name in os.listdir(root) if not name.startswith(_TMP_PREFIX)]
     except OSError:
         return None
-    if len(names) != 1:
+    if len(names) != 1 or not names[0].endswith(f"-{tag}"):
         return None
-    digest = names[0][:-len(tag) - 1]
-    return digest if _summaries_entry(data_dir, digest, tag).name == names[0] else None
-
-
-def _kept_summaries(data_dir, digest: str, tag: str, max_lag: int) -> tuple | None:
-    """The first ``max_lag`` lags of the summaries kept for the trials of
-    ``data_dir`` that hash to ``digest``, made by the code ``tag`` names, as
-    ``(blocks, grams, energies)`` laid out as ``_keep_summaries`` takes them
-    and mapped read-only; None when no whole, finite entry keeps that many
-    lags for as many series as there are trials.
-    """
-    entry = _summaries_entry(data_dir, digest, tag)
+    entry = root / names[0]
     try:
         blocks, grams, energies = (_map_array(entry / f"{key}.npy") for key in _SUMMARY_ARRAYS)
     except (OSError, EOFError, ValueError):
@@ -430,7 +423,7 @@ def _kept_summaries(data_dir, digest: str, tag: str, max_lag: int) -> tuple | No
     arrays = (blocks[:max_lag], grams[:max_lag], np.ascontiguousarray(energies[:, :max_lag]))
     if not all(np.isfinite(a).all() for a in arrays):
         return None
-    return arrays
+    return (names[0][:-len(tag) - 1], *arrays)
 
 
 def _keep_summaries(data_dir, digest: str, tag: str, blocks, grams, energies) -> None:
@@ -526,11 +519,12 @@ def dataset_digest(data_dir) -> str:
     this one included, which overlap because reading a file and hashing
     bytes release the interpreter lock.  Every thread has ended when this
     returns, so a forked pool may start next (see ``_fork_pool_workers``).
-    Raises the error of the first file in that order that cannot be read.
+    Raises FileNotFoundError where there are no trials, as ``read_csv_dir``
+    does, and the error of the first file in that order that cannot be read.
     """
     import threading  # loaded by `import rfcpca.cli` already
 
-    paths = _trial_paths(Path(data_dir))
+    paths = _listed_trials(Path(data_dir))
     file_digests = [None] * len(paths)
     errors = {}
     tasks = iter(range(len(paths)))

@@ -123,12 +123,19 @@ def _pool_map(fn, items, workers: int) -> list:
     environment.  A forked worker would keep the BLAS of this process,
     already loaded, so workers are spawned: each imports numpy afresh under
     this process's environment, which holds the defaults while the pool runs.
+    Every worker imports the calling script again, and dies where the call
+    is not under a ``__main__`` guard.
     """
+    from concurrent.futures.process import BrokenProcessPool  # loaded by the pool
+
     added = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
     os.environ.update(dict.fromkeys(added, "1"))
     try:
         with _process_pool(workers, "spawn") as pool:
             return list(pool.map(fn, items))
+    except BrokenProcessPool as exc:
+        raise BrokenProcessPool("a benchmark worker died; call run_benchmark under "
+                                '`if __name__ == "__main__":`, or pass workers=1') from exc
     finally:
         for var in added:
             os.environ.pop(var, None)

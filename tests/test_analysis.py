@@ -9,7 +9,7 @@ from rfcpca.analysis import (
     noise_subspace,
     principal_angles,
 )
-from rfcpca.exceptions import DimensionMismatch, NotOrthonormal
+from rfcpca.exceptions import DimensionMismatch, EmptyClusterError, NotOrthonormal
 from rfcpca.rng import make_rng
 from rfcpca.robust import fit_rfcpca_n
 
@@ -119,3 +119,13 @@ class TestNoiseSubspace:
         fit = fit_fcpca(dataset, 2, seed=0)
         with pytest.raises(ValueError):
             noise_subspace(dataset, fit)
+
+    def test_a_noise_column_without_weight_names_the_noise_cluster(self):
+        dataset, _ = planted_dataset(92)
+        fit = fit_rfcpca_n(dataset, 2, m=2.0, lam=0.05, seed=1)
+        fit.memberships.u[:, :-1] += fit.memberships.u[:, -1:] / 2
+        fit.memberships.u[:, -1] = 0.0
+        with pytest.raises(EmptyClusterError,
+                           match="^the noise cluster has no effective members$") as info:
+            noise_subspace(dataset, fit)
+        assert isinstance(info.value.__cause__, EmptyClusterError)

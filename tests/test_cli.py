@@ -273,8 +273,8 @@ class TestAnalyze:
                            "--out-prefix", tmp_path / "diag")
         assert_clean_exit(proc, 4)
         assert proc.stderr == {
-            "no_noise_weight": "fit error: EmptyClusterError: cluster 0 has no effective "
-                               "members\n",
+            "no_noise_weight": "fit error: EmptyClusterError: the noise cluster has no "
+                               "effective members\n",
             "lag_too_large": "fit error: LagTooLarge: series 0 has length 300 <= max lag 300\n",
         }[fault]
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import select
 import signal
 import subprocess
@@ -345,6 +346,21 @@ def test_digest_raises_the_error_of_the_first_unreadable_file(tmp_path, monkeypa
     before = threading.active_count()
     with pytest.raises(IsADirectoryError, match=r"trial_002\.csv"):
         dataset_digest(tmp_path)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("where", ["empty", "missing"])
+def test_digest_of_a_directory_without_trials_raises_as_the_read_does(tmp_path, where):
+    data_dir = tmp_path / "data"
+    if where == "empty":
+        data_dir.mkdir()
+        (data_dir / "notes.txt").write_text("no trials here")
+    message = rf"^no trial_\*\.csv files under {re.escape(str(data_dir))}$"
+    with pytest.raises(FileNotFoundError, match=message):
+        read_csv_dir(data_dir)
+    before = threading.active_count()
+    with pytest.raises(FileNotFoundError, match=message):
+        dataset_digest(data_dir)
     assert threading.active_count() == before
 
 

@@ -9,6 +9,7 @@ gives the bytes of a fit of a directory that was never read.
 
 import errno
 import functools
+import os
 import shutil
 import tempfile
 import weakref
@@ -216,6 +217,36 @@ def test_a_file_for_the_summaries_directory_is_a_miss(data_dir, tmp_path, pristi
     count_prepares.clear()
     assert _fit_bytes(data_dir, tmp_path / "spoiled.json") == reference
     assert count_prepares == [2] and kept.is_dir()
+
+
+def test_a_stray_name_beside_the_entry_is_a_miss_until_the_next_keep(
+        data_dir, tmp_path, pristine, count_prepares):
+    reference = pristine()
+    _fit_bytes(data_dir, tmp_path / "first.json")
+    # the entry is read only while it is the one name of the sidecar
+    (data_dir / dataset_mod.SIDECAR_DIR / "notes.txt").write_text("not an entry")
+    count_prepares.clear()
+    assert _fit_bytes(data_dir, tmp_path / "stray.json") == reference
+    assert count_prepares == [2]
+    assert _kept(data_dir) == [summaries_entry(data_dir).name]
+    count_prepares.clear()
+    assert _fit_bytes(data_dir, tmp_path / "again.json") == reference
+    assert count_prepares == []
+
+
+def test_a_scratch_directory_beside_the_entry_is_no_other_name(data_dir, tmp_path, pristine,
+                                                               count_prepares):
+    reference = pristine()
+    _fit_bytes(data_dir, tmp_path / "first.json")
+    # the scratch directory of a write this process has running
+    scratch = (data_dir / dataset_mod.SIDECAR_DIR
+               / f"{dataset_mod._TMP_PREFIX}{os.getpid()}-0000beef")
+    scratch.mkdir()
+    count_prepares.clear()
+    assert _fit_bytes(data_dir, tmp_path / "mapped.json") == reference
+    assert count_prepares == []
+    assert scratch.is_dir()
+    assert _kept(data_dir) == sorted([summaries_entry(data_dir).name, scratch.name])
 
 
 def test_fewer_lags_are_served_from_the_kept_summaries(data_dir, tmp_path, pristine,
