@@ -257,7 +257,7 @@ def cmd_simulate(args) -> int:
                                                  seed=config["seed"] + 1)
         else:
             dataset = clean
-    except (RFCPCAError, ValueError, OverflowError) as exc:
+    except (RFCPCAError, ValueError, OverflowError, MemoryError) as exc:
         raise ConfigError(f"cannot simulate {args.config}: {type(exc).__name__}: {exc}") from exc
     # a trial the new dataset does not overwrite would be read as part of it
     ours = {TRIAL_PATTERN.format(i) for i in range(dataset.n_series)}

@@ -49,6 +49,7 @@ from .exceptions import (
     InvalidShape,
     LagTooLarge,
     LagTooSmall,
+    NonFiniteInput,
 )
 from .rng import make_rng
 
@@ -196,14 +197,15 @@ class _Prepared:
         dropped, so a stream is held one parsed trial at a time.  Every
         series is drawn before an error is raised, each kind at its lowest
         index: an error the stream raises while parsing wins, then a series
-        of the wrong shape or not finite, then ``LagTooSmall`` or a
-        ``LagTooLarge``.
+        of the wrong shape, not finite or whose summaries overflow, then
+        ``LagTooSmall`` or a ``LagTooLarge``.  A series too short for the lag
+        stops the summaries, so no later series is found to overflow.
         """
         lag_error = series_error = first = None
         if max_lag < 1:
             lag_error = LagTooSmall(f"max lag must be at least 1, got {max_lag}")
         n = dataset.n_series
-        blocks = grams = energies = None
+        blocks = grams = None
         i = 0
         for x in dataset.series:
             if first is None:
@@ -219,32 +221,35 @@ class _Prepared:
                         d = 2 * x.shape[1]
                         blocks = np.empty((max_lag, n, d, d))
                         grams = np.empty((max_lag, n, d, d))
-                        energies = np.empty((n, max_lag))
-                    _lag_summaries(x, blocks[:, i], grams[:, i], energies[i])
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        _lag_summaries(x, blocks[:, i], grams[:, i])
+                        sums = blocks[:, i], grams[:, i], np.trace(grams[:, i], axis1=1, axis2=2)
+                    if not all(np.isfinite(a).all() for a in sums):
+                        series_error = NonFiniteInput(f"series {i} has lag summaries that overflow")
             i += 1
             del x  # dropped before a stream parses the next series
         if series_error is not None:
             raise series_error
         if lag_error is not None:
             raise lag_error
-        self._hold(blocks, grams, energies)
+        self._hold(blocks, grams)
 
     @classmethod
-    def _from_arrays(cls, blocks, grams, energies) -> "_Prepared":
+    def _from_arrays(cls, blocks, grams) -> "_Prepared":
         """The summaries held in arrays laid out as ``__init__`` fills them,
         such as arrays mapped from the sidecar; ``__init__`` does not run."""
         prep = cls.__new__(cls)
-        prep._hold(blocks, grams, energies)
+        prep._hold(blocks, grams)
         return prep
 
-    def _hold(self, blocks, grams, energies) -> None:
-        # stored lag-major, (L, N, 2p, 2p), and exposed as (N, L, 2p, 2p)
-        # views, so every per-lag slice [:, l] that the fitting loop reads is
-        # C-contiguous and numpy reduces over it without copying
+    def _hold(self, blocks, grams) -> None:
+        """Hold lag-major (L, N, 2p, 2p) arrays as (N, L, 2p, 2p) views, whose
+        per-lag slices are C-contiguous, and the Grams' traces as C-contiguous
+        (N, L) energies (row sums over a lag-major copy differ in the last bits)."""
         self.blocks = blocks.transpose(1, 0, 2, 3)
         self.grams = grams.transpose(1, 0, 2, 3)
-        self.energies = energies
-        self.n_series, self.max_lag = energies.shape
+        self.energies = np.ascontiguousarray(np.trace(self.grams, axis1=2, axis2=3))
+        self.n_series, self.max_lag = self.energies.shape
 
 
 def _code_bytes(code: types.CodeType) -> bytes:
@@ -288,8 +293,9 @@ def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]
     ``dataset._TrialStream``), and the summaries are kept when the trials
     still hash to ``digest`` after the parse.  Raises what ``_Prepared``
     raises: the error of a trial that does not parse, then that of a series
-    ``MtsDataset`` rejects, then that of a lag the series cannot take; the
-    same errors as ``dataset.read_csv_dir`` followed by ``_Prepared``.
+    ``MtsDataset`` rejects or whose summaries overflow, then that of a lag
+    the series cannot take; those of ``dataset.read_csv_dir`` followed by
+    ``_Prepared``, save that ``read_csv_dir`` rejects every non-finite entry first.
 
     ``rfcpca fit`` calls this once the trials are hashed, unless it fitted
     those summaries while they were hashed and the digests match.
@@ -301,7 +307,7 @@ def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]
     loaded = dataset_digest(data_dir)
     if loaded == digest:
         _keep_summaries(data_dir, digest, _summaries_tag(), prep.blocks.transpose(1, 0, 2, 3),
-                        prep.grams.transpose(1, 0, 2, 3), prep.energies)
+                        prep.grams.transpose(1, 0, 2, 3))
     return prep, loaded
 
 

@@ -32,12 +32,12 @@ DEFAULT_VARIANCE_FRACTION = 0.95
 _RANK_EPS = 1e-10
 
 
-def _lag_summaries(x, blocks, grams, energies) -> None:
-    """Block covariances, embedding Grams and energies of lags 1..L in one pass.
+def _lag_summaries(x, blocks, grams) -> None:
+    """Block covariances and embedding Grams of lags 1..L in one pass.
 
     Writes the summaries of the finite T x p series ``x`` (T > L) into
-    ``blocks`` and ``grams`` of shape (L, 2p, 2p) and ``energies`` of shape
-    (L,).  The series is centred once and S0 = xc^T xc formed once.  Each
+    ``blocks`` and ``grams`` of shape (L, 2p, 2p), whose traces are the
+    energies.  The series is centred once and S0 = xc^T xc formed once.  Each
     lag then costs one cross product xc[:T-l]^T xc[l:]: over T it is the
     off-diagonal covariance block G(l), and as it stands the off-diagonal
     Gram block.  The diagonal covariance blocks are G(0) = S0 / T,
@@ -50,7 +50,7 @@ def _lag_summaries(x, blocks, grams, energies) -> None:
     s0 = xc.T @ xc
     cov0 = s0 / t
     g0 = (cov0 + cov0.T) / 2.0
-    for lag_idx in range(len(energies)):
+    for lag_idx in range(len(blocks)):
         lag = lag_idx + 1
         cross = xc[: t - lag].T @ xc[lag:]
         gl = cross / t
@@ -66,7 +66,6 @@ def _lag_summaries(x, blocks, grams, energies) -> None:
         g[p:, :p] = cross.T
         g[p:, p:] = s0 - head.T @ head
         g[...] = (g + g.T) / 2.0
-        energies[lag_idx] = np.trace(g)
 
 
 def weighted_common_covariance(blocks, u_col, m: float) -> np.ndarray:

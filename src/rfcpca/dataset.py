@@ -21,7 +21,7 @@ TRIAL_PATTERN = "trial_{:03d}.csv"
 # are kept in this directory beside the trial files, as one entry
 # "<digest>-<tag>" holding the arrays _SUMMARY_ARRAYS names, each a .npy file
 SIDECAR_DIR = ".rfcpca-parsed"
-_SUMMARY_ARRAYS = ("blocks", "grams", "energies")
+_SUMMARY_ARRAYS = ("blocks", "grams")
 # entries being written, .tmp-<pid>-<hex>; never taken for a kept entry
 _TMP_PREFIX = ".tmp-"
 
@@ -394,12 +394,12 @@ def _summaries_entry(data_dir, digest: str, tag: str) -> Path:
 def _kept_summaries(data_dir, tag: str, max_lag: int) -> tuple | None:
     """The digest that names the one entry of the sidecar of ``data_dir``,
     made by the code ``tag`` names, and the first ``max_lag`` lags of its
-    summaries, as ``(digest, blocks, grams, energies)`` laid out as
-    ``_keep_summaries`` takes them and mapped read-only.  None when the
-    sidecar holds other names too (scratch directories aside), or no whole,
-    finite entry keeps that many lags for as many series as there are
-    trials.  Nothing is hashed: whether the trials hash to the digest is for
-    the caller to check.
+    summaries, as ``(digest, blocks, grams)`` laid out as ``_keep_summaries``
+    takes them, mapped read-only and not copied.  None when the sidecar
+    holds other names too (scratch directories aside), or no whole, finite
+    entry keeps that many lags for as many series as there are trials.
+    Nothing is hashed: whether the trials hash to the digest is for the
+    caller to check.
     """
     root = Path(data_dir) / SIDECAR_DIR
     try:
@@ -410,39 +410,37 @@ def _kept_summaries(data_dir, tag: str, max_lag: int) -> tuple | None:
         return None
     entry = root / names[0]
     try:
-        blocks, grams, energies = (_map_array(entry / f"{key}.npy") for key in _SUMMARY_ARRAYS)
+        blocks, grams = (_map_array(entry / f"{key}.npy") for key in _SUMMARY_ARRAYS)
     except (OSError, EOFError, ValueError):
         return None
     n = len(_trial_paths(Path(data_dir)))
-    kept = energies.shape[1] if energies.ndim == 2 else 0
-    d = blocks.shape[-1] if blocks.ndim else 0
-    if not (0 < max_lag <= kept and energies.shape == (n, kept)
-            and blocks.shape == grams.shape == (kept, n, d, d)):
+    shape = blocks.shape
+    if not (blocks.ndim == 4 and grams.shape == shape == (shape[0], n, shape[3], shape[3])
+            and 0 < max_lag <= shape[0]):
         return None
-    # the energies of fewer lags are copied out, C-contiguous as computed
-    arrays = (blocks[:max_lag], grams[:max_lag], np.ascontiguousarray(energies[:, :max_lag]))
+    arrays = (blocks[:max_lag], grams[:max_lag])
     if not all(np.isfinite(a).all() for a in arrays):
         return None
     return (names[0][:-len(tag) - 1], *arrays)
 
 
-def _keep_summaries(data_dir, digest: str, tag: str, blocks, grams, energies) -> None:
+def _keep_summaries(data_dir, digest: str, tag: str, blocks, grams) -> None:
     """Keep the lag summaries of the trials of ``data_dir`` that hash to
     ``digest``, made by the code ``tag`` names, as the one entry of its sidecar.
 
-    ``blocks`` and ``grams`` are (L, N, 2p, 2p) and ``energies`` (N, L).  They
-    are written into a scratch directory and renamed into place, so a reader
-    sees all of them or none; every other name in the sidecar then goes (see
-    ``_publish``).  Writes nothing where it cannot, as in a read-only
-    directory, on a full disk or when another process removes the sidecar
-    meanwhile, and leaves no scratch directory behind.
+    ``blocks`` and ``grams`` are (L, N, 2p, 2p); their traces, the energies,
+    are not kept.  Both are written into a scratch directory and renamed
+    into place, so a reader sees both or neither; every other name in the
+    sidecar then goes (see ``_publish``).  Writes nothing where it cannot,
+    as in a read-only directory, on a full disk or when another process
+    removes the sidecar meanwhile, and leaves no scratch directory behind.
     """
     try:
         tmp = _scratch_dir(Path(data_dir))
     except OSError:
         return
     try:
-        for key, array in zip(_SUMMARY_ARRAYS, (blocks, grams, energies)):
+        for key, array in zip(_SUMMARY_ARRAYS, (blocks, grams)):
             np.save(tmp / f"{key}.npy", array)
         _publish(tmp, _summaries_entry(data_dir, digest, tag))
     except OSError:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import _BLAS_THREAD_VARS, MtsDataset, _pool_workers, _process_pool
+from .dataset import _BLAS_THREAD_VARS, _pool_workers, _process_pool
 from .evaluation import evaluate_fit
 from .rng import derive_seed
 from .selection import DEFAULT_M_GRID, VARIANTS, SearchGrid, grid_search
@@ -53,39 +53,30 @@ def make_benchmark_dataset(kind: str, p: int, t_spec, seed: int, n_per_group: in
     raise ValueError(f"unknown contamination kind {kind!r}")
 
 
-def auto_fit(dataset: MtsDataset, variant: str, seed: int, m_values=DEFAULT_M_GRID):
-    """Grid-search fit of one variant at ``BENCHMARK_S`` clusters and ``BENCHMARK_V``
-    over ``m_values`` and the default grids of alpha and lambda."""
-    grid = SearchGrid(variant=variant, s_values=(BENCHMARK_S,), m_values=m_values,
-                      lam="elbow")
-    return grid_search(dataset, grid, seed=seed, v=BENCHMARK_V)
-
-
 def benchmark_replication(kind: str, p: int, t_spec, seed: int, n_per_group: int = 10):
     """Score all variants on one seeded contaminated dataset.
 
-    Hyperparameter protocol: the baseline and each robust variant with a
-    hyperparameter of its own (the trimmed variant's level, the noise
-    variant's multiplier-and-fuzziness pair) select by their own validity
-    criterion over the default grids.  The exponential variant has no
-    extra hyperparameter and inherits the baseline's fuzziness: its
-    bounded loss makes the index's fuzziness comparison degenerate, since
-    near-crisp low-fuzziness fits maximise prototype separation exactly by
-    assigning saturated outliers confidently.  Returns one row per variant
-    with the selected values and the accuracy / outlier-recall metrics.
+    Each variant, the baseline first, is fitted by one ``grid_search`` at
+    ``BENCHMARK_S`` clusters and ``BENCHMARK_V``, seeded by its index in
+    ``VARIANTS``.  Hyperparameter protocol: the baseline and each robust
+    variant with a hyperparameter of its own (the trimmed variant's level,
+    the noise variant's multiplier-and-fuzziness pair) select by their own
+    validity criterion over the default grids and the lambda elbow.  The
+    exponential variant has no extra hyperparameter and inherits the
+    baseline's fuzziness, read from its row: its bounded loss makes the
+    index's fuzziness comparison degenerate, since near-crisp low-fuzziness
+    fits maximise prototype separation exactly by assigning saturated
+    outliers confidently.  Returns one row per variant with the selected
+    values and the accuracy / outlier-recall metrics.
     """
     dataset, _ = make_benchmark_dataset(kind, p, t_spec, seed, n_per_group=n_per_group)
     truth = dataset.contaminated_indices()
-    base_fit, base_report = auto_fit(dataset, "fcpca", seed=derive_seed(seed, _FIT_STREAM, 0))
-    m_star = base_report.winner["m"]
     rows = []
     for k, variant in enumerate(VARIANTS):
-        if variant == "fcpca":
-            fit, report = base_fit, base_report
-        else:
-            variant_m = (m_star,) if variant == "e" else DEFAULT_M_GRID
-            fit, report = auto_fit(dataset, variant, seed=derive_seed(seed, _FIT_STREAM, k),
-                                   m_values=variant_m)
+        m_values = (rows[0]["m"],) if variant == "e" else DEFAULT_M_GRID
+        grid = SearchGrid(variant=variant, s_values=(BENCHMARK_S,), m_values=m_values)
+        fit, report = grid_search(dataset, grid, seed=derive_seed(seed, _FIT_STREAM, k),
+                                  v=BENCHMARK_V)
         ev = evaluate_fit(fit, dataset.labels, truth)
         rows.append({
             "kind": kind,

@@ -122,7 +122,8 @@ def _noise_augment(errors: np.ndarray, delta_sq: float) -> np.ndarray:
 
 
 def update_noise_distance(errors: np.ndarray, lam: float) -> float:
-    """delta^2 = lam / (N * S_regular) * sum of all regular-cluster errors."""
+    """delta^2 = lam / (N * S_regular) * sum of all regular-cluster errors;
+    DegenerateScale where the errors vanish or delta^2 overflows."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     errors = np.asarray(errors, dtype=float)
@@ -130,7 +131,11 @@ def update_noise_distance(errors: np.ndarray, lam: float) -> float:
     if total <= 0.0:
         raise DegenerateScale("all reconstruction errors vanish; noise distance undefined")
     n, s_regular = errors.shape
-    return lam * total / (n * s_regular)
+    with np.errstate(over="ignore"):
+        delta_sq = lam * total / (n * s_regular)
+    if not np.isfinite(delta_sq):
+        raise DegenerateScale(f"noise distance overflows at lambda {lam}")
+    return delta_sq
 
 
 def _burn_in(prep: _Prepared, u: np.ndarray, n_regular: int, m: float, v: float,
@@ -241,11 +246,10 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
         curve = [(lam, 1.0) for lam in DEFAULT_LAMBDA_GRID]
         return LambdaElbow(lambda_star=DEFAULT_LAMBDA_GRID[0], curve=curve, no_elbow=True)
     fractions = []
-    for k, lam in enumerate(DEFAULT_LAMBDA_GRID):
+    for lam in DEFAULT_LAMBDA_GRID:
         try:
             fit = fit_rfcpca_n(prep, n_regular, m=m, v=v, lam=lam,
-                               seed=derive_seed(seed, _ELBOW_STREAM, k),
-                               _start_state=(start, first))
+                               seed=seed, _start_state=(start, first))
             fractions.append(len(fit.flagged) / n)
         except (EmptyClusterError, DegenerateScale):
             fractions.append(1.0)

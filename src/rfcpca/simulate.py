@@ -269,10 +269,6 @@ class SimManifest:
     schema_version: int = SCHEMA_VERSION
     dataset_sha256: str | None = None
 
-    @property
-    def n_series(self) -> int:
-        return 2 * self.n_per_group
-
     def to_json(self, **kwargs) -> str:
         return json.dumps(asdict(self), **kwargs)
 

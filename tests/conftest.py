@@ -116,8 +116,8 @@ def spoil_entry(entry, how):
     mapped from the entry may be read afterwards.
 
     ``missing_trial`` leaves whole arrays that summarise one trial fewer, and
-    ``shapes_as_objects`` puts an object array in place of the energies,
-    whose shape gives the entry's trial and lag counts.
+    ``shapes_as_objects`` puts an object array in place of the Grams, whose
+    shape must match that of the block covariances.
     """
     first = entry / "blocks.npy"
     if how == "truncated":
@@ -139,9 +139,8 @@ def spoil_entry(entry, how):
     elif how == "missing_trial":
         for key in ("blocks", "grams"):
             np.save(entry / f"{key}.npy", np.load(entry / f"{key}.npy")[:, :-1])
-        np.save(entry / "energies.npy", np.load(entry / "energies.npy")[:-1])
     elif how == "shapes_as_objects":
-        np.save(entry / "energies.npy", np.array([_Trap()], dtype=object),
+        np.save(entry / "grams.npy", np.array([_Trap()], dtype=object),
                 allow_pickle=True)
     elif how == "file_for_entry":
         dataset_mod._remove(entry)

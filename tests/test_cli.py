@@ -56,8 +56,21 @@ _FIRST_FAULTS = [
     ({0: 2, 2: "inf", 4: "abc"}, 2, "error: cannot load {data}: ValueError: could not "
                                     "convert string 'abc' to float64 at row 4, column 1."),
     ({1: 2, 4: 2}, 4, "fit error: LagTooLarge: series 1 has length 2 <= max lag 2"),
+    # 1e200 is finite, but its square overflows the trial's summaries
+    ({1: "nan", 3: "1e200"}, 2, "error: cannot load {data}: NonFiniteInput: series 1 contains "
+                                "non-finite entries"),
+    ({1: 2, 3: "1e200"}, 4, "fit error: LagTooLarge: series 1 has length 2 <= max lag 2"),
 ]
-_FIRST_FAULT_IDS = ["nan_then_unparsable", "short_then_nan", "short_inf_unparsable", "two_short"]
+_FIRST_FAULT_IDS = ["nan_then_unparsable", "short_then_nan", "short_inf_unparsable", "two_short",
+                    "nan_then_overflow", "short_then_overflow"]
+# a fit summarises each trial as it parses it, so a trial whose summaries
+# overflow ranks with a non-finite trial; read_csv_dir checks the entries of
+# every trial before any is summarised
+_FIT_FAULTS = _FIRST_FAULTS + [
+    ({1: "1e200", 3: "nan"}, 2, "error: cannot load {data}: NonFiniteInput: series 1 has "
+                                "lag summaries that overflow"),
+]
+_FIT_FAULT_IDS = _FIRST_FAULT_IDS + ["overflow_then_nan"]
 
 
 def write_faults(data_dir, faults):
@@ -129,6 +142,20 @@ class TestSimulate:
         cfg.write_text(json.dumps({"kind": "none", "n_per_group": 2, "channels": 4,
                                    "length": 100, "seed": 3, "typo_key": 1}))
         assert run("simulate", "--config", cfg, "--out", tmp_path / "x") == 2
+
+    @pytest.mark.parametrize("key", ["length", "channels", "n_per_group"])
+    def test_a_config_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys, key):
+        # about 35 PiB, past any 64-bit address space: no page is touched
+        config = {"kind": "burst", "n_per_group": 2, "channels": 4, "length": 100, "seed": 3}
+        config[key] = 10**15
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot simulate {cfg}: MemoryError")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert run("simulate", "--config", tmp_path / "nope.json", "--out", tmp_path / "x") == 2
@@ -453,6 +480,45 @@ class TestExitCodes:
                            "--out", tmp_path / "f.json")
         assert_clean_exit(proc, 2)
 
+    @pytest.mark.parametrize("command", ["fit", "analyze"])
+    def test_a_trial_whose_summaries_overflow_exits_2_and_keeps_nothing(
+            self, simulated, tmp_path, command):
+        fit_path = tmp_path / "f.json"
+        if command == "analyze":
+            assert run("fit", "--data", simulated, "--variant", "n", "--lambda", "0.05",
+                       "--out", fit_path) == 0
+        write_faults(simulated, {2: "1e200"})
+        if command == "analyze":
+            # a fit document that names the overflowing trials
+            doc = json.loads(fit_path.read_text())
+            doc["provenance"]["dataset_sha256"] = dataset_digest(simulated)
+            fit_path.write_text(json.dumps(doc))
+            argv = ["analyze", "--fit", fit_path, "--data", simulated,
+                    "--out-prefix", tmp_path / "diag"]
+        else:
+            argv = ["fit", "--data", simulated, "--out", fit_path]
+        shutil.rmtree(simulated / dataset_mod.SIDECAR_DIR, ignore_errors=True)
+        proc = run_process(*argv)
+        assert_clean_exit(proc, 2)
+        assert proc.stderr == (f"error: cannot load {simulated}: NonFiniteInput: series 2 "
+                               "has lag summaries that overflow\n")
+        assert command == "analyze" or not fit_path.exists()
+        sidecar = simulated / dataset_mod.SIDECAR_DIR
+        assert not sidecar.exists() or list(sidecar.iterdir()) == []
+
+    def test_a_noise_distance_that_overflows_exits_4(self, simulated, tmp_path):
+        out = tmp_path / "f.json"
+        proc = run_process("fit", "--data", simulated, "--variant", "n", "--lambda", "1e308",
+                           "--out", out)
+        assert_clean_exit(proc, 4)
+        assert proc.stderr.startswith("fit error: DegenerateScale: noise distance overflows")
+
+        def no_constant(name):
+            raise AssertionError(f"{name} is not valid JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=no_constant)
+        assert doc["error"] == "DegenerateScale"
+
     @pytest.mark.parametrize("cell", ["nan", "abc"])
     def test_bad_trial_parsed_on_pool_exits_2(self, simulated, tmp_path, monkeypatch,
                                               capsys, cell):
@@ -482,7 +548,7 @@ class TestExitCodes:
         assert proc.stderr == (f"error: cannot load {simulated}: "
                                f"ValueError: {trial} holds no data rows\n")
 
-    @pytest.mark.parametrize("faults, code, message", _FIRST_FAULTS, ids=_FIRST_FAULT_IDS)
+    @pytest.mark.parametrize("faults, code, message", _FIT_FAULTS, ids=_FIT_FAULT_IDS)
     @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
     def test_the_first_fault_of_the_first_kind_wins(self, simulated, tmp_path, monkeypatch,
                                                     capsys, pool, faults, code, message):

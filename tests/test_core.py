@@ -18,7 +18,7 @@ from rfcpca.core import (
 from rfcpca.covariance import ClusterSubspaces, common_axes
 from rfcpca.dataset import MtsDataset
 from rfcpca.evaluation import rand_index
-from rfcpca.exceptions import InvalidShape, LagTooSmall
+from rfcpca.exceptions import InvalidShape, LagTooLarge, LagTooSmall, NonFiniteInput
 from rfcpca.rng import make_rng
 
 
@@ -159,6 +159,20 @@ class TestPrepared:
                                            rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(prep.energies[i, lag_idx], (emb * emb).sum(),
                                            rtol=1e-12, atol=0.0)
+
+    def test_a_series_whose_summaries_overflow_is_non_finite_input(self):
+        # every entry is finite, but 1e200 squared is not: the fit raises
+        # before any warning or eigen failure, naming the lowest such series
+        rng = make_rng(30)
+        series = [rng.standard_normal((40, 3)) for _ in range(5)]
+        for i in (2, 4):
+            series[i][7, 1] = 1e200
+        with pytest.raises(NonFiniteInput, match=r"^series 2 has lag summaries that overflow$"):
+            fit_fcpca(MtsDataset(series=series), 2)
+        # a series too short for the lags stops the summaries before series 2
+        series[1] = series[1][:2]
+        with pytest.raises(LagTooLarge, match="series 1"):
+            fit_fcpca(MtsDataset(series=series), 2)
 
     def test_max_lag_below_one_is_package_error(self):
         dataset, _ = planted_dataset(29)

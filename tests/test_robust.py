@@ -164,6 +164,12 @@ class TestNoiseDistance:
         with pytest.raises(DegenerateScale):
             update_noise_distance(np.zeros((3, 2)), 1.0)
 
+    @pytest.mark.parametrize("lam", [1e308, np.float64(1e308)], ids=["float", "numpy"])
+    def test_overflow_is_degenerate(self, lam):
+        # lam * sum(errors) = 6e308 is past the largest double
+        with pytest.raises(DegenerateScale, match="overflows"):
+            update_noise_distance(np.ones((3, 2)), lam)
+
 
 class TestTrimSet:
     def test_no_trimming(self):

@@ -261,7 +261,7 @@ def test_fewer_lags_are_served_from_the_kept_summaries(data_dir, tmp_path, prist
         # one entry, of the largest lag count asked for so far
         largest = max(largest, max_lag)
         assert _kept(data_dir) == [summaries_entry(data_dir).name]
-        assert np.load(summaries_entry(data_dir) / "energies.npy").shape[1] == largest
+        assert np.load(summaries_entry(data_dir) / "blocks.npy").shape[0] == largest
 
 
 def test_analyze_of_fewer_lags_computes_nothing(data_dir, tmp_path, count_prepares):
@@ -312,10 +312,11 @@ def test_summaries_of_other_code_are_a_miss(data_dir, monkeypatch, count_prepare
     del before
     summarise = core._lag_summaries
 
-    def doubled(x, blocks, grams, out):
-        # other code: the same summaries with twice the energies
-        summarise(x, blocks, grams, out)
-        out *= 2.0
+    def doubled(x, blocks, grams):
+        # other code: the same block covariances with twice the Grams, so
+        # twice the energies
+        summarise(x, blocks, grams)
+        grams *= 2.0
 
     monkeypatch.setattr(core, "_lag_summaries", doubled)
     count_prepares.clear()
