@@ -258,7 +258,12 @@ def cmd_simulate(args) -> int:
         else:
             dataset = clean
     except (RFCPCAError, ValueError, OverflowError, MemoryError) as exc:
-        raise ConfigError(f"cannot simulate {args.config}: {type(exc).__name__}: {exc}") from exc
+        detail = str(exc)
+        if not detail and isinstance(exc, MemoryError):
+            # a list too long to allocate raises with no text of its own
+            detail = (f"cannot allocate {2 * config['n_per_group']} trials of length "
+                      f"{config['length']} and {config['channels']} channels")
+        raise ConfigError(f"cannot simulate {args.config}: {type(exc).__name__}: {detail}") from exc
     # a trial the new dataset does not overwrite would be read as part of it
     ours = {TRIAL_PATTERN.format(i) for i in range(dataset.n_series)}
     others = [path.name for path in _trial_paths(out_dir) if path.name not in ours]

@@ -155,8 +155,9 @@ def ratio_memberships(loss: np.ndarray, m: float) -> np.ndarray:
 def _subspaces_from_weights(blocks, u, m, v) -> ClusterSubspaces:
     """Axes for every cluster and lag from weighted common covariances.
 
-    ``blocks`` is the (N, L, 2p, 2p) stack of per-series block matrices and
-    ``u`` the (N, S) weights whose columns are raised to ``m``.
+    ``blocks`` is the (N, L, p, 2p) stack of the per-series upper block rows
+    [G(0), G(l)] (see ``weighted_common_covariance``) and ``u`` the (N, S)
+    weights whose columns are raised to ``m``.
     """
     n_lags = blocks.shape[1]
     axes = []
@@ -218,9 +219,9 @@ class _Prepared:
                     lag_error = LagTooLarge(f"series {i} has length {t} <= max lag {max_lag}")
                 else:
                     if blocks is None:
-                        d = 2 * x.shape[1]
-                        blocks = np.empty((max_lag, n, d, d))
-                        grams = np.empty((max_lag, n, d, d))
+                        p = x.shape[1]
+                        blocks = np.empty((max_lag, n, p, 2 * p))
+                        grams = np.empty((max_lag, n, 2 * p, 2 * p))
                     with np.errstate(over="ignore", invalid="ignore"):
                         _lag_summaries(x, blocks[:, i], grams[:, i])
                         sums = blocks[:, i], grams[:, i], np.trace(grams[:, i], axis1=1, axis2=2)
@@ -243,9 +244,10 @@ class _Prepared:
         return prep
 
     def _hold(self, blocks, grams) -> None:
-        """Hold lag-major (L, N, 2p, 2p) arrays as (N, L, 2p, 2p) views, whose
-        per-lag slices are C-contiguous, and the Grams' traces as C-contiguous
-        (N, L) energies (row sums over a lag-major copy differ in the last bits)."""
+        """Hold the lag-major (L, N, p, 2p) upper block rows and (L, N, 2p, 2p)
+        Grams as (N, L, p, 2p) and (N, L, 2p, 2p) views, whose per-lag slices
+        are C-contiguous, and the Grams' traces as C-contiguous (N, L)
+        energies (row sums over a lag-major copy differ in the last bits)."""
         self.blocks = blocks.transpose(1, 0, 2, 3)
         self.grams = grams.transpose(1, 0, 2, 3)
         self.energies = np.ascontiguousarray(np.trace(self.grams, axis1=2, axis2=3))

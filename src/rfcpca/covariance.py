@@ -1,13 +1,15 @@
 """Lag-indexed second-order summaries of multivariate time series.
 
-Every series is reduced to, per lag l = 1..L, two 2p x 2p matrices: the
-block covariance [[G(0), G(l)], [G(l)^T, G(0)]], where G(l) is the lag-l
-cross-covariance, and the Gram matrix Xhat(l)^T Xhat(l) of the lagged
-embedding, the (T - l) x 2p matrix whose row t is [x_t, x_{t+l}].  The
-embedding itself is never formed: its total energy is the Gram trace and
-its reconstruction error against orthonormal axes C is
+Every series is reduced to, per lag l = 1..L, the upper block row
+[G(0), G(l)] (p x 2p) of its block covariance [[G(0), G(l)], [G(l)^T, G(0)]],
+where G(l) is the lag-l cross-covariance, and the 2p x 2p Gram matrix
+Xhat(l)^T Xhat(l) of the lagged embedding, the (T - l) x 2p matrix whose row
+t is [x_t, x_{t+l}].  The lower block row is a mirror of the upper one and is
+never stored.  The embedding itself is never formed: its total energy is the
+Gram trace and its reconstruction error against orthonormal axes C is
 trace(G) - <G, C C^T>_F.  Cluster subspaces are the top eigenvectors of
-membership-weighted averages of the block matrices.
+membership-weighted averages of the block matrices, each rebuilt from the
+weighted average of the upper block rows.
 
 Conventions (fixed once, used everywhere):
 
@@ -33,16 +35,17 @@ _RANK_EPS = 1e-10
 
 
 def _lag_summaries(x, blocks, grams) -> None:
-    """Block covariances and embedding Grams of lags 1..L in one pass.
+    """Upper block rows of the block covariances and embedding Grams of lags
+    1..L in one pass.
 
     Writes the summaries of the finite T x p series ``x`` (T > L) into
-    ``blocks`` and ``grams`` of shape (L, 2p, 2p), whose traces are the
-    energies.  The series is centred once and S0 = xc^T xc formed once.  Each
-    lag then costs one cross product xc[:T-l]^T xc[l:]: over T it is the
-    off-diagonal covariance block G(l), and as it stands the off-diagonal
-    Gram block.  The diagonal covariance blocks are G(0) = S0 / T,
-    symmetrised so mirrored entries are bitwise equal; the diagonal Gram
-    blocks are S0 less the l rows each half of the embedding leaves out.
+    ``blocks`` of shape (L, p, 2p) and ``grams`` of shape (L, 2p, 2p), whose
+    traces are the energies.  The series is centred once and S0 = xc^T xc
+    formed once.  Each lag then costs one cross product xc[:T-l]^T xc[l:]:
+    over T it is the covariance G(l), stored beside G(0) = S0 / T
+    (symmetrised so mirrored entries are bitwise equal) as the row
+    [G(0), G(l)], and as it stands the off-diagonal Gram block.  The diagonal
+    Gram blocks are S0 less the l rows each half of the embedding leaves out.
     Grams equal Xhat^T Xhat of the explicit embedding up to rounding.
     """
     t, p = x.shape
@@ -53,12 +56,9 @@ def _lag_summaries(x, blocks, grams) -> None:
     for lag_idx in range(len(blocks)):
         lag = lag_idx + 1
         cross = xc[: t - lag].T @ xc[lag:]
-        gl = cross / t
         b = blocks[lag_idx]
-        b[:p, :p] = g0
-        b[:p, p:] = gl
-        b[p:, :p] = gl.T
-        b[p:, p:] = g0
+        b[:, :p] = g0
+        b[:, p:] = cross / t
         head, tail = xc[:lag], xc[t - lag:]
         g = grams[lag_idx]
         g[:p, :p] = s0 - tail.T @ tail
@@ -69,19 +69,42 @@ def _lag_summaries(x, blocks, grams) -> None:
 
 
 def weighted_common_covariance(blocks, u_col, m: float) -> np.ndarray:
-    """Membership-weighted average sum_i u_i^m B_i / sum_i u_i^m.
+    """Membership-weighted average sum_i u_i^m B_i / sum_i u_i^m of block
+    covariances B_i = [[G_i(0), G_i(l)], [G_i(l)^T, G_i(0)]].
 
-    ``blocks`` is an (N, d, d) stack of symmetric matrices at one lag and
-    ``u_col`` the membership column for one cluster.
+    ``blocks`` is the (N, p, 2p) stack of the upper block rows
+    [G_i(0), G_i(l)] at one lag and ``u_col`` the membership column for one
+    cluster.  The weighted row R = [A, B] is a vector-matrix product over
+    the series; the 2p x 2p result is [[A, B], [B^T, A]], so each entry is
+    the weighted sum over the square blocks, summed in the same order.
     """
     blocks = np.asarray(blocks, dtype=float)
     w = np.asarray(u_col, dtype=float) ** m
     if blocks.ndim != 3 or blocks.shape[0] != w.shape[0]:
         raise DimensionMismatch("blocks and weights disagree on the number of series")
+    n, p, d = blocks.shape
+    if d != 2 * p:
+        raise DimensionMismatch(f"expected an (N, p, 2p) stack of upper block rows, "
+                                f"got {blocks.shape}")
     total = w.sum()
     if total < 1e-12:
         raise DegenerateWeights("membership weights sum to zero")
-    return (w @ blocks.reshape(w.shape[0], -1)).reshape(blocks.shape[1:]) / total
+    flat = blocks.reshape(n, -1)
+    # OpenBLAS's vector-matrix product sums the last (K mod 4) of its K
+    # outputs in another order than the rest.  The square blocks' K = 4p^2
+    # has no such tail, but an odd p's K = 2p^2 leaves two entries; they are
+    # summed in a zero-padded product of four columns, in the order of all
+    # the others (an even p's padded product is all zeros and is dropped)
+    k = flat.shape[1]
+    cut = k - k % 4
+    tail = np.zeros((n, 4))
+    tail[:, :k - cut] = flat[:, cut:]
+    row = np.concatenate([w @ flat[:, :cut], (w @ tail)[:k - cut]]).reshape(p, d) / total
+    sigma = np.empty((d, d))
+    sigma[:p] = row
+    sigma[p:, :p] = row[:, p:].T
+    sigma[p:, p:] = row[:, :p]
+    return sigma
 
 
 def common_axes(sigma, v: float = DEFAULT_VARIANCE_FRACTION) -> np.ndarray:

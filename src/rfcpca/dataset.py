@@ -397,7 +397,8 @@ def _kept_summaries(data_dir, tag: str, max_lag: int) -> tuple | None:
     summaries, as ``(digest, blocks, grams)`` laid out as ``_keep_summaries``
     takes them, mapped read-only and not copied.  None when the sidecar
     holds other names too (scratch directories aside), or no whole, finite
-    entry keeps that many lags for as many series as there are trials.
+    entry keeps that many lags for as many series as there are trials, with
+    (L, N, p, 2p) upper block rows beside (L, N, 2p, 2p) Grams.
     Nothing is hashed: whether the trials hash to the digest is for the
     caller to check.
     """
@@ -415,8 +416,8 @@ def _kept_summaries(data_dir, tag: str, max_lag: int) -> tuple | None:
         return None
     n = len(_trial_paths(Path(data_dir)))
     shape = blocks.shape
-    if not (blocks.ndim == 4 and grams.shape == shape == (shape[0], n, shape[3], shape[3])
-            and 0 < max_lag <= shape[0]):
+    if not (blocks.ndim == 4 and shape == (shape[0], n, shape[2], 2 * shape[2])
+            and grams.shape == (shape[0], n, shape[3], shape[3]) and 0 < max_lag <= shape[0]):
         return None
     arrays = (blocks[:max_lag], grams[:max_lag])
     if not all(np.isfinite(a).all() for a in arrays):
@@ -428,12 +429,14 @@ def _keep_summaries(data_dir, digest: str, tag: str, blocks, grams) -> None:
     """Keep the lag summaries of the trials of ``data_dir`` that hash to
     ``digest``, made by the code ``tag`` names, as the one entry of its sidecar.
 
-    ``blocks`` and ``grams`` are (L, N, 2p, 2p); their traces, the energies,
-    are not kept.  Both are written into a scratch directory and renamed
-    into place, so a reader sees both or neither; every other name in the
-    sidecar then goes (see ``_publish``).  Writes nothing where it cannot,
-    as in a read-only directory, on a full disk or when another process
-    removes the sidecar meanwhile, and leaves no scratch directory behind.
+    ``blocks`` are the (L, N, p, 2p) upper block rows [G(0), G(l)] of the
+    block covariances and ``grams`` the (L, N, 2p, 2p) Grams; the Grams'
+    traces, the energies, are not kept.  Both are written into a scratch
+    directory and renamed into place, so a reader sees both or neither;
+    every other name in the sidecar then goes (see ``_publish``).  Writes
+    nothing where it cannot, as in a read-only directory, on a full disk or
+    when another process removes the sidecar meanwhile, and leaves no
+    scratch directory behind.
     """
     try:
         tmp = _scratch_dir(Path(data_dir))

@@ -57,6 +57,15 @@ def planted_with_outliers(seed, n_clean_per_group=4, p=8, t=80, n_outliers=2,
     return MtsDataset(series=series, labels=labels, contaminated=contaminated), outliers
 
 
+def full_blocks(rows):
+    """The block covariances [[G(0), G(l)], [G(l)^T, G(0)]] whose upper block
+    rows [G(0), G(l)] are ``rows``, stacked as (..., p, 2p)."""
+    rows = np.asarray(rows)
+    p = rows.shape[-2]
+    lower = np.concatenate([np.swapaxes(rows[..., p:], -1, -2), rows[..., :p]], axis=-1)
+    return np.concatenate([rows, lower], axis=-2)
+
+
 @pytest.fixture
 def small_planted():
     return planted_dataset(7)
@@ -86,7 +95,8 @@ def read_only(monkeypatch):
 
 SIDECAR_SPOILS = ("truncated", "empty_file", "wrong_shape", "wrong_dtype",
                   "object_array", "non_finite", "missing_array", "missing_trial",
-                  "shapes_as_objects", "file_for_entry", "file_for_sidecar")
+                  "shapes_as_objects", "square_blocks", "file_for_entry",
+                  "file_for_sidecar")
 
 
 class _Unpickled(Exception):
@@ -117,7 +127,9 @@ def spoil_entry(entry, how):
 
     ``missing_trial`` leaves whole arrays that summarise one trial fewer, and
     ``shapes_as_objects`` puts an object array in place of the Grams, whose
-    shape must match that of the block covariances.
+    shape must match that of the block covariances.  ``square_blocks`` keeps
+    the full (L, N, 2p, 2p) block covariances in place of their upper block
+    rows, the layout of earlier code, under the current tag.
     """
     first = entry / "blocks.npy"
     if how == "truncated":
@@ -142,6 +154,8 @@ def spoil_entry(entry, how):
     elif how == "shapes_as_objects":
         np.save(entry / "grams.npy", np.array([_Trap()], dtype=object),
                 allow_pickle=True)
+    elif how == "square_blocks":
+        np.save(first, full_blocks(np.load(first)))
     elif how == "file_for_entry":
         dataset_mod._remove(entry)
         entry.write_text("not a directory")

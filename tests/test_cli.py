@@ -153,7 +153,9 @@ class TestSimulate:
         capsys.readouterr()
         assert run("simulate", "--config", cfg, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot simulate {cfg}: MemoryError")
+        assert err.startswith(f"error: cannot simulate {cfg}: MemoryError: ")
+        # the line says what could not be allocated
+        assert err.split("MemoryError: ", 1)[1].strip()
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
 

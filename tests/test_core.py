@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from conftest import planted_dataset
+from conftest import full_blocks, planted_dataset
 from rfcpca.core import (
     FitResult,
     _errors_from_grams,
@@ -98,7 +98,7 @@ class TestUpdateSubspaces:
         prep = _Prepared(dataset, 2)
         subs = _subspaces_from_weights(prep.blocks, np.ones((4, 1)), 2.0, 0.95)
         for lag_idx in range(2):
-            expected = common_axes(prep.blocks[:, lag_idx].mean(axis=0), 0.95)
+            expected = common_axes(full_blocks(prep.blocks[:, lag_idx]).mean(axis=0), 0.95)
             np.testing.assert_allclose(subs.axes[0][lag_idx], expected, atol=1e-10)
 
     def test_crisp_partition_uses_only_members(self):
@@ -109,7 +109,7 @@ class TestUpdateSubspaces:
         u[:3, 0] = 1.0
         u[3:, 1] = 1.0
         subs = _subspaces_from_weights(prep.blocks, u, 2.0, 0.95)
-        expected = common_axes(prep.blocks[:3, 0].mean(axis=0), 0.95)
+        expected = common_axes(full_blocks(prep.blocks[:3, 0]).mean(axis=0), 0.95)
         np.testing.assert_allclose(subs.axes[0][0], expected, atol=1e-10)
 
     def test_matches_brute_force_oracle(self):
@@ -121,7 +121,8 @@ class TestUpdateSubspaces:
         subs = _subspaces_from_weights(prep.blocks, u, 2.0, 0.95)
         for s in range(2):
             for lag_idx in range(2):
-                sigma = ref.ref_weighted_cov(prep.blocks[:, lag_idx], u[:, s], 2.0)
+                blocks = np.stack([ref.ref_block(x, lag_idx + 1) for x in dataset.series])
+                sigma = ref.ref_weighted_cov(blocks, u[:, s], 2.0)
                 p_ref = ref.ref_projector(sigma, 0.95)
                 p_mine = subs.projector(s, lag_idx)
                 assert np.linalg.norm(p_ref - p_mine) < 1e-8
@@ -133,7 +134,8 @@ class TestPrepared:
         series = [rng.standard_normal((40 + 5 * i, 3)) for i in range(5)]
         prep = _Prepared(MtsDataset(series=series), 3)
         alone = [_Prepared(MtsDataset(series=[x]), 3) for x in series]
-        assert prep.blocks.shape == prep.grams.shape == (5, 3, 6, 6)
+        assert prep.blocks.shape == (5, 3, 3, 6)
+        assert prep.grams.shape == (5, 3, 6, 6)
         assert np.array_equal(prep.blocks, np.concatenate([a.blocks for a in alone]))
         assert np.array_equal(prep.grams, np.concatenate([a.grams for a in alone]))
         assert np.array_equal(prep.energies, np.concatenate([a.energies for a in alone]))
@@ -143,16 +145,19 @@ class TestPrepared:
 
     @pytest.mark.parametrize("max_lag", [1, 2, 3])
     def test_one_pass_matches_per_lag_references(self, max_lag):
-        # blocks match the loop reference to the oracle tolerance; Grams
-        # subtract the rows each half of the embedding leaves out from one
-        # full-series product, so they match X^T X to rounding
+        # block rows match the loop reference's upper block rows to the
+        # oracle tolerance; Grams subtract the rows each half of the embedding
+        # leaves out from one full-series product, so they match X^T X to
+        # rounding
         rng = make_rng(28)
         series = [rng.standard_normal((20 + 13 * i, 3)) + i for i in range(4)]
         prep = _Prepared(MtsDataset(series=series), max_lag)
-        assert prep.blocks.shape == prep.grams.shape == (4, max_lag, 6, 6)
+        assert prep.blocks.shape == (4, max_lag, 3, 6)
+        assert prep.grams.shape == (4, max_lag, 6, 6)
         for i, x in enumerate(series):
             for lag_idx in range(max_lag):
-                np.testing.assert_allclose(prep.blocks[i, lag_idx], ref.ref_block(x, lag_idx + 1),
+                np.testing.assert_allclose(prep.blocks[i, lag_idx],
+                                           ref.ref_block(x, lag_idx + 1)[:3],
                                            rtol=1e-8, atol=1e-8)
                 emb = ref.ref_embedding(x, lag_idx + 1)
                 np.testing.assert_allclose(prep.grams[i, lag_idx], emb.T @ emb,

@@ -2,17 +2,30 @@ import numpy as np
 import pytest
 
 import reference as ref
+from conftest import full_blocks
 from rfcpca.core import _errors_from_grams, _Prepared
 from rfcpca.covariance import ClusterSubspaces, common_axes, weighted_common_covariance
 from rfcpca.dataset import MtsDataset
-from rfcpca.exceptions import DegenerateWeights, LagTooLarge, NonFiniteInput
+from rfcpca.exceptions import DegenerateWeights, DimensionMismatch, LagTooLarge, NonFiniteInput
 from rfcpca.rng import make_rng
 
 
 def summaries(x, max_lag=2):
-    """One series' block covariances, Grams and energies as the fits hold them."""
+    """One series' upper block rows, Grams and energies as the fits hold them."""
     prep = _Prepared(MtsDataset(series=[x]), max_lag)
     return prep.blocks[0], prep.grams[0], prep.energies[0]
+
+
+def square(row):
+    """The block covariance the fits rebuild from one series' upper block row."""
+    return weighted_common_covariance(row[None], np.ones(1), 2.0)
+
+
+def random_rows(rng, n, p):
+    """An (N, p, 2p) stack of upper block rows whose G(0) parts are symmetric."""
+    rows = rng.standard_normal((n, p, 2 * p))
+    rows[:, :, :p] += rows[:, :, :p].transpose(0, 2, 1)
+    return rows
 
 
 def errors(x, axes_per_lag):
@@ -62,19 +75,23 @@ class TestLaggedCrossCovariance:
 class TestBlockCovariance:
     def test_hand_computed_univariate(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
-        np.testing.assert_allclose(summaries(x, 1)[0][0],
-                                   [[1.25, 0.3125], [0.3125, 1.25]], atol=1e-15)
+        row = summaries(x, 1)[0][0]
+        np.testing.assert_allclose(row, [[1.25, 0.3125]], atol=1e-15)
+        np.testing.assert_allclose(square(row), [[1.25, 0.3125], [0.3125, 1.25]], atol=1e-15)
 
     def test_bitwise_symmetry(self):
         x = make_rng(4).standard_normal((60, 4))
-        for b in summaries(x)[0]:
+        for row in summaries(x)[0]:
+            assert np.array_equal(row[:, :4], row[:, :4].T)
+            b = square(row)
             assert np.array_equal(b, b.T)
 
     def test_off_diagonal_blocks_are_transposes(self):
         x = make_rng(5).standard_normal((60, 3))
-        b = summaries(x, 1)[0][0]
+        b = square(summaries(x, 1)[0][0])
         p = 3
         assert np.array_equal(b[:p, p:], b[p:, :p].T)
+        assert np.array_equal(b[:p, :p], b[p:, p:])
 
     def test_white_noise_block_diagonal(self):
         x = make_rng(6).standard_normal((200_000, 2))
@@ -100,42 +117,61 @@ class TestLaggedEmbedding:
         lag = 2
         blocks, grams, _ = summaries(x, lag)
         gram = grams[lag - 1] / t
-        block = blocks[lag - 1]
+        block = square(blocks[lag - 1])
         np.testing.assert_allclose(gram[:p, p:], block[:p, p:], atol=1e-12)
         np.testing.assert_allclose(gram, block, atol=5 * lag / t * np.abs(block).max() + 0.05)
 
 
 class TestWeightedCommonCovariance:
     def test_uniform_weights_average(self):
-        blocks = make_rng(9).standard_normal((4, 6, 6))
-        blocks = (blocks + blocks.transpose(0, 2, 1)) / 2
-        out = weighted_common_covariance(blocks, np.full(4, 0.25), 2.0)
-        np.testing.assert_allclose(out, blocks.mean(axis=0), atol=1e-12)
+        rows = random_rows(make_rng(9), 4, 3)
+        out = weighted_common_covariance(rows, np.full(4, 0.25), 2.0)
+        np.testing.assert_allclose(out, full_blocks(rows).mean(axis=0), atol=1e-12)
 
     def test_one_hot_selects_single_block(self):
-        blocks = make_rng(10).standard_normal((3, 4, 4))
+        rows = make_rng(10).standard_normal((3, 2, 4))
         u = np.array([0.0, 1.0, 0.0])
-        np.testing.assert_allclose(weighted_common_covariance(blocks, u, 1.7), blocks[1])
+        np.testing.assert_allclose(weighted_common_covariance(rows, u, 1.7),
+                                   full_blocks(rows)[1])
 
     def test_matches_reference(self):
         rng = make_rng(11)
-        blocks = rng.standard_normal((3, 4, 4))
+        rows = rng.standard_normal((3, 2, 4))
         u = np.array([0.5, 0.3, 0.2])
-        np.testing.assert_allclose(weighted_common_covariance(blocks, u, 2.0),
-                                   ref.ref_weighted_cov(blocks, u, 2.0), atol=1e-12)
+        np.testing.assert_allclose(weighted_common_covariance(rows, u, 2.0),
+                                   ref.ref_weighted_cov(full_blocks(rows), u, 2.0), atol=1e-12)
 
     def test_scale_invariance_of_weights(self):
         rng = make_rng(12)
-        blocks = rng.standard_normal((5, 4, 4))
+        rows = rng.standard_normal((5, 2, 4))
         u = rng.random(5)
-        a = weighted_common_covariance(blocks, u, 1.8)
-        b = weighted_common_covariance(blocks, 3.7 * u, 1.8)
+        a = weighted_common_covariance(rows, u, 1.8)
+        b = weighted_common_covariance(rows, 3.7 * u, 1.8)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_degenerate_weights(self):
-        blocks = np.zeros((3, 2, 2))
+        rows = np.zeros((3, 1, 2))
         with pytest.raises(DegenerateWeights):
-            weighted_common_covariance(blocks, np.zeros(3), 2.0)
+            weighted_common_covariance(rows, np.zeros(3), 2.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 16, 31, 32, 33, 64])
+    def test_bit_for_bit_the_average_of_the_square_blocks(self, p):
+        # byte-identical fits rest on this: every entry is the same weighted
+        # sum, in the same order, as the one over the square blocks
+        rng = make_rng(100 + p)
+        for n in (1, 3, 4, 5, 20, 33):
+            rows = random_rows(rng, n, p) * rng.uniform(0.1, 100.0)
+            full = full_blocks(rows)
+            u = rng.random(n)
+            for m in (1.2, 1.6, 2.0, 3.0):
+                w = u**m
+                want = (w @ full.reshape(n, -1)).reshape(2 * p, 2 * p) / w.sum()
+                assert np.array_equal(weighted_common_covariance(rows, u, m), want)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (3, 2, 2), (3, 2, 3), (3, 4, 2)])
+    def test_a_stack_that_is_not_of_upper_block_rows_is_a_mismatch(self, shape):
+        with pytest.raises(DimensionMismatch, match=r"\(N, p, 2p\)"):
+            weighted_common_covariance(np.ones(shape), np.ones(3), 2.0)
 
 
 class TestCommonAxes:
@@ -198,7 +234,7 @@ class TestInvariants:
         for _ in range(20):
             x = rng.standard_normal((40, 3))
             blocks, _, energies = summaries(x)
-            axes = common_axes(blocks.mean(axis=0), 0.9)
+            axes = common_axes(full_blocks(blocks).mean(axis=0), 0.9)
             r2 = errors(x, [axes, axes])
             total = float(energies.sum())
             assert 0.0 <= r2 <= total + 1e-8

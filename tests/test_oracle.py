@@ -56,27 +56,28 @@ def test_oracle_equivalence(seed):
 
     # second-order summaries as the fits hold them
     embeddings = [[ref.ref_embedding(x, lag) for lag in (1, 2)] for x in dataset.series]
+    blocks_ref = np.array([[ref.ref_block(x, lag) for x in dataset.series] for lag in (1, 2)])
     for i, x in enumerate(dataset.series):
         p = x.shape[1]
         for lag in (1, 2):
-            block = prep.blocks[i, lag - 1]
-            _close(block, ref.ref_block(x, lag))
-            _close(block[:p, :p], ref.ref_lagged_cov(x, 0))
-            _close(block[:p, p:], ref.ref_lagged_cov(x, lag))
+            row = prep.blocks[i, lag - 1]
+            _close(row, blocks_ref[lag - 1, i, :p])
+            _close(row[:, :p], ref.ref_lagged_cov(x, 0))
+            _close(row[:, p:], ref.ref_lagged_cov(x, lag))
             emb = embeddings[i][lag - 1]
             energy = float((emb * emb).sum())
             _close(prep.grams[i, lag - 1], emb.T @ emb, scale=energy)
             assert prep.energies[i, lag - 1] == pytest.approx(energy, rel=RTOL)
 
-    # weighted common covariance, axes, projectors, reconstruction errors
+    # weighted common covariance, axes, projectors, reconstruction errors; the
+    # reference averages its own square blocks, so the mirrored half is checked too
     errors_ref = np.zeros((n, 2))
     axes = []
     for s in range(2):
         axes_per_lag = []
         for lag_idx in range(2):
-            blocks = prep.blocks[:, lag_idx]
-            sigma_mine = weighted_common_covariance(blocks, u[:, s], m)
-            sigma_ref = ref.ref_weighted_cov(blocks, u[:, s], m)
+            sigma_mine = weighted_common_covariance(prep.blocks[:, lag_idx], u[:, s], m)
+            sigma_ref = ref.ref_weighted_cov(blocks_ref[lag_idx], u[:, s], m)
             _close(sigma_mine, sigma_ref, scale=np.abs(sigma_ref).max())
             c = common_axes(sigma_mine, 0.95)
             _close(c @ c.T, ref.ref_projector(sigma_ref, 0.95), scale=1.0)

@@ -3,7 +3,7 @@ import pytest
 
 import reference as ref
 import rfcpca.core as core_mod
-from conftest import planted_dataset, planted_with_outliers
+from conftest import full_blocks, planted_dataset, planted_with_outliers
 from rfcpca.core import (
     _Prepared,
     _subspaces_from_weights,
@@ -105,7 +105,7 @@ class TestExponentialWeights:
         for s in range(2):
             for lag in range(2):
                 got = weighted_common_covariance(blocks[:, lag], weights[:, s], m)
-                want = np.einsum("i,ijk->jk", expected[:, s], blocks[:, lag])
+                want = np.einsum("i,ijk->jk", expected[:, s], full_blocks(blocks[:, lag]))
                 np.testing.assert_allclose(got, want / expected[:, s].sum(),
                                            rtol=1e-10, atol=1e-12)
         _subspaces_from_weights(blocks, weights, m, 0.9)

@@ -70,6 +70,12 @@ def test_tracer_binds_every_layer_of_the_fits_and_the_grid_search():
                   "simulate.generate_clean_dataset", "simulate.inject_bursts"):
         assert stats[layer + ".calls"] >= 1, layer
         assert stats.get(layer + ".failed", 0) == 0, layer
+    # every weighted covariance reads the (N, p, 2p) upper block rows of one
+    # lag of the N = 8 series of p = 4 channels, 8 bytes an entry
+    calls = stats["covariance.weighted_common_covariance.calls"]
+    assert calls >= 1
+    assert stats["covariance.weighted_common_covariance.computed_bytes_read"] == (
+        calls * 8 * 4 * (2 * 4) * 8)
 
 
 _TRACED_CLI = """
