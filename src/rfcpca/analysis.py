@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import FitResult, _prepare, _subspaces_from_weights
-from .covariance import DEFAULT_MAX_LAG, ClusterSubspaces
+from .covariance import ClusterSubspaces
 from .dataset import MtsDataset
 from .exceptions import DimensionMismatch, EmptyClusterError, NotOrthonormal
 
@@ -52,18 +52,17 @@ def channel_contributions(axes, p: int) -> np.ndarray:
     return energy[:p] + energy[p:]
 
 
-def noise_subspace(dataset: MtsDataset, fit: FitResult,
-                   max_lag: int = DEFAULT_MAX_LAG) -> ClusterSubspaces:
+def noise_subspace(dataset: MtsDataset, fit: FitResult) -> ClusterSubspaces:
     """Subspace fitted to the noise-weighted data of a noise-variant fit.
 
     Runs the same weighted-covariance pipeline with the noise-membership
     column as weights, giving the flagged activity its own axes for
-    diagnostics alongside the regular clusters.  ``dataset`` may also be
-    its prepared summaries.
+    diagnostics alongside the regular clusters.  A dataset is summarised
+    at the fit's lags; ``dataset`` may also be its prepared summaries.
     """
     if fit.variant != "n":
         raise ValueError("noise subspace diagnostics need a noise-variant fit")
-    prep = _prepare(dataset, max_lag)
+    prep = _prepare(dataset, fit.subspaces.n_lags)
     weights = fit.memberships.u[:, -1:]
     try:
         return _subspaces_from_weights(prep.blocks, weights, fit.memberships.m,

@@ -28,7 +28,7 @@ from .evaluation import EvalReport, evaluate_fit, harden, regular_memberships
 from .exceptions import LagTooLarge, LagTooSmall, RFCPCAError
 from .experiments import BENCHMARK_V, run_benchmark, write_rows_csv
 from .core import FitResult, MembershipMatrix, _kept_prepared, _load_prepared
-from .covariance import ClusterSubspaces
+from .covariance import DEFAULT_MAX_LAG, DEFAULT_VARIANCE_FRACTION, ClusterSubspaces
 from .robust import select_lambda_elbow
 from .selection import VARIANTS, SearchGrid, _fit_candidate, cvi, grid_search
 from .simulate import SimManifest, generate_clean_dataset, inject_bursts, inject_eyeblinks
@@ -446,7 +446,6 @@ def _fit_from_json(doc) -> FitResult:
         variant=doc["variant"],
         variant_params=params,
         flagged=np.asarray(doc["flagged"], dtype=int),
-        seed=doc["provenance"]["seed"],
     )
 
 
@@ -499,7 +498,7 @@ def cmd_analyze(args) -> int:
             return EXIT_HASH
         try:
             prep, _ = _read_prepared(args.data, data_hash, subs.n_lags)
-            noise = noise_subspace(prep, fit, max_lag=subs.n_lags)
+            noise = noise_subspace(prep, fit)
         except RFCPCAError as exc:  # a lag the series cannot take, or no noise weight
             _report(f"fit error: {type(exc).__name__}: {exc}")
             return EXIT_FIT
@@ -581,16 +580,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("-S", "--clusters", type=int, default=2,
                        help="substantive clusters (the noise variant adds one)")
     p_fit.add_argument("-m", type=float, default=2.0, help="fuzziness exponent")
-    p_fit.add_argument("--v", type=float, default=0.95,
-                       help="variance fraction the cluster axes keep (default 0.95, the "
-                       "library's; `reproduce` uses 0.99, set for the simulated trials' "
-                       "exact low-rank mixtures: see README)")
+    p_fit.add_argument("--v", type=float, default=DEFAULT_VARIANCE_FRACTION,
+                       help=f"variance fraction the cluster axes keep (default "
+                       f"{DEFAULT_VARIANCE_FRACTION}, the library's; `reproduce` uses 0.99, "
+                       "set for the simulated trials' exact low-rank mixtures: see README)")
     p_fit.add_argument("--alpha", type=float, default=None, help="trimming proportion")
     p_fit.add_argument("--lambda", dest="lam", default=None,
                        help="noise multiplier or 'auto' for elbow selection")
     p_fit.add_argument("--auto", action="store_true",
                        help="grid-search m (and alpha) by the validity index")
-    p_fit.add_argument("--max-lag", type=int, default=2)
+    p_fit.add_argument("--max-lag", type=int, default=DEFAULT_MAX_LAG)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", required=True, help="output JSON path")
 

@@ -110,7 +110,6 @@ class FitResult:
     variant: str
     variant_params: dict = field(default_factory=dict)
     flagged: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    seed: int | None = None
 
     @property
     def n_series(self) -> int:
@@ -196,13 +195,13 @@ class _Prepared:
         The series are read in one pass, each checked as ``MtsDataset``
         checks its series, summarised into its row as it comes and then
         dropped, so a stream is held one parsed trial at a time.  Every
-        series is drawn before an error is raised, each kind at its lowest
-        index: an error the stream raises while parsing wins, then a series
-        of the wrong shape, not finite or whose summaries overflow, then
-        ``LagTooSmall`` or a ``LagTooLarge``.  A series too short for the lag
-        stops the summaries, so no later series is found to overflow.
+        series is drawn and checked before an error is raised, each kind at
+        its lowest index: an error the stream raises while parsing wins, then
+        a series of the wrong shape or not finite, then one whose summaries
+        overflow, then ``LagTooSmall`` or ``LagTooLarge``.  The first overflow
+        or series too short for the lag stops the summaries there.
         """
-        lag_error = series_error = first = None
+        lag_error = series_error = overflow = first = None
         if max_lag < 1:
             lag_error = LagTooSmall(f"max lag must be at least 1, got {max_lag}")
         n = dataset.n_series
@@ -213,7 +212,7 @@ class _Prepared:
                 first = x.shape
             if series_error is None:
                 series_error = _series_error(i, x, first)
-            if series_error is None and lag_error is None:
+            if series_error is None and lag_error is None and overflow is None:
                 t = x.shape[0]
                 if t <= max_lag:
                     lag_error = LagTooLarge(f"series {i} has length {t} <= max lag {max_lag}")
@@ -226,13 +225,12 @@ class _Prepared:
                         _lag_summaries(x, blocks[:, i], grams[:, i])
                         sums = blocks[:, i], grams[:, i], np.trace(grams[:, i], axis1=1, axis2=2)
                     if not all(np.isfinite(a).all() for a in sums):
-                        series_error = NonFiniteInput(f"series {i} has lag summaries that overflow")
+                        overflow = NonFiniteInput(f"series {i} has lag summaries that overflow")
             i += 1
             del x  # dropped before a stream parses the next series
-        if series_error is not None:
-            raise series_error
-        if lag_error is not None:
-            raise lag_error
+        for error in (series_error, overflow, lag_error):
+            if error is not None:
+                raise error
         self._hold(blocks, grams)
 
     @classmethod
@@ -265,13 +263,16 @@ def _code_bytes(code: types.CodeType) -> bytes:
 
 def _summaries_tag() -> str:
     """A short hash of what computes the summaries: the ``_lag_summaries``
-    that ``_Prepared`` calls, and numpy's version.
+    that ``_Prepared`` calls, less its docstring, and numpy's version.
 
     ``_Prepared.__init__`` only lays out the arrays that ``_lag_summaries``
     fills; it is left out because a tracer may replace it.
     """
     digest = hashlib.sha256(np.__version__.encode())
-    digest.update(_code_bytes(_lag_summaries.__code__))
+    code = _lag_summaries.__code__
+    if code.co_consts[:1] == (_lag_summaries.__doc__,):
+        code = code.replace(co_consts=(None, *code.co_consts[1:]))
+    digest.update(_code_bytes(code))
     return digest.hexdigest()[:16]
 
 
@@ -295,9 +296,9 @@ def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]
     ``dataset._TrialStream``), and the summaries are kept when the trials
     still hash to ``digest`` after the parse.  Raises what ``_Prepared``
     raises: the error of a trial that does not parse, then that of a series
-    ``MtsDataset`` rejects or whose summaries overflow, then that of a lag
-    the series cannot take; those of ``dataset.read_csv_dir`` followed by
-    ``_Prepared``, save that ``read_csv_dir`` rejects every non-finite entry first.
+    ``MtsDataset`` rejects, then that of a series whose summaries overflow,
+    then that of a lag the series cannot take; those of
+    ``dataset.read_csv_dir`` followed by ``_Prepared``.
 
     ``rfcpca fit`` calls this once the trials are hashed, unless it fitted
     those summaries while they were hashed and the digests match.
@@ -430,14 +431,14 @@ def _alternate(prep: _Prepared, u: np.ndarray, m: float, v: float, max_iter: int
     return _Run(u, subspaces, errors, trace, converged, mask)
 
 
-def _prepare(dataset, max_lag: int) -> _Prepared:
-    """The dataset's summaries; a :class:`_Prepared` passed in is reused."""
+def _prepare(dataset, max_lag: int = DEFAULT_MAX_LAG) -> _Prepared:
+    """The dataset's summaries at lags 1..``max_lag``; a ``_Prepared`` is reused."""
     return dataset if isinstance(dataset, _Prepared) else _Prepared(dataset, max_lag)
 
 
-def _start(dataset, n_clusters: int, m: float, seed: int, max_lag: int):
+def _start(dataset, n_clusters: int, m: float, seed: int):
     """Shared fit set-up: the prepared summaries and the seeded random memberships."""
-    prep = _prepare(dataset, max_lag)
+    prep = _prepare(dataset)
     return prep, init_memberships(prep.n_series, n_clusters, seed, m).u
 
 
@@ -458,7 +459,7 @@ def flag_outliers(fit: FitResult) -> np.ndarray:
     return np.flatnonzero(u.max(axis=1) < HARDEN_THRESHOLD)
 
 
-def _fit_result(run: _Run, m: float, variant: str, params: dict, seed: int) -> FitResult:
+def _fit_result(run: _Run, m: float, variant: str, params: dict) -> FitResult:
     fit = FitResult(
         memberships=MembershipMatrix(run.u, m),
         subspaces=run.subspaces,
@@ -468,21 +469,20 @@ def _fit_result(run: _Run, m: float, variant: str, params: dict, seed: int) -> F
         converged=run.converged,
         variant=variant,
         variant_params=params,
-        seed=seed,
     )
     fit.flagged = flag_outliers(fit)
     return fit
 
 
 def fit_fcpca(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
-              v: float = DEFAULT_VARIANCE_FRACTION, seed: int = 0,
-              max_lag: int = DEFAULT_MAX_LAG) -> FitResult:
+              v: float = DEFAULT_VARIANCE_FRACTION, seed: int = 0) -> FitResult:
     """Fit the baseline fuzzy subspace clustering model.
 
-    Alternates subspace and membership updates until the absolute change of
-    the objective drops below ``TOL`` or ``MAX_ITER`` is reached.  The run
-    is fully determined by (dataset, parameters, seed).
+    Alternates subspace and membership updates until the absolute change of the
+    objective drops below ``TOL`` or ``MAX_ITER`` is reached.  The run is fully
+    determined by (dataset, parameters, seed).  Its lags are those of the
+    summaries, 1..``DEFAULT_MAX_LAG`` for an ``MtsDataset``.
     """
-    prep, u = _start(dataset, n_clusters, m, seed, max_lag)
+    prep, u = _start(dataset, n_clusters, m, seed)
     run = _alternate(prep, u, m, v, MAX_ITER)
-    return _fit_result(run, m, "fcpca", {}, seed)
+    return _fit_result(run, m, "fcpca", {})

@@ -33,7 +33,7 @@ from .core import (
     _subspaces_from_weights,
     fit_fcpca,
 )
-from .covariance import DEFAULT_MAX_LAG, DEFAULT_VARIANCE_FRACTION
+from .covariance import DEFAULT_VARIANCE_FRACTION
 from .dataset import MtsDataset
 from .exceptions import DegenerateScale, EmptyClusterError, InvalidShape, TooFewRetained
 from .rng import derive_seed
@@ -87,8 +87,7 @@ def _exponential_weights(u: np.ndarray, errors: np.ndarray, beta: float,
 
 
 def fit_rfcpca_e(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
-                 v: float = DEFAULT_VARIANCE_FRACTION, seed: int = 0,
-                 max_lag: int = DEFAULT_MAX_LAG) -> FitResult:
+                 v: float = DEFAULT_VARIANCE_FRACTION, seed: int = 0) -> FitResult:
     """Fit with the exponential (bounded) reconstruction loss.
 
     The scale beta is estimated once, from the errors of the first
@@ -97,9 +96,9 @@ def fit_rfcpca_e(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
     memberships; every later one weighs each object by u^m exp(-beta r2) at
     the previous iteration's errors (:func:`_exponential_weights`), the
     majorise-minimise step of the bounded loss, so a contaminated object's
-    errors do not steer the axes.
+    errors do not steer the axes.  Lags as for ``fit_fcpca``.
     """
-    prep, u = _start(dataset, n_clusters, m, seed, max_lag)
+    prep, u = _start(dataset, n_clusters, m, seed)
     params = {"beta": None}
 
     def loss(errors):
@@ -113,7 +112,7 @@ def fit_rfcpca_e(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
     run = _alternate(prep, u, m, v, MAX_ITER, loss=loss,
                      patience=_STALL_PATIENCE, stall_converges=True,
                      reweight=reweight)
-    return _fit_result(run, m, "e", params, seed)
+    return _fit_result(run, m, "e", params)
 
 
 def _noise_augment(errors: np.ndarray, delta_sq: float) -> np.ndarray:
@@ -156,13 +155,12 @@ def _burn_in(prep: _Prepared, u: np.ndarray, n_regular: int, m: float, v: float,
 
 def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
                  v: float = DEFAULT_VARIANCE_FRACTION, lam: float = 1.0,
-                 seed: int = 0, max_lag: int = DEFAULT_MAX_LAG,
-                 _start_state: tuple | None = None) -> FitResult:
+                 seed: int = 0, _start_state: tuple | None = None) -> FitResult:
     """Fit with a dedicated noise cluster (total clusters = n_regular + 1).
 
     Objects whose best regular-cluster error exceeds the noise distance
     drift into the noise column; those with noise membership >= 0.5 are
-    flagged as outliers.
+    flagged as outliers.  Lags as for ``fit_fcpca``.
 
     Before the noise cluster is switched on, plain alternating iterations
     run on the regular clusters until their objective settles (at most
@@ -178,10 +176,10 @@ def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     if n_regular < 1:
         raise InvalidShape(f"need at least one regular cluster, got {n_regular}")
     if _start_state is None:
-        prep, u = _start(dataset, n_regular + 1, m, seed, max_lag)
+        prep, u = _start(dataset, n_regular + 1, m, seed)
         u, first = _burn_in(prep, u, n_regular, m, v, DEFAULT_BURN_IN), None
     else:
-        prep, (u, first) = _prepare(dataset, max_lag), _start_state
+        prep, (u, first) = _prepare(dataset), _start_state
     params = {"lambda": lam, "delta_sq": None}
 
     def loss(errors):
@@ -190,7 +188,7 @@ def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
 
     run = _alternate(prep, u, m, v, MAX_ITER, loss=loss, n_subspaces=n_regular,
                      first_subspaces=first)
-    return _fit_result(run, m, "n", params, seed)
+    return _fit_result(run, m, "n", params)
 
 
 # stream tag separating elbow fits from other derived seeds
@@ -198,8 +196,7 @@ _ELBOW_STREAM = 0x3E1B
 
 
 def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
-                        v: float = DEFAULT_VARIANCE_FRACTION, seed: int = 0,
-                        max_lag: int = DEFAULT_MAX_LAG) -> LambdaElbow:
+                        v: float = DEFAULT_VARIANCE_FRACTION, seed: int = 0) -> LambdaElbow:
     """Pick the noise multiplier at the elbow of the outlier-fraction curve.
 
     Fits the noise variant at every value of ``DEFAULT_LAMBDA_GRID``
@@ -218,9 +215,9 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     variant's burn-in does not depend on lambda, so it runs once on that
     baseline and every grid fit starts from the one burned-in state, whose
     subspaces are computed once as well; a burn-in that empties a cluster
-    counts as a collapse of every grid fit.
+    counts as a collapse of every grid fit.  Lags as for ``fit_fcpca``.
     """
-    prep = _prepare(dataset, max_lag)
+    prep = _prepare(dataset)
     n = prep.n_series
     base = None
     for r in range(3):
@@ -248,8 +245,7 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     fractions = []
     for lam in DEFAULT_LAMBDA_GRID:
         try:
-            fit = fit_rfcpca_n(prep, n_regular, m=m, v=v, lam=lam,
-                               seed=seed, _start_state=(start, first))
+            fit = fit_rfcpca_n(prep, n_regular, m=m, v=v, lam=lam, _start_state=(start, first))
             fractions.append(len(fit.flagged) / n)
         except (EmptyClusterError, DegenerateScale):
             fractions.append(1.0)
@@ -263,20 +259,20 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
 
 def fit_rfcpca_t(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
                  alpha: float = 0.2, v: float = DEFAULT_VARIANCE_FRACTION,
-                 seed: int = 0, max_lag: int = DEFAULT_MAX_LAG) -> FitResult:
+                 seed: int = 0) -> FitResult:
     """Fit with trimming: the worst-fitting objects are excluded each iteration.
 
     Memberships are still updated for every object (for reporting), but only
     the retained set drives the subspaces and the objective.  With alpha = 0
-    the result is bit-identical to the baseline fit.
+    the fit is the baseline fit, bit for bit.  Lags as for ``fit_fcpca``.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError("alpha must lie in [0, 1)")
-    prep, u = _start(dataset, n_clusters, m, seed, max_lag)
+    prep, u = _start(dataset, n_clusters, m, seed)
     n = prep.n_series
     n_keep = int(np.floor(n * (1.0 - alpha)))
     if n_keep < n_clusters:
         raise TooFewRetained(f"retaining {n_keep} of {n} objects cannot fill {n_clusters} clusters")
     run = _alternate(prep, u, m, v, MAX_ITER, n_keep=n_keep)
     params = {"alpha": alpha, "retained": np.flatnonzero(run.mask)}
-    return _fit_result(run, m, "t", params, seed)
+    return _fit_result(run, m, "t", params)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FitResult, _prepare, fit_fcpca
-from .covariance import DEFAULT_MAX_LAG, DEFAULT_VARIANCE_FRACTION, ClusterSubspaces
+from .covariance import DEFAULT_VARIANCE_FRACTION, ClusterSubspaces
 from .dataset import MtsDataset, _fork_pool_workers, _process_pool
 from .exceptions import (
     AllCandidatesFailed,
@@ -218,7 +218,7 @@ def _candidate_results(search, candidates):
 
 
 def grid_search(dataset: MtsDataset, grid: SearchGrid, seed: int = 0,
-                v: float = DEFAULT_VARIANCE_FRACTION, max_lag: int = DEFAULT_MAX_LAG):
+                v: float = DEFAULT_VARIANCE_FRACTION):
     """Evaluate every grid candidate and return (best fit, report).
 
     Each candidate is fitted ``RESTARTS`` times with deterministically
@@ -229,9 +229,9 @@ def grid_search(dataset: MtsDataset, grid: SearchGrid, seed: int = 0,
     win.  For the noise variant, each candidate's noise multiplier comes
     from its own elbow sweep unless a fixed value was supplied.  Candidates
     may run on a process pool (see ``_candidate_results``); the results do
-    not depend on it.  ``dataset`` may also be its prepared summaries.
+    not depend on it.  Lags as for ``core.fit_fcpca``.
     """
-    search = (_prepare(dataset, max_lag), grid, seed, v)
+    search = (_prepare(dataset), grid, seed, v)
     records = []
     best_fit = None
     best_record = None

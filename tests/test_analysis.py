@@ -9,6 +9,7 @@ from rfcpca.analysis import (
     noise_subspace,
     principal_angles,
 )
+from rfcpca.core import _Prepared
 from rfcpca.exceptions import DimensionMismatch, EmptyClusterError, NotOrthonormal
 from rfcpca.rng import make_rng
 from rfcpca.robust import fit_rfcpca_n
@@ -111,6 +112,15 @@ class TestNoiseSubspace:
             c = subs.axes[0][lag_idx]
             assert c.shape[0] == 2 * dataset.n_channels
             np.testing.assert_allclose(c.T @ c, np.eye(c.shape[1]), atol=1e-10)
+
+    def test_a_dataset_is_summarised_at_the_lags_of_the_fit(self):
+        dataset, _ = planted_dataset(93)
+        fit = fit_rfcpca_n(_Prepared(dataset, 3), 2, m=2.0, lam=0.05, seed=1)
+        subs = noise_subspace(dataset, fit)
+        assert subs.n_lags == 3
+        again = noise_subspace(_Prepared(dataset, 3), fit)
+        for lag_idx in range(3):
+            assert np.array_equal(subs.axes[0][lag_idx], again.axes[0][lag_idx])
 
     def test_requires_noise_variant(self):
         from rfcpca.core import fit_fcpca

@@ -60,17 +60,15 @@ _FIRST_FAULTS = [
     ({1: "nan", 3: "1e200"}, 2, "error: cannot load {data}: NonFiniteInput: series 1 contains "
                                 "non-finite entries"),
     ({1: 2, 3: "1e200"}, 4, "fit error: LagTooLarge: series 1 has length 2 <= max lag 2"),
+    # a non-finite trial wins over an earlier one whose summaries overflow
+    ({1: "1e200", 3: "nan"}, 2, "error: cannot load {data}: NonFiniteInput: series 3 contains "
+                                "non-finite entries"),
+    ({1: "1e200", 3: 2}, 2, "error: cannot load {data}: NonFiniteInput: series 1 has "
+                            "lag summaries that overflow"),
 ]
 _FIRST_FAULT_IDS = ["nan_then_unparsable", "short_then_nan", "short_inf_unparsable", "two_short",
-                    "nan_then_overflow", "short_then_overflow"]
-# a fit summarises each trial as it parses it, so a trial whose summaries
-# overflow ranks with a non-finite trial; read_csv_dir checks the entries of
-# every trial before any is summarised
-_FIT_FAULTS = _FIRST_FAULTS + [
-    ({1: "1e200", 3: "nan"}, 2, "error: cannot load {data}: NonFiniteInput: series 1 has "
-                                "lag summaries that overflow"),
-]
-_FIT_FAULT_IDS = _FIRST_FAULT_IDS + ["overflow_then_nan"]
+                    "nan_then_overflow", "short_then_overflow", "overflow_then_nan",
+                    "overflow_then_short"]
 
 
 def write_faults(data_dir, faults):
@@ -550,12 +548,13 @@ class TestExitCodes:
         assert proc.stderr == (f"error: cannot load {simulated}: "
                                f"ValueError: {trial} holds no data rows\n")
 
-    @pytest.mark.parametrize("faults, code, message", _FIT_FAULTS, ids=_FIT_FAULT_IDS)
+    @pytest.mark.parametrize("faults, code, message", _FIRST_FAULTS, ids=_FIRST_FAULT_IDS)
     @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
     def test_the_first_fault_of_the_first_kind_wins(self, simulated, tmp_path, monkeypatch,
                                                     capsys, pool, faults, code, message):
         # a trial that does not parse, then one of the wrong shape or not
-        # finite, then one too short for the lags, each at its lowest index
+        # finite, then one whose summaries overflow, then one too short for
+        # the lags, each at its lowest index
         if pool:
             parse_on_pool(monkeypatch)
         write_faults(simulated, faults)

@@ -183,7 +183,7 @@ class TestPrepared:
         dataset, _ = planted_dataset(29)
         for max_lag in (0, -1):
             with pytest.raises(LagTooSmall):
-                fit_fcpca(dataset, 2, max_lag=max_lag)
+                _Prepared(dataset, max_lag)
 
     def test_errors_match_embedding_reference(self):
         # projector-form errors sum in another order than the loop over raw

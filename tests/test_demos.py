@@ -4,7 +4,9 @@ The demos exercise the public API end to end, so an export or signature
 that they rely on cannot disappear unnoticed; and every export must be
 used by the package itself or by a demo, so the surface cannot regrow.
 Nor can a dead definition: every top-level name of the package must be
-read by the package, a demo or the benchmark's tracer.
+read by the package, a demo or the benchmark's tracer.  Nor can an option
+nobody sets: every defaulted parameter of the fitting modules must be
+passed by some call of the package, a demo or the benchmark.
 """
 
 import ast
@@ -101,3 +103,47 @@ def test_every_top_level_definition_is_read():
     dead = [f"{f.name}:{name}" for f in package for name in _defined_names(f)
             if name not in loaded | traced | {"__all__", "__version__"}]
     assert dead == []
+
+
+def _defaulted_parameters(path):
+    """``(function, parameter, position or None)`` of every parameter with a
+    default of every function defined in a source file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for k in range(first, len(positional)):
+                yield node.name, positional[k].arg, k
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _passed_parameters(path):
+    """``(callee name, keyword)`` and ``(callee name, position)`` of every
+    argument a source file's calls pass; a call that unpacks ``*args`` or
+    ``**kwargs`` passes every position or keyword (``"*"``, ``"**"``)."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            for k, arg in enumerate(node.args):
+                yield callee, "*" if isinstance(arg, ast.Starred) else k
+            for keyword in node.keywords:
+                yield callee, "**" if keyword.arg is None else keyword.arg
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default no caller overrides is a constant, not an option; tests do
+    # not count as callers
+    root = Path(__file__).parents[1]
+    package = Path(rfcpca.__file__).parent
+    callers = sorted(package.glob("*.py")) + DEMOS + sorted((root / "perfbench").glob("*.py"))
+    passed = set().union(*(set(_passed_parameters(f)) for f in callers))
+    scope = [package / f"{name}.py"
+             for name in ("core", "covariance", "robust", "selection", "analysis")]
+    unused = [f"{f.name}:{function}({name})" for f in scope
+              for function, name, k in _defaulted_parameters(f)
+              if not {(function, name), (function, "**")} & passed
+              and (k is None or not {(function, k), (function, "*")} & passed)]
+    assert unused == []

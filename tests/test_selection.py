@@ -144,10 +144,11 @@ class TestGridSearch:
         assert rep_a.winner["m"] == rep_b.winner["m"]
 
     def test_max_lag_below_one_is_package_error(self):
+        # a search takes its lags from the summaries, which reject these
         dataset, _ = planted_dataset(15)
-        grid = SearchGrid(variant="fcpca", s_values=(2,), m_values=(2.0,))
-        with pytest.raises(LagTooSmall):
-            grid_search(dataset, grid, max_lag=0)
+        for max_lag in (0, -1):
+            with pytest.raises(LagTooSmall):
+                _Prepared(dataset, max_lag)
 
     def test_noise_variant_records_lambda(self):
         dataset, _ = planted_dataset(103)

@@ -332,6 +332,25 @@ def test_summaries_of_other_code_are_a_miss(data_dir, monkeypatch, count_prepare
     assert count_prepares == [2]
 
 
+def test_the_tag_reads_the_code_but_not_its_docstring(monkeypatch):
+    # editing the docstring recompiles the function with another first
+    # constant and __doc__; the summaries are those of the same code
+    summarise = core._lag_summaries
+    code, tag = summarise.__code__, core._summaries_tag()
+    assert code.co_consts[0] == summarise.__doc__
+    monkeypatch.setattr(summarise, "__code__",
+                        code.replace(co_consts=("Another docstring.", *code.co_consts[1:])))
+    monkeypatch.setattr(summarise, "__doc__", "Another docstring.")
+    assert core._summaries_tag() == tag
+    # the 2.0 that symmetrises G(0) and the Grams is read
+    consts = list(code.co_consts)
+    consts[consts.index(2.0)] = 3.0
+    monkeypatch.setattr(summarise, "__code__", code.replace(co_consts=tuple(consts)))
+    assert core._summaries_tag() != tag
+    monkeypatch.undo()
+    assert summarise.__code__ is code and core._summaries_tag() == tag
+
+
 def test_a_read_only_entry_computes_the_summaries_and_writes_nothing(
         data_dir, tmp_path, pristine, read_only, count_prepares):
     reference = pristine()
