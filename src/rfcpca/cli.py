@@ -26,9 +26,10 @@ from .analysis import _check_orthonormal, channel_contributions, noise_subspace,
 from .dataset import TRIAL_PATTERN, _listed_trials, _trial_paths, dataset_digest, write_csv_dir
 from .evaluation import EvalReport, evaluate_fit, harden, regular_memberships
 from .exceptions import LagTooLarge, LagTooSmall, RFCPCAError
-from .experiments import BENCHMARK_V, run_benchmark, write_rows_csv
+from .experiments import _ART_STREAM, BENCHMARK_V, run_benchmark, write_rows_csv
 from .core import FitResult, MembershipMatrix, _kept_prepared, _load_prepared
 from .covariance import DEFAULT_MAX_LAG, DEFAULT_VARIANCE_FRACTION, ClusterSubspaces
+from .rng import derive_seed
 from .robust import select_lambda_elbow
 from .selection import VARIANTS, SearchGrid, _fit_candidate, cvi, grid_search
 from .simulate import SimManifest, generate_clean_dataset, inject_bursts, inject_eyeblinks
@@ -242,6 +243,8 @@ def cmd_simulate(args) -> int:
     if isinstance(t_spec, list):
         t_spec = tuple(t_spec)
     kind = config["kind"]
+    # the contamination's seed, as make_benchmark_dataset derives it
+    art_seed = derive_seed(config["seed"], _ART_STREAM)
     try:
         clean, manifest = generate_clean_dataset(
             config["n_per_group"], config["channels"], t_spec,
@@ -250,11 +253,11 @@ def cmd_simulate(args) -> int:
             dataset, manifest = inject_bursts(clean, manifest,
                                               rho=config.get("rho", 0.20),
                                               eta=config.get("eta", 5.0),
-                                              seed=config["seed"] + 1)
+                                              seed=art_seed)
         elif kind == "eyeblink":
             dataset, manifest = inject_eyeblinks(clean, manifest,
                                                  rho=config.get("rho", 0.40),
-                                                 seed=config["seed"] + 1)
+                                                 seed=art_seed)
         else:
             dataset = clean
     except (RFCPCAError, ValueError, OverflowError, MemoryError) as exc:

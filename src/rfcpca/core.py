@@ -154,17 +154,17 @@ def ratio_memberships(loss: np.ndarray, m: float) -> np.ndarray:
 def _subspaces_from_weights(blocks, u, m, v) -> ClusterSubspaces:
     """Axes for every cluster and lag from weighted common covariances.
 
-    ``blocks`` is the (N, L, p, 2p) stack of the per-series upper block rows
-    [G(0), G(l)] (see ``weighted_common_covariance``) and ``u`` the (N, S)
-    weights whose columns are raised to ``m``.
+    ``blocks`` is the lag-major (L, N, p, 2p) stack of the per-series upper
+    block rows [G(0), G(l)] (see ``weighted_common_covariance``) and ``u``
+    the (N, S) weights whose columns are raised to ``m``.
     """
-    n_lags = blocks.shape[1]
+    n_lags = blocks.shape[0]
     axes = []
     for s in range(u.shape[1]):
         per_lag = []
         for lag_idx in range(n_lags):
             try:
-                sigma = weighted_common_covariance(blocks[:, lag_idx], u[:, s], m)
+                sigma = weighted_common_covariance(blocks[lag_idx], u[:, s], m)
             except DegenerateWeights as exc:
                 raise EmptyClusterError(f"cluster {s} has no effective members") from exc
             per_lag.append(common_axes(sigma, v))
@@ -193,19 +193,19 @@ class _Prepared:
         ``dataset._TrialStream`` of a trial directory, at lags 1..``max_lag``.
 
         The series are read in one pass, each checked as ``MtsDataset``
-        checks its series, summarised into its row as it comes and then
-        dropped, so a stream is held one parsed trial at a time.  Every
-        series is drawn and checked before an error is raised, each kind at
-        its lowest index: an error the stream raises while parsing wins, then
-        a series of the wrong shape or not finite, then one whose summaries
-        overflow, then ``LagTooSmall`` or ``LagTooLarge``.  The first overflow
-        or series too short for the lag stops the summaries there.
+        checks its series, summarised into its (L, 3p, 2p) slice as it comes
+        and then dropped, so a stream is held one parsed trial at a time.
+        Every series is drawn and checked before an error is raised, each
+        kind at its lowest index: an error the stream raises while parsing
+        wins, then a series of the wrong shape or not finite, then one whose
+        summaries overflow, then ``LagTooSmall`` or ``LagTooLarge``.  The
+        first overflow or series too short for the lag stops the summaries.
         """
         lag_error = series_error = overflow = first = None
         if max_lag < 1:
             lag_error = LagTooSmall(f"max lag must be at least 1, got {max_lag}")
         n = dataset.n_series
-        blocks = grams = None
+        summaries = None
         i = 0
         for x in dataset.series:
             if first is None:
@@ -217,38 +217,40 @@ class _Prepared:
                 if t <= max_lag:
                     lag_error = LagTooLarge(f"series {i} has length {t} <= max lag {max_lag}")
                 else:
-                    if blocks is None:
+                    if summaries is None:
                         p = x.shape[1]
-                        blocks = np.empty((max_lag, n, p, 2 * p))
-                        grams = np.empty((max_lag, n, 2 * p, 2 * p))
+                        summaries = np.empty((max_lag, n, 3 * p, 2 * p))
+                    row = summaries[:, i]
                     with np.errstate(over="ignore", invalid="ignore"):
-                        _lag_summaries(x, blocks[:, i], grams[:, i])
-                        sums = blocks[:, i], grams[:, i], np.trace(grams[:, i], axis1=1, axis2=2)
-                    if not all(np.isfinite(a).all() for a in sums):
+                        _lag_summaries(x, row)
+                        energies = np.trace(row[:, p:], axis1=1, axis2=2)
+                    if not (np.isfinite(row).all() and np.isfinite(energies).all()):
                         overflow = NonFiniteInput(f"series {i} has lag summaries that overflow")
             i += 1
             del x  # dropped before a stream parses the next series
         for error in (series_error, overflow, lag_error):
             if error is not None:
                 raise error
-        self._hold(blocks, grams)
+        self._hold(summaries)
 
     @classmethod
-    def _from_arrays(cls, blocks, grams) -> "_Prepared":
-        """The summaries held in arrays laid out as ``__init__`` fills them,
-        such as arrays mapped from the sidecar; ``__init__`` does not run."""
+    def _from_arrays(cls, summaries) -> "_Prepared":
+        """The summaries held in an array laid out as ``_lag_summaries`` fills
+        it, such as one mapped from the sidecar; ``__init__`` does not run."""
         prep = cls.__new__(cls)
-        prep._hold(blocks, grams)
+        prep._hold(summaries)
         return prep
 
-    def _hold(self, blocks, grams) -> None:
-        """Hold the lag-major (L, N, p, 2p) upper block rows and (L, N, 2p, 2p)
-        Grams as (N, L, p, 2p) and (N, L, 2p, 2p) views, whose per-lag slices
-        are C-contiguous, and the Grams' traces as C-contiguous (N, L)
-        energies (row sums over a lag-major copy differ in the last bits)."""
-        self.blocks = blocks.transpose(1, 0, 2, 3)
-        self.grams = grams.transpose(1, 0, 2, 3)
-        self.energies = np.ascontiguousarray(np.trace(self.grams, axis1=2, axis2=3))
+    def _hold(self, summaries) -> None:
+        """Hold the (L, N, 3p, 2p) ``summaries``, their lag-major views
+        ``blocks`` (L, N, p, 2p) and ``grams`` (L, N, 2p, 2p), and the Grams'
+        traces as C-contiguous (N, L) energies (row sums over a lag-major
+        copy differ in the last bits)."""
+        p = summaries.shape[3] // 2
+        self.summaries = summaries
+        self.blocks = summaries[:, :, :p]
+        self.grams = summaries[:, :, p:]
+        self.energies = np.ascontiguousarray(np.trace(self.grams, axis1=2, axis2=3).T)
         self.n_series, self.max_lag = self.energies.shape
 
 
@@ -262,11 +264,9 @@ def _code_bytes(code: types.CodeType) -> bytes:
 
 
 def _summaries_tag() -> str:
-    """A short hash of what computes the summaries: the ``_lag_summaries``
-    that ``_Prepared`` calls, less its docstring, and numpy's version.
-
-    ``_Prepared.__init__`` only lays out the arrays that ``_lag_summaries``
-    fills; it is left out because a tracer may replace it.
+    """A short hash of what computes the summaries and sets their layout:
+    the ``_lag_summaries`` that ``_Prepared`` calls, less its docstring, and
+    numpy's version.
     """
     digest = hashlib.sha256(np.__version__.encode())
     code = _lag_summaries.__code__
@@ -283,7 +283,7 @@ def _kept_prepared(data_dir, max_lag: int) -> tuple[str, _Prepared] | None:
     trials' summaries only when the trials hash to that digest.
     """
     kept = _kept_summaries(data_dir, _summaries_tag(), max_lag)
-    return None if kept is None else (kept[0], _Prepared._from_arrays(*kept[1:]))
+    return None if kept is None else (kept[0], _Prepared._from_arrays(kept[1]))
 
 
 def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]:
@@ -293,11 +293,11 @@ def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]
     The summaries of ``_kept_prepared`` are mapped when ``digest`` names
     their entry, and no trial is read.  Otherwise each trial is checked and
     summarised as it is parsed (``_Prepared`` over a
-    ``dataset._TrialStream``), and the summaries are kept when the trials
-    still hash to ``digest`` after the parse.  Raises what ``_Prepared``
-    raises: the error of a trial that does not parse, then that of a series
-    ``MtsDataset`` rejects, then that of a series whose summaries overflow,
-    then that of a lag the series cannot take; those of
+    ``dataset._TrialStream``), and ``prep.summaries`` is kept as it is when
+    the trials still hash to ``digest`` after the parse.  Raises what
+    ``_Prepared`` raises: the error of a trial that does not parse, then
+    that of a series ``MtsDataset`` rejects, then that of a series whose
+    summaries overflow, then that of a lag the series cannot take; those of
     ``dataset.read_csv_dir`` followed by ``_Prepared``.
 
     ``rfcpca fit`` calls this once the trials are hashed, unless it fitted
@@ -309,8 +309,7 @@ def _load_prepared(data_dir, digest: str, max_lag: int) -> tuple[_Prepared, str]
     prep = _Prepared(_TrialStream(data_dir), max_lag)
     loaded = dataset_digest(data_dir)
     if loaded == digest:
-        _keep_summaries(data_dir, digest, _summaries_tag(), prep.blocks.transpose(1, 0, 2, 3),
-                        prep.grams.transpose(1, 0, 2, 3))
+        _keep_summaries(data_dir, digest, _summaries_tag(), prep.summaries)
     return prep, loaded
 
 
@@ -331,7 +330,7 @@ def _errors_from_grams(prep: _Prepared, subspaces: ClusterSubspaces) -> np.ndarr
     for s in range(s_count):
         for lag_idx in range(prep.max_lag):
             c = subspaces.axes[s][lag_idx]
-            grams = prep.grams[:, lag_idx].reshape(n, -1)
+            grams = prep.grams[lag_idx].reshape(n, -1)
             captured = grams @ (c @ c.T).ravel()
             errors[:, s] += prep.energies[:, lag_idx] - captured
     tiny = 1e-12 * prep.energies.sum(axis=1, keepdims=True)

@@ -2,12 +2,12 @@
 
 Every series is reduced to, per lag l = 1..L, the upper block row
 [G(0), G(l)] (p x 2p) of its block covariance [[G(0), G(l)], [G(l)^T, G(0)]],
-where G(l) is the lag-l cross-covariance, and the 2p x 2p Gram matrix
-Xhat(l)^T Xhat(l) of the lagged embedding, the (T - l) x 2p matrix whose row
-t is [x_t, x_{t+l}].  The lower block row is a mirror of the upper one and is
-never stored.  The embedding itself is never formed: its total energy is the
-Gram trace and its reconstruction error against orthonormal axes C is
-trace(G) - <G, C C^T>_F.  Cluster subspaces are the top eigenvectors of
+where G(l) is the lag-l cross-covariance, stacked over the 2p x 2p Gram
+matrix Xhat(l)^T Xhat(l) of the lagged embedding, the (T - l) x 2p matrix
+whose row t is [x_t, x_{t+l}]: one 3p x 2p matrix per lag.  The lower block
+row is a mirror of the upper one and is never stored.  The embedding itself
+is never formed: its total energy is the Gram trace and its reconstruction
+error against orthonormal axes C is trace(G) - <G, C C^T>_F.  Cluster subspaces are the top eigenvectors of
 membership-weighted averages of the block matrices, each rebuilt from the
 weighted average of the upper block rows.
 
@@ -34,33 +34,33 @@ DEFAULT_VARIANCE_FRACTION = 0.95
 _RANK_EPS = 1e-10
 
 
-def _lag_summaries(x, blocks, grams) -> None:
-    """Upper block rows of the block covariances and embedding Grams of lags
-    1..L in one pass.
+def _lag_summaries(x, out) -> None:
+    """The lag summaries of the finite T x p series ``x`` (T > L) at lags
+    1..L, in one pass, written into ``out`` of shape (L, 3p, 2p).
 
-    Writes the summaries of the finite T x p series ``x`` (T > L) into
-    ``blocks`` of shape (L, p, 2p) and ``grams`` of shape (L, 2p, 2p), whose
-    traces are the energies.  The series is centred once and S0 = xc^T xc
+    ``out[l - 1]`` stacks the upper block row [G(0), G(l)] (p x 2p) over the
+    2p x 2p Gram, whose trace is the energy; this is the layout that fits
+    read and the sidecar keeps.  The series is centred once and S0 = xc^T xc
     formed once.  Each lag then costs one cross product xc[:T-l]^T xc[l:]:
     over T it is the covariance G(l), stored beside G(0) = S0 / T
-    (symmetrised so mirrored entries are bitwise equal) as the row
-    [G(0), G(l)], and as it stands the off-diagonal Gram block.  The diagonal
-    Gram blocks are S0 less the l rows each half of the embedding leaves out.
-    Grams equal Xhat^T Xhat of the explicit embedding up to rounding.
+    (symmetrised so mirrored entries are bitwise equal), and as it stands
+    the off-diagonal Gram block.  The diagonal Gram blocks are S0 less the l
+    rows each half of the embedding leaves out.  Grams equal Xhat^T Xhat of
+    the explicit embedding up to rounding.
     """
     t, p = x.shape
     xc = x - x.mean(axis=0)
     s0 = xc.T @ xc
     cov0 = s0 / t
     g0 = (cov0 + cov0.T) / 2.0
-    for lag_idx in range(len(blocks)):
+    for lag_idx in range(len(out)):
         lag = lag_idx + 1
         cross = xc[: t - lag].T @ xc[lag:]
-        b = blocks[lag_idx]
+        b = out[lag_idx, :p]
         b[:, :p] = g0
         b[:, p:] = cross / t
         head, tail = xc[:lag], xc[t - lag:]
-        g = grams[lag_idx]
+        g = out[lag_idx, p:]
         g[:p, :p] = s0 - tail.T @ tail
         g[:p, p:] = cross
         g[p:, :p] = cross.T

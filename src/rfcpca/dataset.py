@@ -18,11 +18,10 @@ from .exceptions import DimensionMismatch, NonFiniteInput
 TRIAL_PATTERN = "trial_{:03d}.csv"
 
 # the lag summaries fits prepare from a trial set (see core._load_prepared)
-# are kept in this directory beside the trial files, as one entry
-# "<digest>-<tag>" holding the arrays _SUMMARY_ARRAYS names, each a .npy file
+# are kept in this directory beside the trial files, as one entry, the .npy
+# file "<digest>-<tag>.npy" of the (L, N, 3p, 2p) array _lag_summaries fills
 SIDECAR_DIR = ".rfcpca-parsed"
-_SUMMARY_ARRAYS = ("blocks", "grams")
-# entries being written, .tmp-<pid>-<hex>; never taken for a kept entry
+# scratch names, .tmp-<pid>-<hex>[.npy]; never taken for a kept entry
 _TMP_PREFIX = ".tmp-"
 
 # trial directories at least this large are parsed on a process pool.
@@ -387,69 +386,74 @@ def _map_array(path: Path) -> np.ndarray:
     return np.asarray(x)
 
 
-def _summaries_entry(data_dir, digest: str, tag: str) -> Path:
-    return Path(data_dir) / SIDECAR_DIR / f"{digest}-{tag}"
-
-
 def _kept_summaries(data_dir, tag: str, max_lag: int) -> tuple | None:
     """The digest that names the one entry of the sidecar of ``data_dir``,
     made by the code ``tag`` names, and the first ``max_lag`` lags of its
-    summaries, as ``(digest, blocks, grams)`` laid out as ``_keep_summaries``
-    takes them, mapped read-only and not copied.  None when the sidecar
-    holds other names too (scratch directories aside), or no whole, finite
-    entry keeps that many lags for as many series as there are trials, with
-    (L, N, p, 2p) upper block rows beside (L, N, 2p, 2p) Grams.
-    Nothing is hashed: whether the trials hash to the digest is for the
-    caller to check.
+    summaries, as ``(digest, summaries)``: the (L, N, 3p, 2p) array
+    ``_keep_summaries`` takes, mapped read-only and not copied.  None when
+    the sidecar holds other names too (scratch names aside), or no whole,
+    finite ``<digest>-<tag>.npy`` file keeps that many lags for as many
+    series as there are trials.  Nothing is hashed: whether the trials hash
+    to the digest is for the caller to check.
     """
     root = Path(data_dir) / SIDECAR_DIR
+    suffix = f"-{tag}.npy"
     try:
         names = [name for name in os.listdir(root) if not name.startswith(_TMP_PREFIX)]
     except OSError:
         return None
-    if len(names) != 1 or not names[0].endswith(f"-{tag}"):
+    if len(names) != 1 or not names[0].endswith(suffix):
         return None
-    entry = root / names[0]
     try:
-        blocks, grams = (_map_array(entry / f"{key}.npy") for key in _SUMMARY_ARRAYS)
+        summaries = _map_array(root / names[0])
     except (OSError, EOFError, ValueError):
         return None
-    n = len(_trial_paths(Path(data_dir)))
-    shape = blocks.shape
-    if not (blocks.ndim == 4 and shape == (shape[0], n, shape[2], 2 * shape[2])
-            and grams.shape == (shape[0], n, shape[3], shape[3]) and 0 < max_lag <= shape[0]):
+    shape = summaries.shape
+    if not (summaries.ndim == 4 and shape[1] == len(_trial_paths(Path(data_dir)))
+            and 2 * shape[2] == 3 * shape[3] and 0 < max_lag <= shape[0]):
         return None
-    arrays = (blocks[:max_lag], grams[:max_lag])
-    if not all(np.isfinite(a).all() for a in arrays):
+    summaries = summaries[:max_lag]
+    # lag by lag: one mask of the whole array raised repeat fits' peak by 0.2-0.4 MB
+    if not all(np.isfinite(lag).all() for lag in summaries):
         return None
-    return (names[0][:-len(tag) - 1], *arrays)
+    return names[0][:-len(suffix)], summaries
 
 
-def _keep_summaries(data_dir, digest: str, tag: str, blocks, grams) -> None:
+def _keep_summaries(data_dir, digest: str, tag: str, summaries) -> None:
     """Keep the lag summaries of the trials of ``data_dir`` that hash to
-    ``digest``, made by the code ``tag`` names, as the one entry of its sidecar.
+    ``digest``, made by the code ``tag`` names, as the one entry of its
+    sidecar: ``summaries``, the (L, N, 3p, 2p) array ``_lag_summaries``
+    fills, in the file ``<digest>-<tag>.npy``.
 
-    ``blocks`` are the (L, N, p, 2p) upper block rows [G(0), G(l)] of the
-    block covariances and ``grams`` the (L, N, 2p, 2p) Grams; the Grams'
-    traces, the energies, are not kept.  Both are written into a scratch
-    directory and renamed into place, so a reader sees both or neither;
-    every other name in the sidecar then goes (see ``_publish``).  Writes
-    nothing where it cannot, as in a read-only directory, on a full disk or
-    when another process removes the sidecar meanwhile, and leaves no
-    scratch directory behind.
+    The array is saved to a scratch file that ``os.replace`` moves onto the
+    entry (a directory on its name is removed first), so a reader sees the
+    old entry or the new one.  Every other name of the sidecar then goes
+    except the scratch names of running processes.  Writes nothing where it
+    cannot, as in a read-only directory, on a full disk or when another
+    process removes the sidecar meanwhile, and leaves no scratch file behind.
     """
+    root = Path(data_dir) / SIDECAR_DIR
+    entry = root / f"{digest}-{tag}.npy"
+    tmp = root / f"{_TMP_PREFIX}{os.getpid()}-{os.urandom(4).hex()}.npy"
     try:
-        tmp = _scratch_dir(Path(data_dir))
-    except OSError:
-        return
-    try:
-        for key, array in zip(_SUMMARY_ARRAYS, (blocks, grams)):
-            np.save(tmp / f"{key}.npy", array)
-        _publish(tmp, _summaries_entry(data_dir, digest, tag))
+        root.mkdir(exist_ok=True)
+        try:
+            np.save(tmp, summaries)
+            if entry.is_dir():  # a spoiled entry, which no file can replace
+                _remove(entry)
+            os.replace(tmp, entry)
+        finally:
+            tmp.unlink(missing_ok=True)
+        for other in root.iterdir():
+            if other == entry or (other.name.startswith(_TMP_PREFIX)
+                                  and not _orphaned(other.name)):
+                continue
+            try:
+                _remove(other)
+            except OSError:
+                pass
     except OSError:
         pass
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _remove(path: Path) -> None:
@@ -460,8 +464,8 @@ def _remove(path: Path) -> None:
 
 
 def _orphaned(name: str) -> bool:
-    """Whether ``name`` is a ``.tmp-<pid>-<hex>`` entry whose process no
-    longer runs on this host, as after a write killed midway."""
+    """Whether ``name`` is a ``.tmp-<pid>-<hex>`` scratch name whose process
+    no longer runs on this host, as after a write killed midway."""
     pid = name[len(_TMP_PREFIX):].split("-", 1)[0]
     # signal 0 only checks for the process, except on Windows, where it kills
     if os.name != "posix" or not pid.isdigit():
@@ -476,37 +480,15 @@ def _orphaned(name: str) -> bool:
 
 
 def _scratch_dir(data_dir: Path) -> Path:
-    """A new ``.tmp-<pid>-<hex>`` directory in the sidecar of ``data_dir``,
-    which is made if need be, like any other directory there (not by mkdtemp,
-    whose directories only their owner may read); raises OSError where none
-    can be made."""
+    """A new ``.tmp-<pid>-<hex>`` directory for the files of a pooled parse in
+    the sidecar of ``data_dir``, which is made if need be, like any other
+    directory there (not by mkdtemp, whose directories only their owner may
+    read); raises OSError where none can be made."""
     root = data_dir / SIDECAR_DIR
     root.mkdir(exist_ok=True)
     tmp = root / f"{_TMP_PREFIX}{os.getpid()}-{os.urandom(4).hex()}"
     tmp.mkdir()
     return tmp
-
-
-def _publish(tmp: Path, target: Path) -> None:
-    """Move the scratch directory ``tmp`` into place at ``target``, then drop
-    every other name of its directory except the scratch directories of
-    running processes: entries of other bytes or other code, and anything
-    else found there.  Leaves ``tmp`` where it is when it cannot."""
-    try:
-        if target.exists() or target.is_symlink():
-            # a spoiled entry, or one of fewer lags
-            _remove(target)
-        tmp.rename(target)
-    except OSError:
-        return
-    for other in target.parent.iterdir():
-        if other.name == target.name or (other.name.startswith(_TMP_PREFIX)
-                                         and not _orphaned(other.name)):
-            continue
-        try:
-            _remove(other)
-        except OSError:
-            pass
 
 
 def dataset_digest(data_dir) -> str:

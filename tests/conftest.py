@@ -1,3 +1,4 @@
+import builtins
 import os
 from pathlib import Path
 
@@ -73,16 +74,27 @@ def small_planted():
 
 @pytest.fixture
 def read_only(monkeypatch):
-    """Makes a directory read-only, also for a process that may write anywhere."""
+    """Makes a directory or file read-only, also for a process that may write
+    anywhere: no directory is made in it and no file opened there to write."""
     made = []
-    mkdir = os.mkdir
+    mkdir, open_ = os.mkdir, builtins.open
 
-    def refuse(target, *args, **kwargs):
-        if any(Path(target).is_relative_to(path) for path in made):
+    def refused(target):
+        return (isinstance(target, (str, os.PathLike))
+                and any(Path(target).is_relative_to(path) for path in made))
+
+    def refuse_mkdir(target, *args, **kwargs):
+        if refused(target):
             raise PermissionError(13, "Permission denied", str(target))
         return mkdir(target, *args, **kwargs)
 
-    monkeypatch.setattr(os, "mkdir", refuse)
+    def refuse_open(file, mode="r", *args, **kwargs):
+        if refused(file) and set(mode) & set("wxa+"):
+            raise PermissionError(13, "Permission denied", str(file))
+        return open_(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", refuse_mkdir)
+    monkeypatch.setattr(builtins, "open", refuse_open)
 
     def make(path):
         path.chmod(0o555)
@@ -95,8 +107,8 @@ def read_only(monkeypatch):
 
 SIDECAR_SPOILS = ("truncated", "empty_file", "wrong_shape", "wrong_dtype",
                   "object_array", "non_finite", "missing_array", "missing_trial",
-                  "shapes_as_objects", "square_blocks", "file_for_entry",
-                  "file_for_sidecar")
+                  "shapes_as_objects", "square_blocks", "directory_for_entry",
+                  "dangling_symlink", "previous_layout", "file_for_sidecar")
 
 
 class _Unpickled(Exception):
@@ -115,52 +127,65 @@ class _Trap:
 
 
 def summaries_entry(data_dir):
-    """The sidecar entry that keeps the summaries of the trials now in ``data_dir``."""
-    return dataset_mod._summaries_entry(data_dir, dataset_mod.dataset_digest(data_dir),
-                                        core._summaries_tag())
+    """The sidecar entry, a ``.npy`` file, that keeps the summaries of the
+    trials now in ``data_dir``."""
+    digest, tag = dataset_mod.dataset_digest(data_dir), core._summaries_tag()
+    return Path(data_dir) / dataset_mod.SIDECAR_DIR / f"{digest}-{tag}.npy"
 
 
 def spoil_entry(entry, how):
     """Spoil a sidecar entry of kept summaries the way ``how``, one of
-    ``SIDECAR_SPOILS``, names.  Files are rewritten in place, so no array
+    ``SIDECAR_SPOILS``, names.  The file is rewritten in place, so no array
     mapped from the entry may be read afterwards.
 
-    ``missing_trial`` leaves whole arrays that summarise one trial fewer, and
-    ``shapes_as_objects`` puts an object array in place of the Grams, whose
-    shape must match that of the block covariances.  ``square_blocks`` keeps
-    the full (L, N, 2p, 2p) block covariances in place of their upper block
-    rows, the layout of earlier code, under the current tag.
+    ``wrong_shape`` drops the last row of every 3p x 2p matrix,
+    ``missing_trial`` leaves a whole array that summarises one trial fewer,
+    and ``shapes_as_objects`` puts an object array of the entry's own shape
+    in its place.  ``square_blocks`` keeps the full 2p x 2p block
+    covariances in place of their upper block rows, a layout of earlier
+    code, under the current tag.  ``previous_layout`` replaces the file by
+    the directory ``<digest>-<tag>`` of the same arrays split in two,
+    ``blocks.npy`` and ``grams.npy``, the layout of the code before this one.
     """
-    first = entry / "blocks.npy"
-    if how == "truncated":
-        first.write_bytes(first.read_bytes()[:-8])
-    elif how == "empty_file":
-        first.write_bytes(b"")
-    elif how == "wrong_shape":
-        np.save(first, np.load(first)[:-1])
-    elif how == "wrong_dtype":
-        np.save(first, np.load(first).astype(np.float32))
-    elif how == "object_array":
-        np.save(first, np.array([_Trap(), None], dtype=object), allow_pickle=True)
-    elif how == "non_finite":
-        x = np.load(first)
-        x[0, 0] = np.nan
-        np.save(first, x)
-    elif how == "missing_array":
-        first.unlink()
-    elif how == "missing_trial":
-        for key in ("blocks", "grams"):
-            np.save(entry / f"{key}.npy", np.load(entry / f"{key}.npy")[:, :-1])
-    elif how == "shapes_as_objects":
-        np.save(entry / "grams.npy", np.array([_Trap()], dtype=object),
-                allow_pickle=True)
-    elif how == "square_blocks":
-        np.save(first, full_blocks(np.load(first)))
-    elif how == "file_for_entry":
-        dataset_mod._remove(entry)
-        entry.write_text("not a directory")
-    elif how == "file_for_sidecar":
+    if how in ("truncated", "empty_file"):
+        entry.write_bytes(entry.read_bytes()[:-8] if how == "truncated" else b"")
+        return
+    if how == "missing_array":
+        entry.unlink()
+        return
+    if how == "file_for_sidecar":
         dataset_mod._remove(entry.parent)
         entry.parent.write_text("not a directory")
+        return
+    x = np.load(entry)
+    p = x.shape[3] // 2
+    if how == "wrong_shape":
+        np.save(entry, x[:, :, :-1])
+    elif how == "wrong_dtype":
+        np.save(entry, x.astype(np.float32))
+    elif how == "object_array":
+        np.save(entry, np.array([_Trap(), None], dtype=object), allow_pickle=True)
+    elif how == "non_finite":
+        x[0, 0] = np.nan
+        np.save(entry, x)
+    elif how == "missing_trial":
+        np.save(entry, x[:, :-1])
+    elif how == "shapes_as_objects":
+        np.save(entry, np.full(x.shape, _Trap(), dtype=object), allow_pickle=True)
+    elif how == "square_blocks":
+        np.save(entry, np.concatenate([full_blocks(x[:, :, :p]), x[:, :, p:]], axis=2))
+    elif how == "directory_for_entry":
+        entry.unlink()
+        entry.mkdir()
+        (entry / "notes.txt").write_text("not an entry")
+    elif how == "dangling_symlink":
+        entry.unlink()
+        entry.symlink_to(entry.with_name("missing.npy"))
+    elif how == "previous_layout":
+        entry.unlink()
+        old = entry.with_suffix("")
+        old.mkdir()
+        np.save(old / "blocks.npy", x[:, :, :p])
+        np.save(old / "grams.npy", x[:, :, p:])
     else:
         raise AssertionError(how)

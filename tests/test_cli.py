@@ -17,8 +17,11 @@ import rfcpca.dataset as dataset_mod
 from conftest import SIDECAR_SPOILS, spoil_entry, summaries_entry
 from rfcpca.cli import main
 from rfcpca.core import fit_fcpca
-from rfcpca.dataset import dataset_digest, read_csv_dir
+from rfcpca import experiments
+from rfcpca.dataset import dataset_digest, read_csv_dir, write_csv_dir
+from rfcpca.rng import derive_seed
 from rfcpca.robust import fit_rfcpca_e, fit_rfcpca_n, fit_rfcpca_t, select_lambda_elbow
+from rfcpca.simulate import generate_clean_dataset, inject_bursts, inject_eyeblinks
 
 
 def run(*argv):
@@ -125,6 +128,24 @@ class TestSimulate:
         assert run("simulate", "--config", burst_config, "--out", out2) == 0
         for f1, f2 in zip(sorted(out1.glob("*.csv")), sorted(out2.glob("*.csv"))):
             assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["burst", "eyeblink"])
+    def test_bytes_are_those_of_the_library_recipe(self, tmp_path, kind):
+        # the contamination is seeded as make_benchmark_dataset seeds it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": kind, "n_per_group": 3, "channels": 4,
+                                   "length": 120, "seed": 5}))
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "cli") == 0
+        clean, manifest = generate_clean_dataset(3, 4, 120, seed=5)
+        inject = inject_bursts if kind == "burst" else inject_eyeblinks
+        art_seed = derive_seed(5, experiments._ART_STREAM)
+        dataset, manifest = inject(clean, manifest, seed=art_seed)
+        paths = write_csv_dir(dataset, tmp_path / "library")
+        assert sorted(p.name for p in (tmp_path / "cli").glob("*.csv")) == [p.name for p in paths]
+        for path in paths:
+            assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes()
+        doc = json.loads((tmp_path / "cli" / "manifest.json").read_text())
+        assert doc["contamination_seed"] == art_seed
 
     def test_zero_rho_has_no_contamination(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -358,7 +379,7 @@ class TestSidecar:
             parse_on_pool(monkeypatch)
         for k in range(3):
             assert self.fit_bytes(simulated, tmp_path / f"fit{k}.json") == reference
-        assert summaries_entry(simulated).is_dir()
+        assert summaries_entry(simulated).is_file()
 
     def test_read_only_directory(self, simulated, tmp_path, reference, read_only,
                                  monkeypatch):
@@ -404,7 +425,7 @@ class TestSidecar:
         assert len(fits) == 2
         doc = json.loads((tmp_path / "renamed.json").read_text())
         assert doc["provenance"]["dataset_sha256"] == dataset_digest(simulated)
-        assert not wrong.exists() and entry.is_dir()
+        assert not wrong.exists() and entry.is_file()
 
 
 class TestHashThread:

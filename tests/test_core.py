@@ -98,7 +98,7 @@ class TestUpdateSubspaces:
         prep = _Prepared(dataset, 2)
         subs = _subspaces_from_weights(prep.blocks, np.ones((4, 1)), 2.0, 0.95)
         for lag_idx in range(2):
-            expected = common_axes(full_blocks(prep.blocks[:, lag_idx]).mean(axis=0), 0.95)
+            expected = common_axes(full_blocks(prep.blocks[lag_idx]).mean(axis=0), 0.95)
             np.testing.assert_allclose(subs.axes[0][lag_idx], expected, atol=1e-10)
 
     def test_crisp_partition_uses_only_members(self):
@@ -109,7 +109,7 @@ class TestUpdateSubspaces:
         u[:3, 0] = 1.0
         u[3:, 1] = 1.0
         subs = _subspaces_from_weights(prep.blocks, u, 2.0, 0.95)
-        expected = common_axes(full_blocks(prep.blocks[:3, 0]).mean(axis=0), 0.95)
+        expected = common_axes(full_blocks(prep.blocks[0, :3]).mean(axis=0), 0.95)
         np.testing.assert_allclose(subs.axes[0][0], expected, atol=1e-10)
 
     def test_matches_brute_force_oracle(self):
@@ -134,14 +134,17 @@ class TestPrepared:
         series = [rng.standard_normal((40 + 5 * i, 3)) for i in range(5)]
         prep = _Prepared(MtsDataset(series=series), 3)
         alone = [_Prepared(MtsDataset(series=[x]), 3) for x in series]
-        assert prep.blocks.shape == (5, 3, 3, 6)
-        assert prep.grams.shape == (5, 3, 6, 6)
-        assert np.array_equal(prep.blocks, np.concatenate([a.blocks for a in alone]))
-        assert np.array_equal(prep.grams, np.concatenate([a.grams for a in alone]))
+        assert prep.summaries.shape == (3, 5, 9, 6)
+        assert prep.blocks.shape == (3, 5, 3, 6)
+        assert prep.grams.shape == (3, 5, 6, 6)
+        assert np.array_equal(prep.summaries,
+                              np.concatenate([a.summaries for a in alone], axis=1))
         assert np.array_equal(prep.energies, np.concatenate([a.energies for a in alone]))
-        for lag_idx in range(3):
-            assert prep.blocks[:, lag_idx].flags.c_contiguous
-            assert prep.grams[:, lag_idx].flags.c_contiguous
+        # one C-contiguous array, of which the block rows and Grams are views
+        assert prep.summaries.flags.c_contiguous and prep.energies.flags.c_contiguous
+        assert prep.blocks.base is prep.summaries and prep.grams.base is prep.summaries
+        assert np.array_equal(prep.blocks, prep.summaries[:, :, :3])
+        assert np.array_equal(prep.grams, prep.summaries[:, :, 3:])
 
     @pytest.mark.parametrize("max_lag", [1, 2, 3])
     def test_one_pass_matches_per_lag_references(self, max_lag):
@@ -152,15 +155,15 @@ class TestPrepared:
         rng = make_rng(28)
         series = [rng.standard_normal((20 + 13 * i, 3)) + i for i in range(4)]
         prep = _Prepared(MtsDataset(series=series), max_lag)
-        assert prep.blocks.shape == (4, max_lag, 3, 6)
-        assert prep.grams.shape == (4, max_lag, 6, 6)
+        assert prep.blocks.shape == (max_lag, 4, 3, 6)
+        assert prep.grams.shape == (max_lag, 4, 6, 6)
         for i, x in enumerate(series):
             for lag_idx in range(max_lag):
-                np.testing.assert_allclose(prep.blocks[i, lag_idx],
+                np.testing.assert_allclose(prep.blocks[lag_idx, i],
                                            ref.ref_block(x, lag_idx + 1)[:3],
                                            rtol=1e-8, atol=1e-8)
                 emb = ref.ref_embedding(x, lag_idx + 1)
-                np.testing.assert_allclose(prep.grams[i, lag_idx], emb.T @ emb,
+                np.testing.assert_allclose(prep.grams[lag_idx, i], emb.T @ emb,
                                            rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(prep.energies[i, lag_idx], (emb * emb).sum(),
                                            rtol=1e-12, atol=0.0)

@@ -13,7 +13,7 @@ from rfcpca.rng import make_rng
 def summaries(x, max_lag=2):
     """One series' upper block rows, Grams and energies as the fits hold them."""
     prep = _Prepared(MtsDataset(series=[x]), max_lag)
-    return prep.blocks[0], prep.grams[0], prep.energies[0]
+    return prep.blocks[:, 0], prep.grams[:, 0], prep.energies[0]
 
 
 def square(row):
@@ -157,16 +157,21 @@ class TestWeightedCommonCovariance:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 16, 31, 32, 33, 64])
     def test_bit_for_bit_the_average_of_the_square_blocks(self, p):
         # byte-identical fits rest on this: every entry is the same weighted
-        # sum, in the same order, as the one over the square blocks
+        # sum, in the same order, as the one over the square blocks, also
+        # for the upper rows of an (N, 3p, 2p) stack, as the fits hold them,
+        # whose other rows are never read
         rng = make_rng(100 + p)
         for n in (1, 3, 4, 5, 20, 33):
             rows = random_rows(rng, n, p) * rng.uniform(0.1, 100.0)
+            stack = np.full((n, 3 * p, 2 * p), np.nan)
+            stack[:, :p] = rows
             full = full_blocks(rows)
             u = rng.random(n)
             for m in (1.2, 1.6, 2.0, 3.0):
                 w = u**m
                 want = (w @ full.reshape(n, -1)).reshape(2 * p, 2 * p) / w.sum()
-                assert np.array_equal(weighted_common_covariance(rows, u, m), want)
+                for given in (rows, stack[:, :p]):
+                    assert np.array_equal(weighted_common_covariance(given, u, m), want)
 
     @pytest.mark.parametrize("shape", [(3, 4, 4), (3, 2, 2), (3, 2, 3), (3, 4, 2)])
     def test_a_stack_that_is_not_of_upper_block_rows_is_a_mismatch(self, shape):

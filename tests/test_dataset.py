@@ -452,9 +452,8 @@ def test_kept_summaries_are_readable_by_whoever_may_read_the_directory(tmp_path)
                   tmp_path)
     _prepare(tmp_path)
     entry = summaries_entry(tmp_path)
-    assert sorted(p.name for p in entry.iterdir()) == sorted(
-        f"{key}.npy" for key in dataset_mod._SUMMARY_ARRAYS)
-    (tmp_path / "probe").mkdir()
+    assert [p.name for p in entry.parent.iterdir()] == [entry.name]
+    (tmp_path / "probe").write_bytes(b"")
     assert entry.stat().st_mode == (tmp_path / "probe").stat().st_mode
 
 
@@ -483,15 +482,14 @@ def test_spoiled_entry_is_a_miss(tmp_path, count_parses, how):
     write_csv_dir(MtsDataset(series=[rng.standard_normal((t, 3)) for t in (6, 9)]), tmp_path)
     fresh, digest = _prepare(tmp_path)
     # copied out of the mapping: a file spoiled in place can no longer be read
-    expected = [np.array(getattr(fresh, key)) for key in dataset_mod._SUMMARY_ARRAYS]
+    expected = np.array(fresh.summaries)
     del fresh
     spoil_entry(summaries_entry(tmp_path), how)
     count_parses.clear()
     prep, again = _prepare(tmp_path)
     assert again == digest
     assert len(count_parses) == 2
-    for key, want in zip(dataset_mod._SUMMARY_ARRAYS, expected):
-        assert np.array_equal(getattr(prep, key), want)
+    assert np.array_equal(prep.summaries, expected)
     # the entry is whole again, unless the sidecar directory is a file
     count_parses.clear()
     _prepare(tmp_path)
@@ -560,21 +558,25 @@ def test_bad_trial_publishes_no_entry(tmp_path):
 
 
 @pytest.mark.skipif(not Path("/proc/sys/kernel/pid_max").exists(), reason="needs Linux's pid_max")
-def test_publish_removes_the_scratch_entries_of_dead_processes_only(tmp_path):
-    # a write killed midway leaves its .tmp-<pid>-<hex> directory behind; the
-    # next publish removes it once no process has that pid, and keeps the
-    # scratch entry of a running process
+def test_keep_removes_the_scratch_names_of_dead_processes_only(tmp_path):
+    # a keep or a pooled parse killed midway leaves its .tmp-<pid>-<hex>.npy
+    # file or .tmp-<pid>-<hex> directory behind; the next keep removes them
+    # once no process has that pid, and keeps those of a running process
     pid_max = int(Path("/proc/sys/kernel/pid_max").read_text())
     write_csv_dir(MtsDataset(series=[np.ones((3, 2)), np.zeros((4, 2))]), tmp_path)
     root = tmp_path / dataset_mod.SIDECAR_DIR
-    dead = root / f".tmp-{pid_max + 1}-0badc0de"
-    live = root / f".tmp-{os.getpid()}-0badc0de"
-    for scratch in (dead, live):
-        scratch.mkdir(parents=True)
-        (scratch / "blocks.npy").write_bytes(b"partial")
+    root.mkdir()
+    scratch = []
+    for pid in (pid_max + 1, os.getpid()):
+        parse = root / f".tmp-{pid}-0badc0de"
+        parse.mkdir()
+        (parse / "00000.npy").write_bytes(b"partial")
+        keep = root / f".tmp-{pid}-0badf00d.npy"
+        keep.write_bytes(b"partial")
+        scratch.append([parse.name, keep.name])
     _prepare(tmp_path, 1)
     assert sorted(path.name for path in root.iterdir()) == sorted(
-        [live.name, summaries_entry(tmp_path).name])
+        [*scratch[1], summaries_entry(tmp_path).name])
 
 
 # holds a pool of two started workers, prints their pids, then waits to be killed

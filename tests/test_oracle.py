@@ -60,13 +60,13 @@ def test_oracle_equivalence(seed):
     for i, x in enumerate(dataset.series):
         p = x.shape[1]
         for lag in (1, 2):
-            row = prep.blocks[i, lag - 1]
+            row = prep.blocks[lag - 1, i]
             _close(row, blocks_ref[lag - 1, i, :p])
             _close(row[:, :p], ref.ref_lagged_cov(x, 0))
             _close(row[:, p:], ref.ref_lagged_cov(x, lag))
             emb = embeddings[i][lag - 1]
             energy = float((emb * emb).sum())
-            _close(prep.grams[i, lag - 1], emb.T @ emb, scale=energy)
+            _close(prep.grams[lag - 1, i], emb.T @ emb, scale=energy)
             assert prep.energies[i, lag - 1] == pytest.approx(energy, rel=RTOL)
 
     # weighted common covariance, axes, projectors, reconstruction errors; the
@@ -76,7 +76,7 @@ def test_oracle_equivalence(seed):
     for s in range(2):
         axes_per_lag = []
         for lag_idx in range(2):
-            sigma_mine = weighted_common_covariance(prep.blocks[:, lag_idx], u[:, s], m)
+            sigma_mine = weighted_common_covariance(prep.blocks[lag_idx], u[:, s], m)
             sigma_ref = ref.ref_weighted_cov(blocks_ref[lag_idx], u[:, s], m)
             _close(sigma_mine, sigma_ref, scale=np.abs(sigma_ref).max())
             c = common_axes(sigma_mine, 0.95)

@@ -104,8 +104,8 @@ class TestExponentialWeights:
         expected = np.exp(log_w - log_w.max(axis=0))
         for s in range(2):
             for lag in range(2):
-                got = weighted_common_covariance(blocks[:, lag], weights[:, s], m)
-                want = np.einsum("i,ijk->jk", expected[:, s], full_blocks(blocks[:, lag]))
+                got = weighted_common_covariance(blocks[lag], weights[:, s], m)
+                want = np.einsum("i,ijk->jk", expected[:, s], full_blocks(blocks[lag]))
                 np.testing.assert_allclose(got, want / expected[:, s].sum(),
                                            rtol=1e-10, atol=1e-12)
         _subspaces_from_weights(blocks, weights, m, 0.9)

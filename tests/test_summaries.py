@@ -21,13 +21,14 @@ import pytest
 import rfcpca.cli as cli_mod
 import rfcpca.core as core
 import rfcpca.dataset as dataset_mod
-from conftest import _Trap, summaries_entry
+from conftest import _Trap, spoil_entry, summaries_entry
 from rfcpca.cli import main
 from rfcpca.dataset import MtsDataset, dataset_digest, read_csv_dir, write_csv_dir
 from rfcpca.rng import make_rng
 
 SUMMARY_SPOILS = ("truncated", "empty_file", "wrong_shape", "wrong_dtype", "object_array",
-                  "non_finite", "missing_file", "scalar")
+                  "non_finite_block_row", "non_finite_gram", "missing_file", "scalar",
+                  "no_lag_axis")
 
 
 def _write(data_dir, seed=12, n=6, p=3):
@@ -109,12 +110,12 @@ def test_a_hit_maps_the_arrays_a_fresh_prepare_computes(data_dir, count_prepares
     assert count_prepares == []
     for prep in (computed, hit):
         assert (prep.n_series, prep.max_lag) == (fresh.n_series, fresh.max_lag)
-        for key in dataset_mod._SUMMARY_ARRAYS:
+        for key in ("summaries", "blocks", "grams", "energies"):
             got, want = getattr(prep, key), getattr(fresh, key)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.strides == want.strides
             assert got.tobytes() == want.tobytes()
-    for key in dataset_mod._SUMMARY_ARRAYS:
+    for key in ("summaries", "blocks", "grams"):
         array = getattr(hit, key)
         assert not array.flags.writeable and _mapped(array)
 
@@ -148,8 +149,7 @@ def test_a_cold_load_holds_one_parsed_trial_at_a_time(data_dir, monkeypatch, poo
     assert len(handed) == fresh.n_series
     assert handed[0] == ("00000.npy" if pool else "trial_000.csv")
     assert most == [1] and alive == [0]
-    for key in dataset_mod._SUMMARY_ARRAYS:
-        assert getattr(prep, key).tobytes() == getattr(fresh, key).tobytes()
+    assert prep.summaries.tobytes() == fresh.summaries.tobytes()
 
 
 def test_a_cold_load_stopped_midway_leaves_no_scratch(data_dir, monkeypatch):
@@ -173,13 +173,11 @@ def test_a_cold_load_stopped_midway_leaves_no_scratch(data_dir, monkeypatch):
     assert _kept(data_dir) == []
 
 
-@pytest.mark.parametrize("key", dataset_mod._SUMMARY_ARRAYS)
 @pytest.mark.parametrize("how", SUMMARY_SPOILS)
-def test_spoiled_summaries_are_a_miss(data_dir, tmp_path, pristine, count_prepares, how,
-                                      key):
+def test_spoiled_summaries_are_a_miss(data_dir, tmp_path, pristine, count_prepares, how):
     reference = pristine()
     assert _fit_bytes(data_dir, tmp_path / "first.json") == reference
-    path = summaries_entry(data_dir) / f"{key}.npy"
+    path = summaries_entry(data_dir)
     if how == "truncated":
         path.write_bytes(path.read_bytes()[:-8])
     elif how == "empty_file":
@@ -190,12 +188,16 @@ def test_spoiled_summaries_are_a_miss(data_dir, tmp_path, pristine, count_prepar
         np.save(path, np.load(path).astype(np.float32))
     elif how == "object_array":
         np.save(path, np.array([_Trap(), None], dtype=object), allow_pickle=True)
-    elif how == "non_finite":
+    elif how in ("non_finite_block_row", "non_finite_gram"):
+        # the last G(l) entry of the last series' block row, or the last
+        # entry of its last Gram
         array = np.load(path)
-        array.flat[-1] = np.inf
+        array[-1, -1, 0 if how == "non_finite_block_row" else -1, -1] = np.inf
         np.save(path, array)
     elif how == "scalar":
         np.save(path, np.float64(1.0))
+    elif how == "no_lag_axis":
+        np.save(path, np.load(path)[0])
     else:
         path.unlink()
     count_prepares.clear()
@@ -207,16 +209,22 @@ def test_spoiled_summaries_are_a_miss(data_dir, tmp_path, pristine, count_prepar
     assert count_prepares == []
 
 
-def test_a_file_for_the_summaries_directory_is_a_miss(data_dir, tmp_path, pristine,
-                                                      count_prepares):
+def test_a_directory_on_the_entrys_name_is_a_miss_once(data_dir, tmp_path, pristine,
+                                                        count_prepares):
     reference = pristine()
     _fit_bytes(data_dir, tmp_path / "first.json")
     kept = summaries_entry(data_dir)
-    shutil.rmtree(kept)
-    kept.write_text("not a directory")
+    kept.unlink()
+    (kept / "inner").mkdir(parents=True)
+    (kept / "inner" / "notes.txt").write_text("not an entry")
     count_prepares.clear()
     assert _fit_bytes(data_dir, tmp_path / "spoiled.json") == reference
-    assert count_prepares == [2] and kept.is_dir()
+    assert count_prepares == [2] and kept.is_file()
+    assert _kept(data_dir) == [kept.name]
+    # removed and replaced, so the next fit maps the entry
+    count_prepares.clear()
+    assert _fit_bytes(data_dir, tmp_path / "again.json") == reference
+    assert count_prepares == []
 
 
 def test_a_stray_name_beside_the_entry_is_a_miss_until_the_next_keep(
@@ -261,7 +269,7 @@ def test_fewer_lags_are_served_from_the_kept_summaries(data_dir, tmp_path, prist
         # one entry, of the largest lag count asked for so far
         largest = max(largest, max_lag)
         assert _kept(data_dir) == [summaries_entry(data_dir).name]
-        assert np.load(summaries_entry(data_dir) / "blocks.npy").shape[0] == largest
+        assert np.load(summaries_entry(data_dir)).shape[0] == largest
 
 
 def test_analyze_of_fewer_lags_computes_nothing(data_dir, tmp_path, count_prepares):
@@ -282,6 +290,27 @@ def test_analyze_of_fewer_lags_computes_nothing(data_dir, tmp_path, count_prepar
     # the L=2 fit computed; the L=1 fit and its analysis mapped; the copy computed
     assert count_prepares == [2, 1]
     assert outputs[0] == outputs[1]
+
+
+def test_an_entry_of_the_previous_layout_is_a_miss_once(data_dir, tmp_path, pristine,
+                                                        count_prepares):
+    # the code before kept the same arrays as a directory <digest>-<tag>/
+    # holding blocks.npy and grams.npy; such an entry costs one parse, and
+    # the keep that follows removes it
+    reference = pristine()
+    _fit_bytes(data_dir, tmp_path / "first.json")
+    entry = summaries_entry(data_dir)
+    summaries = np.load(entry)
+    spoil_entry(entry, "previous_layout")
+    assert _kept(data_dir) == [entry.with_suffix("").name]
+    count_prepares.clear()
+    assert _fit_bytes(data_dir, tmp_path / "migrated.json") == reference
+    assert count_prepares == [2]
+    assert _kept(data_dir) == [entry.name]
+    assert np.array_equal(np.load(entry), summaries)
+    count_prepares.clear()
+    assert _fit_bytes(data_dir, tmp_path / "again.json") == reference
+    assert count_prepares == []
 
 
 def test_an_entry_of_the_old_layout_is_never_read_and_goes_at_the_first_publish(
@@ -312,11 +341,11 @@ def test_summaries_of_other_code_are_a_miss(data_dir, monkeypatch, count_prepare
     del before
     summarise = core._lag_summaries
 
-    def doubled(x, blocks, grams):
+    def doubled(x, out):
         # other code: the same block covariances with twice the Grams, so
         # twice the energies
-        summarise(x, blocks, grams)
-        grams *= 2.0
+        summarise(x, out)
+        out[:, x.shape[1]:] *= 2.0
 
     monkeypatch.setattr(core, "_lag_summaries", doubled)
     count_prepares.clear()
@@ -395,11 +424,11 @@ def test_summaries_that_cannot_be_written_leave_the_fit_and_no_scratch(
     save = np.save
 
     def failing(path, array, *args, **kwargs):
-        if Path(path).parent.name.startswith(dataset_mod._TMP_PREFIX):
+        if Path(path).name.startswith(dataset_mod._TMP_PREFIX):
             if fault == "disk_full":
                 raise OSError(errno.ENOSPC, "No space left on device", str(path))
             # another process removes the whole sidecar meanwhile
-            shutil.rmtree(Path(path).parents[1])
+            shutil.rmtree(Path(path).parent)
         return save(path, array, *args, **kwargs)
 
     monkeypatch.setattr(np, "save", failing)
