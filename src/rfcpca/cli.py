@@ -26,13 +26,12 @@ from .analysis import _check_orthonormal, channel_contributions, noise_subspace,
 from .dataset import TRIAL_PATTERN, _listed_trials, _trial_paths, dataset_digest, write_csv_dir
 from .evaluation import EvalReport, evaluate_fit, harden, regular_memberships
 from .exceptions import LagTooLarge, LagTooSmall, RFCPCAError
-from .experiments import _ART_STREAM, BENCHMARK_V, run_benchmark, write_rows_csv
+from .experiments import BENCHMARK_V, contaminate, run_benchmark, write_rows_csv
 from .core import FitResult, MembershipMatrix, _kept_prepared, _load_prepared
 from .covariance import DEFAULT_MAX_LAG, DEFAULT_VARIANCE_FRACTION, ClusterSubspaces
-from .rng import derive_seed
 from .robust import select_lambda_elbow
 from .selection import VARIANTS, SearchGrid, _fit_candidate, cvi, grid_search
-from .simulate import SimManifest, generate_clean_dataset, inject_bursts, inject_eyeblinks
+from .simulate import SimManifest, generate_clean_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,6 +50,8 @@ SIMULATE_KEYS = {
     "seed": int,
 }
 SIMULATE_REQUIRED = ("kind", "n_per_group", "channels", "length", "seed")
+# the config keys each kind passes to its injector; the others are ignored
+CONTAMINATION_KEYS = {"none": (), "burst": ("rho", "eta"), "eyeblink": ("rho",)}
 
 
 class ConfigError(Exception):
@@ -229,7 +230,7 @@ def _load_simulate_config(path) -> dict:
         if not _has_config_type(value, declared):
             expected = declared.__name__ if declared else "an int or [lo, hi]"
             raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
-    if raw["kind"] not in ("none", "burst", "eyeblink"):
+    if raw["kind"] not in CONTAMINATION_KEYS:
         raise ConfigError(f"unknown kind {raw['kind']!r}")
     if raw["seed"] < 0:
         raise ConfigError(f"config key 'seed' must be nonnegative, got {raw['seed']}")
@@ -243,23 +244,12 @@ def cmd_simulate(args) -> int:
     if isinstance(t_spec, list):
         t_spec = tuple(t_spec)
     kind = config["kind"]
-    # the contamination's seed, as make_benchmark_dataset derives it
-    art_seed = derive_seed(config["seed"], _ART_STREAM)
+    params = {key: config[key] for key in CONTAMINATION_KEYS[kind] if key in config}
     try:
         clean, manifest = generate_clean_dataset(
             config["n_per_group"], config["channels"], t_spec,
             fs=config.get("fs", 100.0), seed=config["seed"])
-        if kind == "burst":
-            dataset, manifest = inject_bursts(clean, manifest,
-                                              rho=config.get("rho", 0.20),
-                                              eta=config.get("eta", 5.0),
-                                              seed=art_seed)
-        elif kind == "eyeblink":
-            dataset, manifest = inject_eyeblinks(clean, manifest,
-                                                 rho=config.get("rho", 0.40),
-                                                 seed=art_seed)
-        else:
-            dataset = clean
+        dataset, manifest = contaminate(clean, manifest, kind, config["seed"], **params)
     except (RFCPCAError, ValueError, OverflowError, MemoryError) as exc:
         detail = str(exc)
         if not detail and isinstance(exc, MemoryError):

@@ -39,18 +39,25 @@ _ART_STREAM = 0xA7
 _FIT_STREAM = 0xF1
 
 
+def contaminate(clean, manifest, kind: str, seed: int, **params):
+    """``clean`` with ``kind`` contamination ("none", "burst" or "eyeblink") as
+    (dataset, manifest); the injector is seeded by ``derive_seed(seed,
+    _ART_STREAM)`` and keeps its own defaults for what ``params`` leaves out."""
+    art_seed = derive_seed(seed, _ART_STREAM)
+    if kind == "burst":
+        return inject_bursts(clean, manifest, seed=art_seed, **params)
+    if kind == "eyeblink":
+        return inject_eyeblinks(clean, manifest, seed=art_seed, **params)
+    if kind == "none":
+        return clean, manifest
+    raise ValueError(f"unknown contamination kind {kind!r}")
+
+
 def make_benchmark_dataset(kind: str, p: int, t_spec, seed: int, n_per_group: int = 10):
     """Clean dataset plus the injector's default contamination; returns (data, manifest)."""
     clean, manifest = generate_clean_dataset(n_per_group, p, t_spec,
                                              seed=derive_seed(seed, _GEN_STREAM))
-    art_seed = derive_seed(seed, _ART_STREAM)
-    if kind == "burst":
-        return inject_bursts(clean, manifest, seed=art_seed)
-    if kind == "eyeblink":
-        return inject_eyeblinks(clean, manifest, seed=art_seed)
-    if kind == "none":
-        return clean, manifest
-    raise ValueError(f"unknown contamination kind {kind!r}")
+    return contaminate(clean, manifest, kind, seed)
 
 
 def benchmark_replication(kind: str, p: int, t_spec, seed: int, n_per_group: int = 10):
@@ -164,6 +171,8 @@ def run_benchmark(kind: str, p_values, t_spec, replications: int, seed: int,
                 "variant": variant,
                 "replications": len(sub),
                 "acc_mean": _mean([row["acc"] for row in sub]),
+                # replications whose accuracy is undefined, left out of acc_mean
+                "acc_missing": sum(row["acc"] is None for row in sub),
                 "out_recall_mean": _mean([row["out_recall"] for row in sub]),
                 "alpha_mean": _mean([row["alpha"] for row in sub]),
                 "false_positives_mean": _mean([row["false_positives"] for row in sub]),

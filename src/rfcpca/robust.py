@@ -44,6 +44,9 @@ DEFAULT_LAMBDA_GRID = tuple(0.5**i for i in range(20))
 # cap on the plain iterations run before the noise cluster is switched on
 DEFAULT_BURN_IN = 100
 
+# seeded fits per grid candidate and per elbow baseline; the best one is kept
+RESTARTS = 3
+
 # patience for the exponential variant: its reweighted subspace step
 # minimises the tangent majoriser of the bounded loss only at a fixed rank,
 # and the variance-fraction rank may move, so a run may stall instead of
@@ -113,6 +116,24 @@ def fit_rfcpca_e(dataset: MtsDataset, n_clusters: int, m: float = 2.0,
                      patience=_STALL_PATIENCE, stall_converges=True,
                      reweight=reweight)
     return _fit_result(run, m, "e", params)
+
+
+def _best_restart(fit, seeds):
+    """``(best fit or None, last failure or None)`` of ``fit(seed)`` over ``seeds``:
+    a converged fit beats an unconverged one, then the lower final objective
+    wins, ties going to the earlier seed; a fit that raises EmptyClusterError,
+    DegenerateScale or TooFewRetained is skipped."""
+    best = failure = None
+    for seed in seeds:
+        try:
+            cand = fit(seed)
+        except (EmptyClusterError, DegenerateScale, TooFewRetained) as exc:
+            failure = exc
+            continue
+        if best is None or (cand.converged, -cand.objective_trace[-1]) > (
+                best.converged, -best.objective_trace[-1]):
+            best = cand
+    return best, failure
 
 
 def _noise_augment(errors: np.ndarray, delta_sq: float) -> np.ndarray:
@@ -207,9 +228,9 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     (regular clusters emptied out by a tiny lambda) counts as fraction 1.0.
 
     All grid fits start from one shared baseline state: the regular
-    clusters fitted without a noise cluster, best of three seeded restarts;
-    a restart that empties a cluster is skipped, and the sweep raises its
-    ``EmptyClusterError`` only when all three do.
+    clusters fitted without a noise cluster, the best of ``RESTARTS``
+    seeded restarts by the grid's rule (:func:`_best_restart`); the sweep
+    raises the last restart's failure only when every restart fails.
     Independent random inits per lambda would let isolated fits land in
     poor local optima and put spurious spikes on the curve.  The noise
     variant's burn-in does not depend on lambda, so it runs once on that
@@ -219,17 +240,9 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     """
     prep = _prepare(dataset)
     n = prep.n_series
-    base = None
-    for r in range(3):
-        try:
-            cand = fit_fcpca(prep, n_regular, m=m, v=v,
-                             seed=derive_seed(seed, _ELBOW_STREAM, 999, r))
-        except EmptyClusterError as exc:
-            # skipped as the grid skips a failed restart
-            failure = exc
-            continue
-        if base is None or cand.objective_trace[-1] < base.objective_trace[-1]:
-            base = cand
+    base, failure = _best_restart(
+        lambda child: fit_fcpca(prep, n_regular, m=m, v=v, seed=child),
+        (derive_seed(seed, _ELBOW_STREAM, 999, r) for r in range(RESTARTS)))
     if base is None:
         raise failure
     try:

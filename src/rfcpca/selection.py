@@ -22,19 +22,16 @@ from .exceptions import (
     DegenerateSeparation,
     EmptyClusterError,
     SingleCluster,
-    TooFewRetained,
 )
 from .rng import derive_seed
-from .robust import fit_rfcpca_e, fit_rfcpca_n, fit_rfcpca_t, select_lambda_elbow
+from .robust import (RESTARTS, _best_restart, fit_rfcpca_e, fit_rfcpca_n, fit_rfcpca_t,
+                     select_lambda_elbow)
 
 # the baseline and the exponential, noise-cluster and trimmed variants
 VARIANTS = ("fcpca", "e", "n", "t")
 
 DEFAULT_M_GRID = (1.1, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.5)
 DEFAULT_ALPHA_GRID = (0.1, 0.2, 0.3, 0.4, 0.5)
-
-# seeded fits per grid candidate; the best one represents the candidate
-RESTARTS = 3
 
 _GRID_STREAM = 0x62D5
 
@@ -129,8 +126,8 @@ def _fit_candidate(prep, variant, cand, seed, lam, v):
 def _evaluate_candidate(prep, grid, seed, v, idx, cand):
     """Record of the ``idx``-th grid candidate and its fit, or None when it cannot win.
 
-    The restart with the best (converged, lowest objective) fit represents
-    the candidate; a candidate whose elbow sweep or restarts all failed,
+    The best restart (:func:`robust._best_restart`) represents the
+    candidate; a candidate whose elbow sweep or restarts all failed,
     that did not converge, or whose validity index is undefined cannot win.
     """
     record = dict(cand)
@@ -150,24 +147,10 @@ def _evaluate_candidate(prep, grid, seed, v, idx, cand):
         else:
             lam = float(grid.lam)
         record["lambda"] = lam
-    tuple_best = None
-    error_name = None
-    for r in range(RESTARTS):
-        child = derive_seed(seed, idx, r)
-        try:
-            fit = _fit_candidate(prep, grid.variant, cand, child, lam, v)
-        except (EmptyClusterError, DegenerateScale, TooFewRetained) as exc:
-            error_name = type(exc).__name__
-            continue
-        if tuple_best is None:
-            tuple_best = fit
-            continue
-        # a converged restart always beats a non-converged one; among
-        # equals the lower final objective wins
-        better = (fit.converged, -fit.objective_trace[-1]) > (
-            tuple_best.converged, -tuple_best.objective_trace[-1])
-        if better:
-            tuple_best = fit
+    tuple_best, failure = _best_restart(
+        lambda child: _fit_candidate(prep, grid.variant, cand, child, lam, v),
+        (derive_seed(seed, idx, r) for r in range(RESTARTS)))
+    error_name = None if failure is None else type(failure).__name__
     if tuple_best is None:
         record.update({"converged": False, "cvi": None, "error": error_name})
         return record, None
@@ -222,14 +205,15 @@ def grid_search(dataset: MtsDataset, grid: SearchGrid, seed: int = 0,
     """Evaluate every grid candidate and return (best fit, report).
 
     Each candidate is fitted ``RESTARTS`` times with deterministically
-    derived seeds; the restart with the lowest final objective represents
-    the candidate, and candidates are ranked by the validity index, ties
-    going to the earlier candidate in grid order.  Candidates that error,
-    never converge, or have coincident prototypes are recorded but cannot
-    win.  For the noise variant, each candidate's noise multiplier comes
-    from its own elbow sweep unless a fixed value was supplied.  Candidates
-    may run on a process pool (see ``_candidate_results``); the results do
-    not depend on it.  Lags as for ``core.fit_fcpca``.
+    derived seeds; the best restart (converged first, then the lowest final
+    objective) represents the candidate, and candidates are ranked by the
+    validity index, ties going to the earlier candidate in grid order.
+    Candidates that error, never converge, or have coincident prototypes are
+    recorded but cannot win.  For the noise variant, each candidate's noise
+    multiplier comes from its own elbow sweep unless a fixed value was
+    supplied.  Candidates may run on a process pool (see
+    ``_candidate_results``); the results do not depend on it.  Lags as for
+    ``core.fit_fcpca``.
     """
     search = (_prepare(dataset), grid, seed, v)
     records = []

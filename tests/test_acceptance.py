@@ -14,7 +14,7 @@ import test_oracle
 from conftest import planted_with_outliers
 from rfcpca.cli import build_parser
 from rfcpca.dataset import read_csv_dir, write_csv_dir
-from rfcpca.experiments import make_benchmark_dataset, run_benchmark
+from rfcpca.experiments import benchmark_replication, make_benchmark_dataset, run_benchmark
 from rfcpca.robust import fit_rfcpca_n, fit_rfcpca_t, select_lambda_elbow
 
 TABLE1_SEED = 2024
@@ -28,8 +28,9 @@ def _report(name, passed, detail):
 
 
 def _fp(row):
-    """The mean count of trials a variant flags that are not contaminated."""
-    return f"fp={row['false_positives_mean']:.2f}"
+    """The mean count of trials a variant flags that are not contaminated, and
+    the count of replications whose accuracy is undefined (left out of acc)."""
+    return f"fp={row['false_positives_mean']:.2f} acc_missing={row['acc_missing']}"
 
 
 def _by_variant(summary):
@@ -133,6 +134,22 @@ class TestCriterion3LambdaElbow:
             "3 (lambda elbow shape)", ok,
             f"f(1)={at_one:.2f} plateau={plateau:.2f} f(min)={fracs[-1]:.2f} "
             f"lambda*={elbow.lambda_star:.5g}")
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_clean_data_selection_report(seed):
+    # report only, no bound: what automatic selection does with no
+    # contamination at all; every flagged trial is a false positive
+    rows = benchmark_replication("none", 16, 300, seed)
+    assert [row["variant"] for row in rows] == ["fcpca", "e", "n", "t"]
+    for row in rows:
+        assert row["false_positives"] == row["n_flagged"]
+        alpha = "-" if row["alpha"] is None else f"{row['alpha']:.2f}"
+        lam = "-" if row["lambda"] is None else f"{row['lambda']:.5g}"
+        acc = "-" if row["acc"] is None else f"{row['acc']:.3f}"
+        print(f"ACCEPTANCE clean data (seed {seed}, {row['variant']}): REPORT "
+              f"(flagged={row['n_flagged']}/20 m={row['m']} alpha={alpha} "
+              f"lambda={lam} acc={acc})")
 
 
 class TestCriterion4OracleEquivalence:

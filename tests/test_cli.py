@@ -21,7 +21,7 @@ from rfcpca import experiments
 from rfcpca.dataset import dataset_digest, read_csv_dir, write_csv_dir
 from rfcpca.rng import derive_seed
 from rfcpca.robust import fit_rfcpca_e, fit_rfcpca_n, fit_rfcpca_t, select_lambda_elbow
-from rfcpca.simulate import generate_clean_dataset, inject_bursts, inject_eyeblinks
+from rfcpca.simulate import generate_clean_dataset
 
 
 def run(*argv):
@@ -129,23 +129,44 @@ class TestSimulate:
         for f1, f2 in zip(sorted(out1.glob("*.csv")), sorted(out2.glob("*.csv"))):
             assert f1.read_bytes() == f2.read_bytes()
 
-    @pytest.mark.parametrize("kind", ["burst", "eyeblink"])
-    def test_bytes_are_those_of_the_library_recipe(self, tmp_path, kind):
-        # the contamination is seeded as make_benchmark_dataset seeds it
+    @pytest.mark.parametrize("kind, params", [
+        ("burst", {}),
+        ("eyeblink", {}),
+        ("burst", {"rho": 0.5, "eta": 3.0, "fs": 200.0}),
+        ("eyeblink", {"rho": 0.5}),
+    ])
+    def test_bytes_are_those_of_the_library_recipe(self, tmp_path, kind, params):
+        # the contamination is seeded as make_benchmark_dataset seeds it, and
+        # the config's rho and eta reach the injector
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kind": kind, "n_per_group": 3, "channels": 4,
-                                   "length": 120, "seed": 5}))
+                                   "length": 120, "seed": 5, **params}))
         assert run("simulate", "--config", cfg, "--out", tmp_path / "cli") == 0
-        clean, manifest = generate_clean_dataset(3, 4, 120, seed=5)
-        inject = inject_bursts if kind == "burst" else inject_eyeblinks
-        art_seed = derive_seed(5, experiments._ART_STREAM)
-        dataset, manifest = inject(clean, manifest, seed=art_seed)
+        injected = {key: value for key, value in params.items() if key != "fs"}
+        clean, manifest = generate_clean_dataset(3, 4, 120, fs=params.get("fs", 100.0), seed=5)
+        dataset, manifest = experiments.contaminate(clean, manifest, kind, 5, **injected)
         paths = write_csv_dir(dataset, tmp_path / "library")
         assert sorted(p.name for p in (tmp_path / "cli").glob("*.csv")) == [p.name for p in paths]
         for path in paths:
             assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes()
         doc = json.loads((tmp_path / "cli" / "manifest.json").read_text())
-        assert doc["contamination_seed"] == art_seed
+        assert doc["contamination_seed"] == derive_seed(5, experiments._ART_STREAM)
+        assert doc["fs"] == params.get("fs", 100.0)
+
+    def test_eyeblink_config_ignores_eta(self, tmp_path):
+        # eta scales bursts only; an eyeblink config that sets it writes the
+        # bytes of the same config without it
+        outs = []
+        for extra in ({}, {"eta": 3.0}):
+            cfg = tmp_path / f"cfg{len(extra)}.json"
+            cfg.write_text(json.dumps({"kind": "eyeblink", "n_per_group": 3, "channels": 4,
+                                       "length": 120, "seed": 5, "rho": 0.5, **extra}))
+            outs.append(tmp_path / f"out{len(extra)}")
+            assert run("simulate", "--config", cfg, "--out", outs[-1]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_zero_rho_has_no_contamination(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -4,7 +4,8 @@ The demos exercise the public API end to end, so an export or signature
 that they rely on cannot disappear unnoticed; and every export must be
 used by the package itself or by a demo, so the surface cannot regrow.
 Nor can a dead definition: every top-level name of the package must be
-read by the package, a demo or the benchmark's tracer.  Nor can an option
+read by the package, a demo or the benchmark's tracer, and every name a
+module imports must be read by that module.  Nor can an option
 nobody sets: every defaulted parameter of the fitting modules must be
 passed by some call of the package, a demo or the benchmark.
 """
@@ -102,6 +103,29 @@ def test_every_top_level_definition_is_read():
     loaded = set().union(*(_loaded_names(f) for f in package + DEMOS))
     dead = [f"{f.name}:{name}" for f in package for name in _defined_names(f)
             if name not in loaded | traced | {"__all__", "__version__"}]
+    assert dead == []
+
+
+def _imported_names(path):
+    """Names a source file binds by ``import`` or ``from ... import``, apart
+    from ``from __future__`` features."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_import_is_read():
+    # an import the module never reads is dead; __init__.py imports to
+    # re-export, so it is exempt
+    package = sorted(f for f in Path(rfcpca.__file__).parent.glob("*.py")
+                     if f.name != "__init__.py")
+    dead = []
+    for f in package:
+        read = {node.id for node in ast.walk(ast.parse(f.read_text()))
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        dead += [f"{f.name}:{name}" for name in _imported_names(f) if name not in read]
     assert dead == []
 
 

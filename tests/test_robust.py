@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from rfcpca.robust import (
     _ELBOW_STREAM,
     DEFAULT_BURN_IN,
     DEFAULT_LAMBDA_GRID,
+    RESTARTS,
+    _best_restart,
     _burn_in,
     _exponential_weights,
     _noise_augment,
@@ -277,6 +281,45 @@ class TestFitNoise:
             fit_rfcpca_n(dataset, 0, lam=0.5)
 
 
+def _stub_fit(converged, objective):
+    return SimpleNamespace(converged=converged, objective_trace=[9.0, objective])
+
+
+class TestBestRestart:
+    """The one rule that picks a restart, for the grid and the elbow baseline."""
+
+    @staticmethod
+    def outcomes(*results):
+        def fit(seed):
+            if isinstance(results[seed], Exception):
+                raise results[seed]
+            return results[seed]
+        return fit
+
+    def test_converged_beats_lower_objective_and_failures_are_skipped(self):
+        fits = [_stub_fit(True, 5.0), _stub_fit(False, 1.0),
+                EmptyClusterError("cluster 1 emptied"), _stub_fit(True, 4.0)]
+        best, failure = _best_restart(self.outcomes(*fits), range(4))
+        assert best is fits[3]
+        assert failure is fits[2]
+
+    def test_all_failing_gives_none_and_the_last_failure(self):
+        errors = [EmptyClusterError("a"), TooFewRetained("b"), DegenerateScale("c")]
+        best, failure = _best_restart(self.outcomes(*errors), range(3))
+        assert best is None
+        assert failure is errors[2]
+
+    def test_tie_keeps_the_earlier_seed(self):
+        fits = [_stub_fit(False, 2.0), _stub_fit(True, 3.0), _stub_fit(True, 3.0)]
+        best, failure = _best_restart(self.outcomes(*fits), range(3))
+        assert best is fits[1]
+        assert failure is None
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(ValueError):
+            _best_restart(self.outcomes(ValueError("bad m")), range(1))
+
+
 class TestLambdaElbow:
     def test_default_grid_is_twenty_halvings(self):
         assert len(DEFAULT_LAMBDA_GRID) == 20
@@ -300,11 +343,9 @@ class TestLambdaElbow:
         dataset, _ = planted_with_outliers(51)
         prep = _Prepared(dataset, 2)
         elbow = select_lambda_elbow(prep, 2, m=2.0, seed=6)
-        base = None
-        for r in range(3):
-            cand = fit_fcpca(prep, 2, m=2.0, seed=derive_seed(6, _ELBOW_STREAM, 999, r))
-            if base is None or cand.objective_trace[-1] < base.objective_trace[-1]:
-                base = cand
+        # the baseline by the grid's restart rule
+        base, _ = _best_restart(lambda child: fit_fcpca(prep, 2, m=2.0, seed=child),
+                                [derive_seed(6, _ELBOW_STREAM, 999, r) for r in range(RESTARTS)])
         fractions = []
         for k, lam in enumerate(DEFAULT_LAMBDA_GRID):
             own = _burn_in(prep, base.memberships.u, 2, 2.0, 0.95, DEFAULT_BURN_IN)
