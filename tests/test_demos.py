@@ -129,6 +129,43 @@ def test_every_import_is_read():
     assert dead == []
 
 
+def _dotted(node):
+    """``a.b.c`` for a chain of attribute lookups on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _random_uses(path):
+    """``(line, name)`` of every call under ``np.random`` / ``numpy.random``
+    and every import of either or of the standard library's ``random``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            names = [_dotted(node.func) or ""]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "random" or parts[:2] in (["np", "random"], ["numpy", "random"]):
+                yield node.lineno, name
+
+
+def test_randomness_comes_from_rng_only():
+    # every seeded stream is made in rng.py, so the same seed gives the same
+    # bytes; elsewhere np.random may name a type in an annotation, but no
+    # module may call into it or import it or the standard library's random
+    package = Path(rfcpca.__file__).parent
+    stray = [f"{f.name}:{line}:{name}" for f in sorted(package.glob("*.py"))
+             if f.name != "rng.py" for line, name in _random_uses(f)]
+    assert stray == []
+
+
 def _defaulted_parameters(path):
     """``(function, parameter, position or None)`` of every parameter with a
     default of every function defined in a source file."""

@@ -5,6 +5,7 @@ import pytest
 
 import reference as ref
 import rfcpca.core as core_mod
+import rfcpca.robust as robust_mod
 from conftest import full_blocks, planted_dataset, planted_with_outliers
 from rfcpca.core import (
     _Prepared,
@@ -20,7 +21,6 @@ from rfcpca.exceptions import DegenerateScale, EmptyClusterError, InvalidShape, 
 from rfcpca.rng import derive_seed, make_rng
 from rfcpca.robust import (
     _ELBOW_STREAM,
-    DEFAULT_BURN_IN,
     DEFAULT_LAMBDA_GRID,
     RESTARTS,
     _best_restart,
@@ -168,6 +168,11 @@ class TestNoiseDistance:
         with pytest.raises(DegenerateScale):
             update_noise_distance(np.zeros((3, 2)), 1.0)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+    def test_lambda_must_be_positive(self, lam):
+        with pytest.raises(ValueError, match="positive"):
+            update_noise_distance(np.ones((3, 2)), lam)
+
     @pytest.mark.parametrize("lam", [1e308, np.float64(1e308)], ids=["float", "numpy"])
     def test_overflow_is_degenerate(self, lam):
         # lam * sum(errors) = 6e308 is past the largest double
@@ -280,6 +285,19 @@ class TestFitNoise:
         with pytest.raises(InvalidShape):
             fit_rfcpca_n(dataset, 0, lam=0.5)
 
+    @pytest.mark.parametrize("fit, option", [
+        (fit_fcpca, "m"), (fit_rfcpca_e, "m"), (fit_rfcpca_t, "m"), (fit_rfcpca_n, "m"),
+        (fit_rfcpca_n, "lam"), (select_lambda_elbow, "m")])
+    def test_nan_m_or_lambda_is_a_value_error_before_any_fit(self, monkeypatch, fit, option):
+        def no_step(*args):
+            raise AssertionError("a subspace step ran")
+
+        monkeypatch.setattr(core_mod, "_subspaces_from_weights", no_step)
+        monkeypatch.setattr(robust_mod, "_subspaces_from_weights", no_step)
+        dataset, _ = planted_dataset(46)
+        with pytest.raises(ValueError, match="must"):
+            fit(dataset, 2, **{option: np.nan})
+
 
 def _stub_fit(converged, objective):
     return SimpleNamespace(converged=converged, objective_trace=[9.0, objective])
@@ -348,9 +366,9 @@ class TestLambdaElbow:
                                 [derive_seed(6, _ELBOW_STREAM, 999, r) for r in range(RESTARTS)])
         fractions = []
         for k, lam in enumerate(DEFAULT_LAMBDA_GRID):
-            own = _burn_in(prep, base.memberships.u, 2, 2.0, 0.95, DEFAULT_BURN_IN)
+            own = _burn_in(prep, base.memberships.u, 2, 2.0, 0.95)
             fit = fit_rfcpca_n(prep, 2, m=2.0, lam=lam,
-                               seed=derive_seed(6, _ELBOW_STREAM, k), _start_state=(own, None))
+                               seed=derive_seed(6, _ELBOW_STREAM, k), _start_state=own)
             fractions.append(len(fit.flagged) / dataset.n_series)
         assert elbow.curve == list(zip(DEFAULT_LAMBDA_GRID, fractions))
         jumps = np.diff(fractions)
@@ -363,9 +381,7 @@ class TestLambdaElbow:
         dataset, _ = planted_with_outliers(52)
         prep = _Prepared(dataset, 2)
         base = fit_fcpca(prep, 2, m=2.0, seed=3)
-        burned = _burn_in(prep, base.memberships.u, 2, 2.0, 0.95, DEFAULT_BURN_IN)
-        start = _burn_in(prep, burned, 2, 2.0, 0.95, 0)
-        first = _subspaces_from_weights(prep.blocks, start[:, :2], 2.0, 0.95)
+        start, first = _burn_in(prep, base.memberships.u, 2, 2.0, 0.95)
         for lam in (1.0, 0.25, 0.03125):
             own = fit_rfcpca_n(prep, 2, m=2.0, lam=lam, _start_state=(start, None))
             shared = fit_rfcpca_n(prep, 2, m=2.0, lam=lam, _start_state=(start, first))
@@ -374,9 +390,22 @@ class TestLambdaElbow:
             assert own.objective_trace == shared.objective_trace
             assert own.variant_params == shared.variant_params
 
-    def test_collapsing_burn_in_gives_flat_saturated_curve(self, monkeypatch):
-        import rfcpca.robust as robust_mod
+    def test_own_start_is_the_burn_in_of_the_random_start(self):
+        # a noise fit burns in its own random start through _burn_in, the
+        # one builder of the start state the sweep hands every grid fit
+        dataset, _ = planted_with_outliers(53)
+        prep = _Prepared(dataset, 2)
+        for seed, lam in ((4, 1.0), (5, 0.125)):
+            own = fit_rfcpca_n(prep, 2, m=1.6, v=0.9, lam=lam, seed=seed)
+            u = init_memberships(prep.n_series, 3, seed, 1.6).u
+            given = fit_rfcpca_n(prep, 2, m=1.6, v=0.9, lam=lam,
+                                 _start_state=_burn_in(prep, u, 2, 1.6, 0.9))
+            assert np.array_equal(own.memberships.u, given.memberships.u)
+            assert np.array_equal(own.errors, given.errors)
+            assert own.objective_trace == given.objective_trace
+            assert own.variant_params == given.variant_params
 
+    def test_collapsing_burn_in_gives_flat_saturated_curve(self, monkeypatch):
         def collapse(*args, **kwargs):
             raise EmptyClusterError("cluster 0 has no effective members")
 
