@@ -16,7 +16,6 @@ import csv
 import hashlib
 import json
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -165,22 +164,14 @@ def _start_digest(data_dir):
         _listed_trials(Path(data_dir))
     except FileNotFoundError as exc:
         raise ConfigError(str(exc)) from exc
-    hashed = []
+    from concurrent.futures import ThreadPoolExecutor  # on first use: not every command hashes
 
-    def run():
-        try:
-            hashed.append(dataset_digest(data_dir))
-        except BaseException as exc:  # raised again by the waiting thread
-            hashed.append(exc)
-
-    thread = threading.Thread(target=run)
-    thread.start()
+    pool = ThreadPoolExecutor(1)
+    hashed = pool.submit(dataset_digest, data_dir)
 
     def wait() -> str:
-        thread.join()
-        if isinstance(hashed[0], BaseException):
-            raise hashed[0]
-        return hashed[0]
+        pool.shutdown()
+        return hashed.result()
 
     return wait
 

@@ -351,8 +351,7 @@ class _Run(NamedTuple):
 
 
 def _alternate(prep: _Prepared, u: np.ndarray, m: float, v: float, max_iter: int,
-               loss=None, n_subspaces: int | None = None,
-               n_keep: int | None = None, patience: int | None = _STALL_LIMIT,
+               loss=None, n_keep: int | None = None, patience: int | None = _STALL_LIMIT,
                stall_converges: bool = False, reweight=None,
                first_subspaces: ClusterSubspaces | None = None) -> _Run:
     """The one membership/subspace alternation behind every fit.
@@ -366,9 +365,6 @@ def _alternate(prep: _Prepared, u: np.ndarray, m: float, v: float, max_iter: int
     - ``loss`` maps the (N, S) errors to the (N, S') loss the memberships
       follow (default: the errors themselves); it is called once per
       iteration and may hold state, such as a scale fixed at the first call.
-    - ``n_subspaces`` is the number of leading membership columns that own a
-      subspace (default: all); the remaining columns, such as a noise
-      cluster, enter only through the loss.
     - ``reweight`` maps the subspace-owning memberships and the previous
       iteration's (N, S) errors to the weights of the subspace step, from
       the second iteration on (default: the memberships themselves); the
@@ -384,9 +380,11 @@ def _alternate(prep: _Prepared, u: np.ndarray, m: float, v: float, max_iter: int
     ``max_iter`` iterations in any case (``MAX_ITER`` for a fit, the noise
     variant's burn-in its own cap).  ``first_subspaces``, when given, must be
     the subspaces of the first iteration's weights; runs that share a start
-    state compute them once.
+    state compute them once.  They name the leading membership columns that
+    own a subspace (default: all); the remaining columns, such as a noise
+    cluster, enter only through the loss.
     """
-    n_sub = u.shape[1] if n_subspaces is None else n_subspaces
+    n_sub = u.shape[1] if first_subspaces is None else first_subspaces.n_clusters
     mask = None if n_keep is None else np.ones(u.shape[0], dtype=bool)
     trace: list[float] = []
     converged = False

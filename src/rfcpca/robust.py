@@ -207,8 +207,7 @@ def fit_rfcpca_n(dataset: MtsDataset, n_regular: int, m: float = 2.0,
         params["delta_sq"] = update_noise_distance(errors, lam)
         return _noise_augment(errors, params["delta_sq"])
 
-    run = _alternate(prep, u, m, v, MAX_ITER, loss=loss, n_subspaces=n_regular,
-                     first_subspaces=first)
+    run = _alternate(prep, u, m, v, MAX_ITER, loss=loss, first_subspaces=first)
     return _fit_result(run, m, "n", params)
 
 

@@ -157,18 +157,6 @@ def _bandpass_sos(peak_hz: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
     return sos, zi
 
 
-def _ar2(phi1: float, phi2: float, eps: np.ndarray) -> np.ndarray:
-    """``scipy.signal.lfilter([1], [1, -phi1, -phi2], eps)``: the AR(2)
-    recursion from zero state."""
-    y1 = y2 = 0.0
-    out = []
-    append = out.append
-    for x in eps.tolist():
-        y2, y1 = y1, x + (phi2 * y2 + phi1 * y1)
-        append(y1)
-    return np.array(out)
-
-
 def _sections(sos: np.ndarray, zi: np.ndarray, x: list) -> list:
     """``scipy.signal.sosfilt``: cascaded transposed-direct-form-II biquads
     from state ``zi``, in scipy's order of operations."""
@@ -210,7 +198,9 @@ def simulate_latents(t: int, fs: float = DEFAULT_FS, bands=DEFAULT_BANDS,
     out = np.empty((t, len(bands)))
     for j, band in enumerate(bands):
         phi1, phi2 = ar2_coefficients(band.peak_hz, band.sharpness, fs)
-        z = _ar2(phi1, phi2, rng.standard_normal(t + _BURN_IN))[_BURN_IN:]
+        # the AR(2) recursion from zero state, as one all-pole section
+        z = np.array(_sections(np.array([[1.0, 0.0, 0.0, 1.0, -phi1, -phi2]]), np.zeros((1, 2)),
+                               rng.standard_normal(t + _BURN_IN).tolist())[_BURN_IN:])
         z = _filtfilt(*_bandpass_sos(band.peak_hz, fs), _standardize(z))
         out[:, j] = _standardize(z)
     return out
@@ -432,17 +422,20 @@ def replay_contamination(clean: MtsDataset, manifest: SimManifest) -> MtsDataset
 
     Reproduces the contaminated dataset exactly: sigma is recomputed from
     the clean trials, so no extra state beyond the manifest is needed.
+    Events that sum past the float range leave a trial that is not finite,
+    which the returned dataset rejects (``NonFiniteInput``).
     """
     out = clean.copy()
     sigmas = {}
-    for event in manifest.events:
-        i = int(event["trial"])
-        if i not in sigmas:
-            sigmas[i] = clean.series[i].std(axis=0)
-        apply_event(out.series[i], event, sigmas[i], manifest.fs)
-    out.contaminated = np.zeros(out.n_series, dtype=bool)
-    out.contaminated[list(manifest.contaminated)] = True
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for event in manifest.events:
+            i = int(event["trial"])
+            if i not in sigmas:
+                sigmas[i] = clean.series[i].std(axis=0)
+            apply_event(out.series[i], event, sigmas[i], manifest.fs)
+    contaminated = np.zeros(out.n_series, dtype=bool)
+    contaminated[list(manifest.contaminated)] = True
+    return MtsDataset(series=out.series, labels=out.labels, contaminated=contaminated)
 
 
 def regenerate_clean(manifest: SimManifest) -> MtsDataset:

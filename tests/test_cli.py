@@ -199,6 +199,19 @@ class TestSimulate:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_a_contamination_that_overflows_is_a_config_error(self, tmp_path):
+        # two bursts on one channel sum past the float range; in a fresh
+        # interpreter numpy's overflow warning would print a line of its own
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "burst", "n_per_group": 3, "channels": 2,
+                                   "length": 64, "seed": 0, "rho": 1.0, "eta": 1.7e308}))
+        out = tmp_path / "out"
+        proc = run_process("simulate", "--config", cfg, "--out", out)
+        assert_clean_exit(proc, 2)
+        assert proc.stderr == (f"error: cannot simulate {cfg}: NonFiniteInput: series 2 "
+                               "contains non-finite entries\n")
+        assert not list(out.glob("trial_*.csv"))
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert run("simulate", "--config", tmp_path / "nope.json", "--out", tmp_path / "x") == 2
 
@@ -486,6 +499,23 @@ class TestHashThread:
         assert run("fit", "--data", warm, *options, "--out", out) == 3
         assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{trial}'\n"
         assert not out.exists() and not out.with_suffix(".memberships.csv").exists()
+
+    def test_the_wait_ends_the_thread(self, warm):
+        before = threading.active_count()
+        wait = cli_mod._start_digest(warm)
+        assert wait() == dataset_digest(warm)
+        assert threading.active_count() == before
+
+    def test_an_interrupted_hash_reaches_the_caller(self, warm, tmp_path, monkeypatch):
+        def interrupted(data_dir):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "dataset_digest", interrupted)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run("fit", "--data", warm, "--out", tmp_path / "fits" / "f.json")
+        assert threading.active_count() == before
+        assert not (tmp_path / "fits" / "f.json").exists()
 
     def test_no_trials_wins(self, tmp_path, capsys):
         (tmp_path / "blocker").write_text("")

@@ -166,6 +166,40 @@ def test_randomness_comes_from_rng_only():
     assert stray == []
 
 
+# the makers of processes (a process pool, a multiprocessing context, a
+# process) and of threads, by the last part of their names
+_PROCESS_MAKERS = {"ProcessPoolExecutor", "Pool", "get_context", "Process", "fork"}
+_THREAD_MAKERS = {"Thread", "ThreadPoolExecutor", "Timer", "start_new_thread"}
+
+
+def _maker_uses(path, makers):
+    """``(line, name)`` of every call of one of ``makers`` in a source file,
+    and of every import of one under another name."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            names = [_dotted(node.func) or ""]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names if alias.asname]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[-1] in makers:
+                yield node.lineno, name
+
+
+def test_threads_and_pools_have_one_home():
+    # a pool forks only from a process that runs one thread (see
+    # dataset._fork_pool_workers): only dataset.py makes processes, and only
+    # it and cli.py, which ends its hash thread before it fits, start threads
+    package = Path(rfcpca.__file__).parent
+    files = sorted(package.glob("*.py"))
+    stray = [f"{f.name}:{line}:{name}" for f in files if f.name != "dataset.py"
+             for line, name in _maker_uses(f, _PROCESS_MAKERS)]
+    stray += [f"{f.name}:{line}:{name}" for f in files if f.name not in ("dataset.py", "cli.py")
+              for line, name in _maker_uses(f, _THREAD_MAKERS)]
+    assert stray == []
+
+
 def _defaulted_parameters(path):
     """``(function, parameter, position or None)`` of every parameter with a
     default of every function defined in a source file."""

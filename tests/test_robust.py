@@ -377,18 +377,30 @@ class TestLambdaElbow:
 
     def test_shared_first_subspaces_leave_fit_unchanged(self):
         # the sweep computes the first subspace step of its shared start once;
-        # a grid fit given it must match one that computes it itself
+        # a run given it must match one that computes it from its own weights
         dataset, _ = planted_with_outliers(52)
         prep = _Prepared(dataset, 2)
+        u = init_memberships(prep.n_series, 2, 3, 2.0).u
+        own = core_mod._alternate(prep, u, 2.0, 0.95, core_mod.MAX_ITER)
+        shared = core_mod._alternate(prep, u, 2.0, 0.95, core_mod.MAX_ITER,
+                                     first_subspaces=_subspaces_from_weights(
+                                         prep.blocks, u, 2.0, 0.95))
+        assert np.array_equal(own.u, shared.u)
+        assert np.array_equal(own.errors, shared.errors)
+        assert own.trace == shared.trace
+        # the noise loss, from the burn-in's pair: its subspaces are those of
+        # the regular columns, the ones that own a subspace
         base = fit_fcpca(prep, 2, m=2.0, seed=3)
         start, first = _burn_in(prep, base.memberships.u, 2, 2.0, 0.95)
+        recomputed = _subspaces_from_weights(prep.blocks, start[:, :2], 2.0, 0.95)
         for lam in (1.0, 0.25, 0.03125):
-            own = fit_rfcpca_n(prep, 2, m=2.0, lam=lam, _start_state=(start, None))
+            own = fit_rfcpca_n(prep, 2, m=2.0, lam=lam, _start_state=(start, recomputed))
             shared = fit_rfcpca_n(prep, 2, m=2.0, lam=lam, _start_state=(start, first))
             assert np.array_equal(own.memberships.u, shared.memberships.u)
             assert np.array_equal(own.errors, shared.errors)
             assert own.objective_trace == shared.objective_trace
             assert own.variant_params == shared.variant_params
+            assert shared.subspaces.n_clusters == 2
 
     def test_own_start_is_the_burn_in_of_the_random_start(self):
         # a noise fit burns in its own random start through _burn_in, the

@@ -6,7 +6,7 @@ import pytest
 from scipy import signal
 
 import rfcpca.simulate as simulate_mod
-from rfcpca.exceptions import BlinkTooLong, BurstTooLong, InvalidBand
+from rfcpca.exceptions import BlinkTooLong, BurstTooLong, InvalidBand, NonFiniteInput
 from rfcpca.experiments import make_benchmark_dataset
 from rfcpca.rng import make_rng
 from rfcpca.simulate import (
@@ -112,12 +112,15 @@ class TestFiltersMatchScipy:
             assert not array.flags.writeable
 
     def test_ar2_recursion(self):
+        # the generator runs its AR(2) recursion as one all-pole section
         rng = make_rng(71)
         for _ in range(20):
             phi1, phi2 = ar2_coefficients(float(rng.uniform(0.5, 49.0)),
                                           float(rng.uniform(1e-3, 0.5)), 100.0)
             eps = rng.standard_normal(600)
-            assert np.array_equal(simulate_mod._ar2(phi1, phi2, eps),
+            ar2 = simulate_mod._sections(np.array([[1.0, 0.0, 0.0, 1.0, -phi1, -phi2]]),
+                                         np.zeros((1, 2)), eps.tolist())
+            assert np.array_equal(np.array(ar2),
                                   signal.lfilter([1.0], [1.0, -phi1, -phi2], eps))
 
     @pytest.mark.parametrize("t", [64, 65, 400, 4500])
@@ -134,8 +137,8 @@ class TestFiltersMatchScipy:
     def test_benchmark_datasets_are_byte_identical(self, monkeypatch, kind, seed):
         data, manifest = make_benchmark_dataset(kind, 8, (100, 400), seed)
         monkeypatch.setattr(simulate_mod, "_bandpass_sos", _scipy_design)
-        monkeypatch.setattr(simulate_mod, "_ar2", lambda phi1, phi2, eps: signal.lfilter(
-            [1.0], [1.0, -phi1, -phi2], eps))
+        monkeypatch.setattr(simulate_mod, "_sections", lambda sos, zi, x: signal.sosfilt(
+            sos, x, zi=zi)[0].tolist())
         monkeypatch.setattr(simulate_mod, "_filtfilt",
                             lambda sos, zi, x: signal.sosfiltfilt(sos, x))
         want, want_manifest = make_benchmark_dataset(kind, 8, (100, 400), seed)
@@ -248,6 +251,17 @@ class TestBursts:
         replayed = replay_contamination(clean, man)
         for xa, xb in zip(out.series, replayed.series):
             assert np.array_equal(xa, xb)
+
+    @pytest.mark.parametrize("scale, eta, series", [(1.0, 1.7e308, 2), (100.0, 1e308, 0)])
+    def test_bursts_that_overflow_are_rejected(self, scale, eta, series):
+        # overlapping bursts sum past the float range, to inf or, where one
+        # burst alone overflows on a trial of large deviation, to inf - inf:
+        # the dataset's own finiteness check rejects the trial, and numpy
+        # warns of nothing
+        clean, manifest = generate_clean_dataset(3, 2, 64, seed=0)
+        clean.series = [scale * x for x in clean.series]
+        with pytest.raises(NonFiniteInput, match=rf"^series {series} contains non-finite entries$"):
+            inject_bursts(clean, manifest, rho=1.0, eta=eta, seed=0)
 
     def test_burst_too_long(self):
         clean, manifest = generate_clean_dataset(2, 4, 100, seed=20)
