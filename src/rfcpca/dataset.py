@@ -85,13 +85,6 @@ class MtsDataset:
     def lengths(self) -> list[int]:
         return [x.shape[0] for x in self.series]
 
-    def copy(self) -> "MtsDataset":
-        return MtsDataset(
-            series=[x.copy() for x in self.series],
-            labels=None if self.labels is None else self.labels.copy(),
-            contaminated=None if self.contaminated is None else self.contaminated.copy(),
-        )
-
     def contaminated_indices(self) -> np.ndarray:
         if self.contaminated is None:
             return np.array([], dtype=int)
@@ -239,12 +232,18 @@ def _process_pool(workers: int, method: str = "fork", initializer=None, initargs
     and forkserver import numpy again in every worker of every pool (0.2-0.3 s
     more per pool on 2 cores).  Each worker runs ``_start_worker``, then
     ``initializer(*initargs)``; it dies with the caller's thread.
+
+    A spawned worker still importing a main script without a ``__main__``
+    guard (``_inheriting``, as spawn's start check reads it) is refused: its
+    parent, killing it as the parent's pool breaks, could leak its semaphores.
     """
     # imported on first use: `import rfcpca` would otherwise load the
     # process machinery (about 20 ms) for every caller
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    if getattr(multiprocessing.current_process(), "_inheriting", False):
+        raise RuntimeError("no process pool starts while a spawned worker imports its main module")
     if method not in multiprocessing.get_all_start_methods():
         method = "spawn"
     return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method),

@@ -243,13 +243,7 @@ class SimManifest:
     group_labels: list
     mixing: list                      # one 5 x p matrix per group, as nested lists
     bands: list = field(default_factory=lambda: [asdict(b) for b in DEFAULT_BANDS])
-    bandpass: dict = field(default_factory=lambda: {
-        "family": "butterworth-sos",
-        "order_per_pass": _FILTER_ORDER,
-        "zero_phase": True,
-        "edge_factors": [_EDGE_LO_FACTOR, _EDGE_HI_FACTOR],
-        "edge_clamp_hz": [_MIN_EDGE_HZ, None],
-    })
+    bandpass: dict | None = None      # the band-pass filter; None records the generator's at fs
     contamination: str = "none"       # none | burst | eyeblink
     contamination_seed: int | None = None
     contamination_params: dict = field(default_factory=dict)
@@ -258,6 +252,17 @@ class SimManifest:
     rng: str = RNG_NAME
     schema_version: int = SCHEMA_VERSION
     dataset_sha256: str | None = None
+
+    def __post_init__(self):
+        if self.bandpass is None:
+            self.bandpass = {
+                "family": "butterworth-sos",
+                "order_per_pass": _FILTER_ORDER,
+                "zero_phase": True,
+                "edge_factors": [_EDGE_LO_FACTOR, _EDGE_HI_FACTOR],
+                # each band's edges, its peak times edge_factors, clamped to this range
+                "edge_clamp_hz": [_MIN_EDGE_HZ, _MAX_EDGE_FRACTION * self.fs / 2.0],
+            }
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(asdict(self), **kwargs)
@@ -333,6 +338,27 @@ def _pick_contaminated(labels: np.ndarray, rho: float, rng: np.random.Generator)
     return np.array(sorted(chosen), dtype=int)
 
 
+def _inject(dataset: MtsDataset, manifest: SimManifest, kind: str, seed: int, params: dict,
+            max_events: int, draw):
+    """One contamination recipe: pick ``params["rho"]`` of each group's trials,
+    draw 1 to ``max_events`` events per picked trial, each from
+    ``draw(rng, trial length)``, and return (dataset with the events
+    replayed, manifest recording them)."""
+    rng = make_rng(seed)
+    chosen = _pick_contaminated(np.asarray(manifest.group_labels), params["rho"], rng)
+    events = []
+    for i in chosen:
+        for _ in range(int(rng.integers(1, max_events + 1))):
+            events.append({"kind": kind, "trial": int(i), **draw(rng, len(dataset.series[i]))})
+    new_manifest = SimManifest(**{**asdict(manifest),
+                                  "contamination": kind,
+                                  "contamination_seed": seed,
+                                  "contamination_params": params,
+                                  "contaminated": chosen.tolist(),
+                                  "events": events})
+    return replay_contamination(dataset, new_manifest), new_manifest
+
+
 def inject_bursts(dataset: MtsDataset, manifest: SimManifest, rho: float = 0.20,
                   eta: float = 5.0, seed: int = 0):
     """Contaminate a share of trials per group with Hann-windowed tone bursts.
@@ -341,30 +367,20 @@ def inject_bursts(dataset: MtsDataset, manifest: SimManifest, rho: float = 0.20,
     30-80 Hz carrier, added to a random 10% of channels and scaled to
     ``eta`` clean per-channel standard deviations.
     """
-    labels = np.asarray(manifest.group_labels)
-    fs = manifest.fs
-    tau = floor(0.25 * fs)
+    tau = floor(0.25 * manifest.fs)
     if tau >= min(dataset.lengths):
         raise BurstTooLong(f"burst of {tau} samples exceeds the shortest trial")
-    rng = make_rng(seed)
-    chosen = _pick_contaminated(labels, rho, rng)
     p = dataset.n_channels
     n_chan = ceil(0.10 * p)
-    events = []
-    for i in chosen:
-        n_burst = int(rng.integers(1, 4))
-        for _ in range(n_burst):
-            events.append({
-                "kind": "burst",
-                "trial": int(i),
-                "t0": int(rng.integers(0, len(dataset.series[i]) - tau)),
-                "tau": int(tau),
+
+    def draw(rng, length):
+        return {"t0": int(rng.integers(0, length - tau)),
+                "tau": tau,
                 "freq_hz": float(rng.uniform(30.0, 80.0)),
                 "channels": sorted(int(c) for c in rng.choice(p, size=n_chan, replace=False)),
-                "amplitude": float(eta),
-            })
-    return _contaminate(dataset, manifest, "burst", seed, {"rho": rho, "eta": eta},
-                        chosen, events)
+                "amplitude": float(eta)}
+    return _inject(dataset, manifest, "burst", seed, {"rho": rho, "eta": eta},
+                   max_events=3, draw=draw)
 
 
 def inject_eyeblinks(dataset: MtsDataset, manifest: SimManifest, rho: float = 0.40,
@@ -375,67 +391,46 @@ def inject_eyeblinks(dataset: MtsDataset, manifest: SimManifest, rho: float = 0.
     them, lasts 200-400 ms, and deflects by 4-8 clean standard
     deviations with random polarity.
     """
-    labels = np.asarray(manifest.group_labels)
     fs = manifest.fs
     max_tau = floor(0.40 * fs)
     if max_tau >= min(dataset.lengths):
         raise BlinkTooLong(f"blink of up to {max_tau} samples exceeds the shortest trial")
-    rng = make_rng(seed)
-    chosen = _pick_contaminated(labels, rho, rng)
-    p = dataset.n_channels
-    frontal = np.arange(ceil(_FRONTAL_FRACTION * p))
+    frontal = np.arange(ceil(_FRONTAL_FRACTION * dataset.n_channels))
     n_chan = ceil(_BLINK_CHANNEL_FRACTION * len(frontal))
-    events = []
-    for i in chosen:
-        n_blink = int(rng.integers(1, 3))
-        for _ in range(n_blink):
-            tau = int(floor(rng.uniform(0.20, 0.40) * fs))
-            events.append({
-                "kind": "eyeblink",
-                "trial": int(i),
-                "t0": int(rng.integers(0, len(dataset.series[i]) - tau)),
+
+    def draw(rng, length):
+        tau = int(floor(rng.uniform(0.20, 0.40) * fs))
+        return {"t0": int(rng.integers(0, length - tau)),
                 "tau": tau,
                 "channels": sorted(int(c) for c in rng.choice(frontal, size=n_chan, replace=False)),
                 "amplitude": float(rng.uniform(4.0, 8.0)),
-                "polarity": int(rng.choice([-1, 1])),
-            })
+                "polarity": int(rng.choice([-1, 1]))}
     params = {"rho": rho, "frontal_fraction": _FRONTAL_FRACTION,
               "channel_fraction": _BLINK_CHANNEL_FRACTION}
-    return _contaminate(dataset, manifest, "eyeblink", seed, params, chosen, events)
-
-
-def _contaminate(dataset: MtsDataset, manifest: SimManifest, kind: str, seed: int,
-                 params: dict, chosen: np.ndarray, events: list):
-    """The injector's (dataset, manifest): ``manifest`` with the drawn
-    contamination recorded, and ``dataset`` with its events replayed."""
-    new_manifest = SimManifest(**{**asdict(manifest),
-                                  "contamination": kind,
-                                  "contamination_seed": seed,
-                                  "contamination_params": params,
-                                  "contaminated": chosen.tolist(),
-                                  "events": events})
-    return replay_contamination(dataset, new_manifest), new_manifest
+    return _inject(dataset, manifest, "eyeblink", seed, params, max_events=2, draw=draw)
 
 
 def replay_contamination(clean: MtsDataset, manifest: SimManifest) -> MtsDataset:
     """Re-apply the manifest's recorded events to a clean dataset.
 
     Reproduces the contaminated dataset exactly: sigma is recomputed from
-    the clean trials, so no extra state beyond the manifest is needed.
+    the clean trials, so no extra state beyond the manifest is needed.  The
+    returned series and labels are copies; ``clean`` is left unchanged.
     Events that sum past the float range leave a trial that is not finite,
     which the returned dataset rejects (``NonFiniteInput``).
     """
-    out = clean.copy()
+    series = [x.copy() for x in clean.series]
     sigmas = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for event in manifest.events:
             i = int(event["trial"])
             if i not in sigmas:
                 sigmas[i] = clean.series[i].std(axis=0)
-            apply_event(out.series[i], event, sigmas[i], manifest.fs)
-    contaminated = np.zeros(out.n_series, dtype=bool)
+            apply_event(series[i], event, sigmas[i], manifest.fs)
+    contaminated = np.zeros(len(series), dtype=bool)
     contaminated[list(manifest.contaminated)] = True
-    return MtsDataset(series=out.series, labels=out.labels, contaminated=contaminated)
+    labels = None if clean.labels is None else clean.labels.copy()
+    return MtsDataset(series=series, labels=labels, contaminated=contaminated)
 
 
 def regenerate_clean(manifest: SimManifest) -> MtsDataset:

@@ -23,6 +23,8 @@ from conftest import SIDECAR_SPOILS, spoil_entry, summaries_entry
 from rfcpca.dataset import MtsDataset, dataset_digest, read_csv_dir, write_csv_dir
 from rfcpca.exceptions import DimensionMismatch, NonFiniteInput
 from rfcpca.rng import make_rng
+from rfcpca.simulate import (generate_clean_dataset, inject_bursts, inject_eyeblinks,
+                             replay_contamination)
 
 
 def test_validation():
@@ -49,9 +51,20 @@ def test_properties_and_copy():
     assert ds.n_channels == 3
     assert ds.lengths == [10, 20]
     assert list(ds.contaminated_indices()) == [1]
-    dup = ds.copy()
-    dup.series[0][0, 0] += 1.0
-    assert ds.series[0][0, 0] != dup.series[0][0, 0]
+    # a contaminated dataset is a copy: its series and labels share no memory
+    # with the clean dataset, which stays bitwise unchanged, the trials no
+    # event touches included
+    clean, manifest = generate_clean_dataset(3, 8, (100, 200), seed=34)
+    before = [x.tobytes() for x in clean.series], clean.labels.tobytes()
+    _, recorded = inject_bursts(clean, manifest, seed=36)
+    for dirty in (inject_bursts(clean, manifest, seed=35)[0],
+                  inject_eyeblinks(clean, manifest, seed=35)[0],
+                  replay_contamination(clean, recorded)):
+        assert not any(np.shares_memory(x, y) for x, y in zip(dirty.series, clean.series))
+        assert not np.shares_memory(dirty.labels, clean.labels)
+        np.testing.assert_array_equal(dirty.labels, clean.labels)
+        assert ([x.tobytes() for x in clean.series], clean.labels.tobytes()) == before
+    assert len(recorded.contaminated) < clean.n_series
 
 
 def test_csv_roundtrip(tmp_path):

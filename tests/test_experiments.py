@@ -1,7 +1,11 @@
+import concurrent.futures
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import rfcpca.dataset as dataset_mod
 import rfcpca.experiments as experiments
@@ -67,3 +71,22 @@ def test_an_unguarded_script_is_told_both_fixes_and_leaves_no_worker(tmp_path):
         except ProcessLookupError:
             continue
         raise AssertionError(f"worker {pid} is still running")
+
+
+def test_a_worker_importing_its_main_module_is_refused_a_pool(monkeypatch):
+    # what a spawned worker that imports an unguarded script again calls:
+    # the pool is refused before an executor, its semaphores or a process exist
+    built = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: built.append(args))
+    monkeypatch.setattr(multiprocessing.current_process(), "_inheriting", True, raising=False)
+    with pytest.raises(RuntimeError, match="^no process pool starts while a spawned worker "
+                                           "imports its main module$"):
+        dataset_mod._process_pool(2, "spawn")
+    assert built == []
+
+
+def test_a_main_process_gets_a_pool_whatever_its_name(monkeypatch):
+    monkeypatch.setattr(multiprocessing.current_process(), "name", "SpawnPoolWorker-1")
+    with dataset_mod._process_pool(1, "spawn") as pool:
+        assert pool.submit(abs, -3).result() == 3

@@ -263,6 +263,29 @@ class TestBursts:
         with pytest.raises(NonFiniteInput, match=rf"^series {series} contains non-finite entries$"):
             inject_bursts(clean, manifest, rho=1.0, eta=eta, seed=0)
 
+    # drawn at seed 5 and 6 on generate_clean_dataset(2, 16, (100, 200), seed=4);
+    # PCG64 draws alone, so the same on every platform.  The JSON text pins
+    # the manifest's bytes: the values and each event's key order
+    @pytest.mark.parametrize("seed, contaminated, events", [
+        (5, [1, 3], [
+            {"kind": "burst", "trial": 1, "t0": 135, "tau": 25, "freq_hz": 55.7662780521071,
+             "channels": [4, 9], "amplitude": 5.0},
+            {"kind": "burst", "trial": 3, "t0": 20, "tau": 25, "freq_hz": 50.42366027099993,
+             "channels": [2, 5], "amplitude": 5.0}]),
+        (6, [0, 3], [
+            {"kind": "burst", "trial": 0, "t0": 45, "tau": 25, "freq_hz": 48.45336198976891,
+             "channels": [5, 9], "amplitude": 5.0},
+            {"kind": "burst", "trial": 0, "t0": 131, "tau": 25, "freq_hz": 61.6378136303573,
+             "channels": [6, 10], "amplitude": 5.0},
+            {"kind": "burst", "trial": 3, "t0": 50, "tau": 25, "freq_hz": 36.1486187443595,
+             "channels": [9, 10], "amplitude": 5.0}]),
+    ])
+    def test_draws_are_pinned(self, seed, contaminated, events):
+        clean, manifest = generate_clean_dataset(2, 16, (100, 200), seed=4)
+        _, man = inject_bursts(clean, manifest, seed=seed)
+        assert man.contaminated == contaminated
+        assert json.dumps(man.events) == json.dumps(events)
+
     def test_burst_too_long(self):
         clean, manifest = generate_clean_dataset(2, 4, 100, seed=20)
         manifest.fs = 1000.0  # tau = 250 samples > shortest trial
@@ -320,6 +343,29 @@ class TestEyeblinks:
         for xa, xb in zip(out.series, replayed.series):
             assert np.array_equal(xa, xb)
 
+    # drawn as TestBursts.test_draws_are_pinned's
+    @pytest.mark.parametrize("seed, contaminated, events", [
+        (5, [1, 3], [
+            {"kind": "eyeblink", "trial": 1, "t0": 131, "tau": 30, "channels": [1, 3],
+             "amplitude": 5.533475523142073, "polarity": -1},
+            {"kind": "eyeblink", "trial": 3, "t0": 32, "tau": 20, "channels": [0, 3],
+             "amplitude": 6.609476446351951, "polarity": 1},
+            {"kind": "eyeblink", "trial": 3, "t0": 21, "tau": 24, "channels": [1, 3],
+             "amplitude": 7.590710432434195, "polarity": 1}]),
+        (6, [0, 3], [
+            {"kind": "eyeblink", "trial": 0, "t0": 44, "tau": 27, "channels": [1, 3],
+             "amplitude": 6.531025090428584, "polarity": 1},
+            {"kind": "eyeblink", "trial": 0, "t0": 94, "tau": 33, "channels": [0, 2],
+             "amplitude": 4.49188949954876, "polarity": 1},
+            {"kind": "eyeblink", "trial": 3, "t0": 53, "tau": 37, "channels": [0, 3],
+             "amplitude": 7.308012103276214, "polarity": 1}]),
+    ])
+    def test_draws_are_pinned(self, seed, contaminated, events):
+        clean, manifest = generate_clean_dataset(2, 16, (100, 200), seed=4)
+        _, man = inject_eyeblinks(clean, manifest, seed=seed)
+        assert man.contaminated == contaminated
+        assert json.dumps(man.events) == json.dumps(events)
+
     def test_blink_too_long(self):
         clean, manifest = generate_clean_dataset(2, 4, 100, seed=30)
         manifest.fs = 500.0
@@ -337,3 +383,14 @@ class TestManifest:
         parsed = json.loads(doc)
         assert parsed["schema_version"] == 1
         assert parsed["rng"] == "numpy-pcg64"
+
+    @pytest.mark.parametrize("fs", [100.0, 250.0])
+    def test_band_edges_rebuild_from_the_manifest_alone(self, fs):
+        _, manifest = generate_clean_dataset(1, 4, 128, fs=fs, seed=37)
+        doc = json.loads(manifest.to_json())
+        (lo_factor, hi_factor), (lo_clamp, hi_clamp) = (doc["bandpass"]["edge_factors"],
+                                                        doc["bandpass"]["edge_clamp_hz"])
+        for band in doc["bands"]:
+            rebuilt = (max(band["peak_hz"] * lo_factor, lo_clamp),
+                       min(band["peak_hz"] * hi_factor, hi_clamp))
+            assert rebuilt == simulate_mod._band_edges(band["peak_hz"], fs)
